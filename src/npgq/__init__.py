@@ -20,6 +20,7 @@ from .moments import (
     AffineTransform,
     GaussianMixture,
     MomentSequence,
+    Sample,
     gaussian_moments,
     mixture_moments,
     sample_moments,

@@ -4,7 +4,9 @@ maximum-entropy moment matching on an even grid with a kernel-density prior.
 Both serve as comparison points for the moment-fed quadrature method.
 The Gauss-Hermite baseline is what one would use under a (log)normality
 assumption; the maximum-entropy baseline ("np-me") tilts a kernel density
-estimate on a fixed grid until low-order sample moments match.
+estimate on a fixed grid until low-order sample moments match.  Every
+data-taking function here also accepts a :class:`~npgq.moments.Sample`,
+whose standardization, fit and moments are then computed only once.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateDataError, InfeasibleError, InputError, NumericalError
-from .moments import gaussian_moments, sample_moments, standardize
+from .errors import InfeasibleError, InputError, NumericalError
+from .moments import Sample, gaussian_moments
 from .quadrature import DiscreteDistribution, golub_welsch
 
 __all__ = [
@@ -42,18 +44,12 @@ def fit_gaussian_mle(data) -> tuple[float, float]:
     """Maximum-likelihood Gaussian fit: sample mean and population std.
 
     The std uses divisor I (the MLE), consistent with the population
-    moment convention used everywhere else in the package.
+    moment convention used everywhere else in the package: the fit is the
+    shift and scale of the data's standardization.  Raises
+    :class:`DegenerateDataError` for constant data.
     """
-    x = np.asarray(data, dtype=float).reshape(-1)
-    if x.size == 0:
-        raise InputError("data must be nonempty")
-    if not np.all(np.isfinite(x)):
-        raise InputError("data contains non-finite entries")
-    mean = math.fsum(x) / x.size
-    var = math.fsum((x - mean) ** 2) / x.size
-    if var <= 0.0:
-        raise DegenerateDataError("data has zero sample variance")
-    return mean, math.sqrt(var)
+    transform = Sample.of(data).transform
+    return transform.shift, transform.scale
 
 
 @lru_cache(maxsize=32)
@@ -76,30 +72,37 @@ def gauss_hermite_discretize(data, n: int) -> DiscreteDistribution:
     return DiscreteDistribution(nodes=nodes, weights=base.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelDensity:
-    """Gaussian-kernel density estimate with a fixed bandwidth."""
+    """Gaussian-kernel density estimate with a fixed bandwidth.
 
-    data: tuple[float, ...]
+    ``data`` is held as a read-only float array; instances compare by
+    identity.
+    """
+
+    data: np.ndarray
     bandwidth: float
 
     def __post_init__(self):
-        x = tuple(float(v) for v in np.asarray(self.data, dtype=float).reshape(-1))
-        if len(x) == 0:
+        x = np.array(self.data, dtype=float).reshape(-1)
+        if x.size == 0:
             raise InputError("data must be nonempty")
-        if not all(math.isfinite(v) for v in x):
+        if not np.all(np.isfinite(x)):
             raise InputError("data contains non-finite entries")
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0.0):
             raise InputError(f"bandwidth must be positive, got {self.bandwidth}")
+        x.setflags(write=False)
         object.__setattr__(self, "data", x)
 
     @classmethod
     def fit(cls, data) -> "KernelDensity":
         """Bandwidth by Silverman's rule, h = 1.06 * std * I^(-1/5)."""
-        x = np.asarray(data, dtype=float).reshape(-1)
-        _, std = fit_gaussian_mle(x)
-        h = 1.06 * std * x.size ** (-0.2)
-        return cls(data=tuple(x), bandwidth=h)
+        sample = Sample.of(data)
+        return cls(data=sample.x, bandwidth=_silverman(sample.transform.scale, sample.x.size))
+
+
+def _silverman(std: float, size: int) -> float:
+    return 1.06 * std * size ** (-0.2)
 
 
 def kde_pdf(kd: KernelDensity, x):
@@ -107,9 +110,8 @@ def kde_pdf(kd: KernelDensity, x):
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
-    data = np.asarray(kd.data)
-    z = (pts[:, None] - data[None, :]) / kd.bandwidth
-    vals = np.exp(-0.5 * z * z).sum(axis=1) / (data.size * kd.bandwidth * _SQRT_2PI)
+    z = (pts[:, None] - kd.data[None, :]) / kd.bandwidth
+    vals = np.exp(-0.5 * z * z).sum(axis=1) / (kd.data.size * kd.bandwidth * _SQRT_2PI)
     return float(vals[0]) if scalar else vals
 
 
@@ -122,7 +124,10 @@ def maxent_grid(data, n: int) -> np.ndarray:
     """
     if n < 2:
         raise InputError(f"grid needs at least 2 points, got {n}")
-    mean, std = fit_gaussian_mle(data)
+    return _even_grid(*fit_gaussian_mle(data), n)
+
+
+def _even_grid(mean: float, std: float, n: int) -> np.ndarray:
     half_span = math.sqrt(2.0 * (n - 1)) * std
     return np.linspace(mean - half_span, mean + half_span, n)
 
@@ -245,12 +250,14 @@ def maxent_solve(data, n: int) -> MaxEntSolution:
     """
     if n < 2:
         raise InputError(f"node count must be >= 2, got {n}")
-    transform, z = standardize(data)
-    grid = maxent_grid(z, n)
-    prior = kde_pdf(KernelDensity.fit(z), grid)
+    sample = Sample.of(data)
+    transform, z = sample.transform, sample.z
+    mean, std = sample.z_fit
+    grid = _even_grid(mean, std, n)
+    prior = kde_pdf(KernelDensity(data=z, bandwidth=_silverman(std, z.size)), grid)
     prior = prior / prior.sum()
     n_match = 4 if n >= 5 else 2
-    targets = np.asarray(sample_moments(z, n_match).values[1:])
+    targets = np.asarray(sample.moments(n_match).values[1:])
     downgraded = False
     try:
         lam, weights, iterations = _solve_dual(grid, prior, targets)

@@ -37,7 +37,7 @@ from .experiments import (
     run_experiment,
     _DISCRETIZERS,
 )
-from .moments import sample_moments
+from .moments import Sample, sample_moments
 from .portfolio import PortfolioProblem, solve_portfolio
 
 __all__ = ["main", "entry"]
@@ -143,7 +143,7 @@ def cmd_portfolio(args) -> int:
         stock = stock / deflator
         riskfree = riskfree / deflator
     risk_free = float(np.exp(np.mean(np.log(riskfree))))
-    log_excess = np.log(stock) - math.log(risk_free)
+    log_excess = Sample(np.log(stock) - math.log(risk_free))
     dist_np = _DISCRETIZERS[args.method](log_excess, args.n)
     dist_g = _DISCRETIZERS["gauss-hermite"](log_excess, args.n)
     out_rows = []
@@ -199,8 +199,9 @@ def cmd_plotdata(args) -> int:
     if args.bins < 1:
         raise InputError("bins must be >= 1")
     heights, edges = np.histogram(data, bins=args.bins, density=True)
-    kd = KernelDensity.fit(data)
-    mean, std = fit_gaussian_mle(data)
+    sample = Sample(data)
+    kd = KernelDensity.fit(sample)
+    mean, std = fit_gaussian_mle(sample)
     lo = data.min() - 3.0 * kd.bandwidth
     hi = data.max() + 3.0 * kd.bandwidth
     grid = np.linspace(lo, hi, 512)

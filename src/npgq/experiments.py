@@ -6,6 +6,11 @@ each method, solves the portfolio problem for each risk aversion, and
 reports the relative bias and mean absolute error of the resulting risky
 share against the share computed from the true mixture.
 
+Each replication's sample is wrapped in one :class:`~npgq.moments.Sample`
+that every method and node count shares, so the data is standardized once
+and its moments are taken in one pass up to the highest order any rule
+needs.
+
 Reproducibility: every replication draws from its own counter-based
 substream keyed by (seed, sample size, replication index), and sampling
 is inverse-CDF on uniforms, so reports are bit-identical across runs and
@@ -15,7 +20,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from multiprocessing import get_context
 
 import numpy as np
@@ -23,7 +29,7 @@ from scipy.special import ndtri
 
 from .baselines import gauss_hermite_discretize, maxent_discretize
 from .errors import InputError, NpgqError
-from .moments import GaussianMixture
+from .moments import GaussianMixture, Sample
 from .portfolio import PortfolioProblem, solve_portfolio, theoretical_portfolio
 from .quadrature import discretize_data
 
@@ -102,7 +108,7 @@ class ExperimentConfig:
             raise InputError("duplicate method labels")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellResult:
     """Bias/MAE summary of one (method, T, N, gamma) cell."""
 
@@ -125,13 +131,11 @@ class ExperimentReport:
     config: ExperimentConfig
     theta_star: dict[float, float]
     cells: tuple[CellResult, ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
-        idx = {
-            (c.method, c.sample_size, c.node_count, c.gamma): c for c in self.cells
-        }
-        object.__setattr__(self, "_index", idx)
+    @cached_property
+    def _index(self) -> dict:
+        # Built on first lookup: a study keeps many reports it never indexes.
+        return {(c.method, c.sample_size, c.node_count, c.gamma): c for c in self.cells}
 
     def cell(self, method: str, sample_size: int, node_count: int, gamma: float) -> CellResult:
         key = (method, int(sample_size), int(node_count), float(gamma))
@@ -219,7 +223,7 @@ def sample_mixture(mix: GaussianMixture, size: int, rng: np.random.Generator) ->
     return means + stds * z
 
 
-def _theta_hat(method: str, data: np.ndarray, node_count: int,
+def _theta_hat(method: str, data, node_count: int,
                risk_free: float, gammas: tuple[float, ...]) -> list[float]:
     """Risky share per gamma for one discretization; NaN rows on failure."""
     try:
@@ -243,11 +247,13 @@ def _replication_block(cfg: ExperimentConfig, sample_size: int,
     """theta-hat array of shape (stop-start, methods, node counts, gammas)."""
     shape = (stop - start, len(cfg.methods), len(cfg.node_counts), len(cfg.gammas))
     out = np.empty(shape)
+    moment_order = 2 * max(cfg.node_counts)
     for i, m in enumerate(range(start, stop)):
         data = sample_mixture(cfg.mixture, sample_size, replication_rng(cfg.seed, sample_size, m))
+        sample = Sample(data, moment_order=moment_order)
         for j, method in enumerate(cfg.methods):
             for k, n in enumerate(cfg.node_counts):
-                out[i, j, k, :] = _theta_hat(method, data, n, cfg.risk_free, cfg.gammas)
+                out[i, j, k, :] = _theta_hat(method, sample, n, cfg.risk_free, cfg.gammas)
     return out
 
 

@@ -8,11 +8,19 @@ moments feed a Cholesky factorization that is sensitive to cancellation.
 Data is standardized (mean 0, std 1) before moments are taken; Gaussian
 quadrature commutes with affine maps, so nodes are mapped back afterwards
 at no cost in accuracy.
+
+:class:`Sample` holds one data set's derived statistics (the validated
+array, its standardization, the MLE fit of the standardized values and
+the longest standardized moment sequence asked for so far), computed on
+first use and shared by every discretizer handed the same ``Sample``.
+Moments of order ``k`` are a prefix of those of any higher order, so one
+moment pass serves every node count.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +29,7 @@ from .errors import DegenerateDataError, InputError
 __all__ = [
     "MomentSequence",
     "AffineTransform",
+    "Sample",
     "GaussianMixture",
     "sample_moments",
     "standardize",
@@ -168,6 +177,18 @@ def sample_moments(data, max_order: int) -> MomentSequence:
     return MomentSequence(tuple(out))
 
 
+def _mean_std(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and population std (divisor ``I``) of a clean array."""
+    n = x.size
+    mean = math.fsum(x) / n
+    var = math.fsum((x - mean) ** 2) / n
+    if var <= 0.0:
+        raise DegenerateDataError(
+            "data has zero sample variance; cannot standardize"
+        )
+    return mean, math.sqrt(var)
+
+
 def standardize(data) -> tuple[AffineTransform, np.ndarray]:
     """Map data to mean 0, std 1 (population divisor ``I``).
 
@@ -176,16 +197,73 @@ def standardize(data) -> tuple[AffineTransform, np.ndarray]:
     :class:`DegenerateDataError` when the sample std is zero.
     """
     x = _as_clean_array(data)
-    n = x.size
-    mean = math.fsum(x) / n
-    var = math.fsum((x - mean) ** 2) / n
-    if var <= 0.0:
-        raise DegenerateDataError(
-            "data has zero sample variance; cannot standardize"
-        )
-    scale = math.sqrt(var)
+    mean, scale = _mean_std(x)
     transform = AffineTransform(shift=mean, scale=scale)
     return transform, (x - mean) / scale
+
+
+class Sample:
+    """One data set and the statistics every discretizer derives from it.
+
+    Nothing is computed at construction: each statistic is computed on
+    first use and kept, so invalid or degenerate data raises its
+    :class:`InputError` or :class:`DegenerateDataError` from the call that
+    first needs it, and raises again on every later call.  The data must
+    not be modified while the sample is in use.
+
+    ``moment_order`` is the order the first :meth:`moments` request
+    computes up to (at least), so that a caller who will ask for several
+    orders pays for one pass over the data.
+    """
+
+    def __init__(self, data, *, moment_order: int = 0):
+        self._data = data
+        self._moment_order = int(moment_order)
+        self._moments = None
+
+    @classmethod
+    def of(cls, data) -> "Sample":
+        """``data`` itself if it is a :class:`Sample`, else a new one."""
+        return data if isinstance(data, cls) else cls(data)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """The data as a nonempty, finite, one-dimensional float array."""
+        return _as_clean_array(self._data)
+
+    @cached_property
+    def _standardized(self) -> tuple[AffineTransform, np.ndarray]:
+        transform, z = standardize(self.x)
+        z.setflags(write=False)
+        return transform, z
+
+    @property
+    def transform(self) -> AffineTransform:
+        """Map from standardized to original units, as :func:`standardize`."""
+        return self._standardized[0]
+
+    @property
+    def z(self) -> np.ndarray:
+        """The standardized data (read-only), as :func:`standardize`."""
+        return self._standardized[1]
+
+    @cached_property
+    def z_fit(self) -> tuple[float, float]:
+        """Mean and population std of :attr:`z`: 0 and 1 up to rounding."""
+        return _mean_std(self.z)
+
+    def moments(self, max_order: int) -> MomentSequence:
+        """Raw moments of :attr:`z` up to ``max_order``, as :func:`sample_moments`.
+
+        A request at or below the highest order computed so far is a
+        prefix of that sequence; a higher one computes a new sequence.
+        """
+        if max_order < 0:
+            raise InputError(f"max_order must be >= 0, got {max_order}")
+        if self._moments is None or self._moments.max_order < max_order:
+            order = max(max_order, self._moment_order)
+            self._moments = sample_moments(self.z, order)
+        return MomentSequence(self._moments.values[: max_order + 1])
 
 
 def gaussian_moments(mean: float, std: float, max_order: int) -> MomentSequence:

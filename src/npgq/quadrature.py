@@ -7,6 +7,9 @@ quadrature nodes; squared first eigenvector components (times ``m_0``)
 are the weights.  An N-point rule built this way integrates polynomials
 up to degree ``2N - 1`` exactly, so feeding in sample moments yields an
 N-point distribution matching the first ``2N - 1`` sample moments.
+:func:`discretize_data` takes those moments from a
+:class:`~npgq.moments.Sample`, so rules for several N on one data set
+share one standardization and one moment pass.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalError,
 )
-from .moments import MomentSequence, sample_moments, standardize
+from .moments import MomentSequence, Sample
 
 __all__ = [
     "DiscreteDistribution",
@@ -290,8 +293,10 @@ def discretize_data(data, n: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> Disc
 
     Parameters
     ----------
-    data : array_like
-        Observations; need at least N distinct values.
+    data : array_like or Sample
+        Observations; need at least N distinct values.  A
+        :class:`~npgq.moments.Sample` reuses its standardization and
+        moments across calls.
     n : int
         Number of nodes.  Capped at ``max_nodes`` (default 9) because the
         standardized Hankel matrix becomes badly conditioned for large N;
@@ -304,19 +309,18 @@ def discretize_data(data, n: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> Disc
             f"node count {n} exceeds the cap {max_nodes}; pass max_nodes={n} "
             "to override (conditioning degrades for large N)"
         )
-    x = np.asarray(data, dtype=float).reshape(-1)
+    sample = Sample.of(data)
     try:
-        transform, z = standardize(x)
+        transform = sample.transform
     except DegenerateDataError:
         # Constant data carries a single support point: representable
         # exactly when one node is requested.
         if n == 1:
-            return DiscreteDistribution(nodes=(float(x[0]),), weights=(1.0,))
+            return DiscreteDistribution(nodes=(float(sample.x[0]),), weights=(1.0,))
         raise DegenerateDataError(
             "data is constant; only a single node is representable -- reduce N to 1"
         )
-    ms = sample_moments(z, 2 * n)
-    rule = golub_welsch(ms, n)
+    rule = golub_welsch(sample.moments(2 * n), n)
     nodes = transform.to_original(np.asarray(rule.nodes))
     return DiscreteDistribution(nodes=tuple(nodes), weights=rule.weights)
 

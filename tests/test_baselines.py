@@ -94,6 +94,19 @@ class TestKernelDensity:
         _, std = fit_gaussian_mle(data)
         assert kd.bandwidth == pytest.approx(1.06 * std * 500 ** (-0.2), rel=1e-12)
 
+    def test_holds_a_read_only_array(self):
+        kd = KernelDensity(data=[[1.0, 2.0], [4.0, 8.0]], bandwidth=0.5)
+        assert isinstance(kd.data, np.ndarray) and kd.data.dtype == np.float64
+        assert kd.data.tolist() == [1.0, 2.0, 4.0, 8.0]
+        assert not kd.data.flags.writeable
+        assert kd == kd
+        assert kd != KernelDensity(data=[1.0, 2.0, 4.0, 8.0], bandwidth=0.5)
+
+    @pytest.mark.parametrize("data", [[], [1.0, math.nan], [math.inf]])
+    def test_rejects_bad_data(self, data):
+        with pytest.raises(InputError):
+            KernelDensity(data=data, bandwidth=1.0)
+
     def test_integrates_to_one(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal(50)

@@ -4,10 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import npgq.experiments as experiments
+import npgq.moments as moments
 from npgq import (
     ExperimentConfig,
     GaussianMixture,
     InputError,
+    NpgqError,
+    PortfolioProblem,
+    discretize_data,
+    gauss_hermite_discretize,
+    maxent_discretize,
+    solve_portfolio,
     format_config,
     parse_config,
     replication_rng,
@@ -217,3 +225,68 @@ class TestConfigFiles:
     def test_malformed_line_rejected(self):
         with pytest.raises(InputError):
             parse_config("seed 99\n")
+
+
+REFERENCE_CFG = ExperimentConfig(sample_sizes=(100, 1000), replications=3, seed=31337)
+
+
+def _fresh_theta_hats(cfg, sample_size):
+    """theta-hat per (replication, method, N, gamma), every rule from a fresh raw array."""
+    discretizers = {
+        "np-gq": discretize_data,
+        "gauss-hermite": gauss_hermite_discretize,
+        "np-me": maxent_discretize,
+    }
+    out = np.full((cfg.replications, len(cfg.methods), len(cfg.node_counts), len(cfg.gammas)), np.nan)
+    for m in range(cfg.replications):
+        data = sample_mixture(cfg.mixture, sample_size, replication_rng(cfg.seed, sample_size, m))
+        for j, method in enumerate(cfg.methods):
+            for k, n in enumerate(cfg.node_counts):
+                try:
+                    dist = discretizers[method](data.copy(), n)
+                except NpgqError:
+                    continue
+                for g, gamma in enumerate(cfg.gammas):
+                    try:
+                        out[m, j, k, g] = solve_portfolio(
+                            PortfolioProblem(dist=dist, risk_free=cfg.risk_free, gamma=gamma)
+                        ).theta
+                    except NpgqError:
+                        pass
+    return out
+
+
+class TestSharedSampleStudy:
+    def test_theta_hats_match_fresh_calls(self, monkeypatch):
+        blocks = []
+        original = experiments._replication_block
+
+        def recording(cfg, sample_size, start, stop):
+            block = original(cfg, sample_size, start, stop)
+            blocks.append((sample_size, start, block))
+            return block
+
+        monkeypatch.setattr(experiments, "_replication_block", recording)
+        run_experiment(REFERENCE_CFG, jobs=1)
+        for t in REFERENCE_CFG.sample_sizes:
+            study = np.concatenate([b for size, _, b in sorted(blocks, key=lambda x: x[:2]) if size == t])
+            assert np.array_equal(study, _fresh_theta_hats(REFERENCE_CFG, t), equal_nan=True)
+
+    def test_one_standardization_and_moment_pass_per_sample(self, monkeypatch):
+        calls = {"standardize": 0, "sample_moments": []}
+        standardize, sample_moments = moments.standardize, moments.sample_moments
+
+        def counting_standardize(data):
+            calls["standardize"] += 1
+            return standardize(data)
+
+        def counting_moments(data, max_order):
+            calls["sample_moments"].append(max_order)
+            return sample_moments(data, max_order)
+
+        monkeypatch.setattr(moments, "standardize", counting_standardize)
+        monkeypatch.setattr(moments, "sample_moments", counting_moments)
+        run_experiment(REFERENCE_CFG, jobs=1)
+        samples = REFERENCE_CFG.replications * len(REFERENCE_CFG.sample_sizes)
+        assert calls["standardize"] == samples
+        assert calls["sample_moments"] == [2 * max(REFERENCE_CFG.node_counts)] * samples
