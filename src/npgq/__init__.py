@@ -40,13 +40,6 @@ from .quadrature import (
     jacobi_from_cholesky,
     tridiagonal_eigen,
 )
-from .orthopoly import (
-    MomentFunctional,
-    MonicPolynomial,
-    poly_eval,
-    poly_roots_bracketed,
-    ttrr_build,
-)
 from .baselines import (
     KernelDensity,
     MaxEntSolution,
@@ -76,7 +69,6 @@ from .experiments import (
     format_config,
     parse_config,
     replication_rng,
-    run_cell,
     run_experiment,
     sample_mixture,
 )

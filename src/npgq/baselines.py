@@ -140,24 +140,25 @@ def maxent_dual(lam, nodes, prior, targets) -> tuple[float, np.ndarray]:
     is the moment mismatch of the tilted weights, and its minimizer makes
     the tilted moments hit the targets exactly.
     """
-    lam = np.asarray(lam, dtype=float)
-    nodes = np.asarray(nodes, dtype=float)
-    prior = np.asarray(prior, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    feat = _features(nodes, targets.size) - targets[:, None]
-    logits = np.log(prior) + lam @ feat
-    top = float(np.max(logits))
-    expo = np.exp(logits - top)
-    total = float(expo.sum())
-    value = top + math.log(total)
-    w = expo / total
-    grad = feat @ w
+    value, grad, _ = _dual(np.asarray(lam, dtype=float), *_dual_terms(nodes, prior, targets))
     return value, grad
 
 
-def _features(nodes: np.ndarray, n_moments: int) -> np.ndarray:
-    """Stack of monomials x, x^2, ..., x^L evaluated on the grid (L x N)."""
-    return np.vander(nodes, n_moments + 1, increasing=True).T[1:]
+def _dual_terms(nodes, prior, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Centered monomials ``T(x_n) - tbar`` on the grid (L x N) and the log prior."""
+    targets = np.asarray(targets, dtype=float)
+    powers = np.vander(np.asarray(nodes, dtype=float), targets.size + 1, increasing=True).T[1:]
+    return powers - targets[:, None], np.log(np.asarray(prior, dtype=float))
+
+
+def _dual(lam: np.ndarray, feat: np.ndarray, log_prior: np.ndarray):
+    """Dual value, gradient and tilted weights at ``lam``."""
+    logits = log_prior + lam @ feat
+    top = float(np.max(logits))
+    expo = np.exp(logits - top)
+    total = float(expo.sum())
+    w = expo / total
+    return top + math.log(total), feat @ w, w
 
 
 @dataclass(frozen=True)
@@ -189,20 +190,9 @@ def _solve_dual(nodes, prior, targets) -> tuple[np.ndarray, np.ndarray, int]:
     signals unattainable targets and raises :class:`InfeasibleError`;
     failure to converge within the cap raises :class:`NumericalError`.
     """
-    n_mom = len(targets)
-    feat = _features(np.asarray(nodes, float), n_mom) - np.asarray(targets)[:, None]
-    log_prior = np.log(np.asarray(prior, float))
-    lam = np.zeros(n_mom)
-
-    def value_grad_w(l):
-        logits = log_prior + l @ feat
-        top = float(np.max(logits))
-        expo = np.exp(logits - top)
-        total = float(expo.sum())
-        w = expo / total
-        return top + math.log(total), feat @ w, w
-
-    value, grad, w = value_grad_w(lam)
+    feat, log_prior = _dual_terms(nodes, prior, targets)
+    lam = np.zeros(feat.shape[0])
+    value, grad, w = _dual(lam, feat, log_prior)
     for iteration in range(_NEWTON_MAX_ITER):
         if float(np.linalg.norm(grad)) <= _NEWTON_GRAD_TOL:
             return lam, w, iteration
@@ -223,7 +213,7 @@ def _solve_dual(nodes, prior, targets) -> tuple[np.ndarray, np.ndarray, int]:
         t = 1.0
         for _ in range(60):
             cand = lam + t * step
-            cand_value, cand_grad, cand_w = value_grad_w(cand)
+            cand_value, cand_grad, cand_w = _dual(cand, feat, log_prior)
             if cand_value <= value + 1e-4 * t * slope + roundoff:
                 break
             t *= 0.5

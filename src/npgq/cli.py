@@ -96,9 +96,12 @@ def _gamma_grid(spec: str) -> list[float]:
         parts = spec.split(":")
         if len(parts) not in (2, 3):
             raise InputError(f"bad gamma range {spec!r}; use start:stop[:step]")
-        start, stop = float(parts[0]), float(parts[1])
-        step = float(parts[2]) if len(parts) == 3 else 1.0
-        if step <= 0 or stop < start:
+        try:
+            start, stop = float(parts[0]), float(parts[1])
+            step = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise InputError(f"bad gamma range {spec!r}: {exc}") from exc
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise InputError(f"bad gamma range {spec!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(count)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from multiprocessing import get_context
 
@@ -42,7 +42,6 @@ __all__ = [
     "ExperimentReport",
     "sample_mixture",
     "replication_rng",
-    "run_cell",
     "run_experiment",
     "parse_config",
     "format_config",
@@ -62,12 +61,8 @@ DEFAULT_RISK_FREE = 1.0045
 METHOD_LABELS = ("np-gq", "gauss-hermite", "np-me")
 
 
-def _discretize_np_gq(data, n):
-    return discretize_data(data, n)
-
-
 _DISCRETIZERS = {
-    "np-gq": _discretize_np_gq,
+    "np-gq": discretize_data,
     "gauss-hermite": gauss_hermite_discretize,
     "np-me": maxent_discretize,
 }
@@ -93,6 +88,9 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.replications < 1:
             raise InputError("replications must be >= 1")
+        for name in ("sample_sizes", "node_counts", "gammas", "methods"):
+            if not getattr(self, name):
+                raise InputError(f"{name} must not be empty")
         if any(t < 2 for t in self.sample_sizes):
             raise InputError("sample sizes must be >= 2")
         if any(n < 1 for n in self.node_counts):
@@ -289,33 +287,6 @@ def _summarize(ratios_minus_one: np.ndarray) -> tuple[float, float, int, int, fl
     else:
         bias_se = mae_se = math.nan
     return bias, mae, failures, good.size, bias_se, mae_se
-
-
-def run_cell(cfg: ExperimentConfig, method: str, sample_size: int,
-             node_count: int, gamma: float, theta_star: float | None = None) -> CellResult:
-    """Bias and MAE of one (method, T, N, gamma) cell over all replications."""
-    if method not in _DISCRETIZERS:
-        raise InputError(f"unknown method {method!r}")
-    if theta_star is None:
-        sub = replace(cfg, gammas=(float(gamma),))
-        theta_star = _theta_star_table(sub)[float(gamma)]
-    thetas = np.empty(cfg.replications)
-    for m in range(cfg.replications):
-        data = sample_mixture(cfg.mixture, sample_size, replication_rng(cfg.seed, sample_size, m))
-        thetas[m] = _theta_hat(method, data, node_count, cfg.risk_free, (float(gamma),))[0]
-    bias, mae, failures, n_used, bias_se, mae_se = _summarize(thetas / theta_star - 1.0)
-    return CellResult(
-        method=method,
-        sample_size=int(sample_size),
-        node_count=int(node_count),
-        gamma=float(gamma),
-        bias=bias,
-        mae=mae,
-        failures=failures,
-        n_used=n_used,
-        bias_se=bias_se,
-        mae_se=mae_se,
-    )
 
 
 def _grid_tasks(cfg: ExperimentConfig, jobs: int):

@@ -122,10 +122,6 @@ class GaussianMixture:
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "stds", sd)
 
-    @property
-    def n_components(self) -> int:
-        return len(self.proportions)
-
     def mean(self) -> float:
         return math.fsum(p * m for p, m in zip(self.proportions, self.means))
 

@@ -78,10 +78,6 @@ class DiscreteDistribution:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(self.weights)
-
     def moment(self, order: int) -> float:
         return math.fsum(w * x**order for x, w in zip(self.nodes, self.weights))
 

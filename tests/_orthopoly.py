@@ -1,11 +1,12 @@
 """Monic orthogonal polynomials built directly from a moment functional.
 
-This is a deliberately independent route to the same quadrature nodes as
-the Cholesky/eigenvalue pipeline in :mod:`npgq.quadrature`: inner
-products are exact finite sums over moments, the polynomials come from
-the three-term recurrence, and roots are found by bisection between
-interlacing brackets.  No matrix factorization or eigensolver is
-involved, so agreement between the two routes is a genuine check.
+A test-only cross-check: a deliberately independent route to the same
+quadrature nodes as the Cholesky/eigenvalue pipeline in
+:mod:`npgq.quadrature`.  Inner products are exact finite sums over
+moments, the polynomials come from the three-term recurrence, and roots
+are found by bisection between interlacing brackets.  No matrix
+factorization or eigensolver is involved, so agreement between the two
+routes is a genuine check.
 """
 from __future__ import annotations
 
@@ -14,17 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, InputError, NumericalError
-from .moments import MomentSequence
-from .quadrature import JacobiMatrix
-
-__all__ = [
-    "MonicPolynomial",
-    "MomentFunctional",
-    "ttrr_build",
-    "poly_eval",
-    "poly_roots_bracketed",
-]
+from npgq import (
+    DegenerateDataError,
+    InputError,
+    JacobiMatrix,
+    MomentSequence,
+    NumericalError,
+)
 
 
 @dataclass(frozen=True)
@@ -132,15 +129,13 @@ def ttrr_build(mf: MomentFunctional, n: int) -> tuple[list[MonicPolynomial], Jac
     return out, JacobiMatrix(diag=tuple(diag), offdiag=tuple(offdiag))
 
 
-def poly_eval(p: MonicPolynomial, x: float) -> float:
-    """Horner evaluation of p at a scalar point."""
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
+def poly_eval(p, x: float) -> float:
+    """Horner evaluation at a scalar point.
 
-
-def _eval_coeffs(coeffs, x: float) -> float:
+    ``p`` is a :class:`MonicPolynomial` or a sequence of coefficients in
+    ascending order.
+    """
+    coeffs = p.coeffs if isinstance(p, MonicPolynomial) else p
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -154,7 +149,7 @@ def _bisect_root(coeffs, lo: float, hi: float, flo: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        fmid = _eval_coeffs(coeffs, mid)
+        fmid = poly_eval(coeffs, mid)
         if fmid == 0.0:
             return mid
         if (fmid > 0.0) == sign_lo:
@@ -211,8 +206,8 @@ def _roots_recursive(coeffs: np.ndarray, lo: float, hi: float) -> list[float]:
     cuts = [lo] + crit + [hi]
     roots: list[float] = []
     for a, b in zip(cuts, cuts[1:]):
-        fa = _eval_coeffs(coeffs, a)
-        fb = _eval_coeffs(coeffs, b)
+        fa = poly_eval(coeffs, a)
+        fb = poly_eval(coeffs, b)
         if fa == 0.0:
             # Endpoint root only possible at the user-supplied boundary.
             if a == lo:

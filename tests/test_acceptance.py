@@ -13,7 +13,6 @@ import pytest
 
 from npgq import (
     DiscreteDistribution,
-    MomentFunctional,
     PortfolioProblem,
     cholesky,
     discretize_data,
@@ -25,11 +24,9 @@ from npgq import (
     maxent_dual,
     maxent_solve,
     mixture_moments,
-    poly_roots_bracketed,
     sample_moments,
     solve_portfolio,
     standardize,
-    ttrr_build,
 )
 from npgq.experiments import (
     DEFAULT_MIXTURE,
@@ -39,6 +36,7 @@ from npgq.experiments import (
 )
 
 from _oracles import golden_section_theta, random_mixture, random_portfolio_problem
+from _orthopoly import MomentFunctional, poly_roots_bracketed, ttrr_build
 
 
 @pytest.fixture()

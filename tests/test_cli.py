@@ -176,6 +176,13 @@ class TestPortfolio:
         src = write_csv(tmp_path / "r.csv", ["s", "b"], [[1.0, -0.5], [1.0, 1.0]])
         assert main(["portfolio", src, "--stock", "s", "--riskfree", "b"]) == 2
 
+    @pytest.mark.parametrize("spec", ["a:3", "nan:3", "1:inf", "1:3:0"])
+    def test_bad_gamma_range_exits_2(self, tmp_path, capsys, spec):
+        src = self.make_returns(tmp_path, t=200)
+        assert main(["portfolio", src, "--stock", "stock", "--riskfree", "rf",
+                     "--gamma", spec]) == 2
+        assert capsys.readouterr().err.startswith("error: bad gamma range")
+
 
 class TestExperimentCommand:
     def test_smoke_run_and_determinism(self, tmp_path):
@@ -210,6 +217,13 @@ class TestExperimentCommand:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("unknown_key = 5\n")
         assert main(["experiment", "--config", str(cfg), "--output", str(tmp_path / "x")]) == 2
+
+    def test_empty_list_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("node_counts =\n")
+        assert main(["experiment", "--config", str(cfg), "--output", str(tmp_path / "x")]) == 2
+        assert "node_counts must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestPlotdata:

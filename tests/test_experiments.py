@@ -19,7 +19,6 @@ from npgq import (
     format_config,
     parse_config,
     replication_rng,
-    run_cell,
     run_experiment,
     sample_mixture,
     theoretical_portfolio,
@@ -68,6 +67,13 @@ class TestSampleMixture:
         assert not np.array_equal(a, b)
 
 
+def _single_cell(cfg, method, sample_size, node_count, gamma):
+    """One (method, T, N, gamma) cell: the study on a singleton grid."""
+    single = replace(cfg, methods=(method,), sample_sizes=(sample_size,),
+                     node_counts=(node_count,), gammas=(gamma,))
+    return run_experiment(single).cells[0]
+
+
 class TestRunCell:
     def test_exact_recovery_leaves_only_sampling_error(self):
         # Two-atom truth, two nodes: the discretizer returns the sample's
@@ -104,34 +110,25 @@ class TestRunCell:
             ).theta
             assert via_quadrature == pytest.approx(direct, abs=1e-8)
             direct_errors.append(direct / theta_star - 1.0)
-        cell = run_cell(cfg, "np-gq", 80, 2, 2.0)
+        cell = _single_cell(cfg, "np-gq", 80, 2, 2.0)
         assert cell.failures == 0
         assert cell.n_used == 25
         assert cell.bias == pytest.approx(np.mean(direct_errors), abs=1e-8)
         assert cell.mae == pytest.approx(np.mean(np.abs(direct_errors)), abs=1e-8)
 
-    def test_accepts_precomputed_theta_star(self):
-        theta = theoretical_portfolio(TWO_ATOM, DEFAULT_RISK_FREE, 2.0)
-        cfg = replace(SMALL_CFG, mixture=TWO_ATOM)
-        a = run_cell(cfg, "np-gq", 60, 2, 2.0, theta_star=theta)
-        b = run_cell(cfg, "np-gq", 60, 2, 2.0)
-        assert a.bias == b.bias
-        assert a.mae == b.mae
-
     def test_unknown_method_rejected(self):
         with pytest.raises(InputError):
-            run_cell(SMALL_CFG, "magic", 60, 2, 2.0)
+            _single_cell(SMALL_CFG, "magic", 60, 2, 2.0)
 
 
 class TestRunExperiment:
-    def test_singleton_grid_reduces_to_run_cell(self):
-        cfg = replace(SMALL_CFG, sample_sizes=(60,), node_counts=(3,), gammas=(2.0,), methods=("np-gq",))
-        report = run_experiment(cfg)
-        only = report.cells[0]
-        single = run_cell(cfg, "np-gq", 60, 3, 2.0)
-        assert only.bias == single.bias
-        assert only.mae == single.mae
-        assert only.failures == single.failures
+    def test_singleton_grid_matches_full_grid_cell(self):
+        report = run_experiment(SMALL_CFG)
+        for method in SMALL_CFG.methods:
+            for t in SMALL_CFG.sample_sizes:
+                for n in SMALL_CFG.node_counts:
+                    for g in SMALL_CFG.gammas:
+                        assert _single_cell(SMALL_CFG, method, t, n, g) == report.cell(method, t, n, g)
 
     def test_deterministic_bytes(self):
         a = run_experiment(SMALL_CFG).to_csv()
@@ -225,6 +222,11 @@ class TestConfigFiles:
     def test_malformed_line_rejected(self):
         with pytest.raises(InputError):
             parse_config("seed 99\n")
+
+    @pytest.mark.parametrize("key", ["sample_sizes", "node_counts", "gammas", "methods"])
+    def test_empty_list_rejected(self, key):
+        with pytest.raises(InputError, match=f"{key} must not be empty"):
+            parse_config(f"{key} =\n")
 
 
 REFERENCE_CFG = ExperimentConfig(sample_sizes=(100, 1000), replications=3, seed=31337)

@@ -6,9 +6,7 @@ import pytest
 from npgq import (
     DegenerateDataError,
     InputError,
-    MomentFunctional,
     MomentSequence,
-    MonicPolynomial,
     NumericalError,
     cholesky,
     gaussian_moments,
@@ -16,12 +14,16 @@ from npgq import (
     hankel_matrix,
     jacobi_from_cholesky,
     mixture_moments,
+)
+
+from _oracles import random_mixture
+from _orthopoly import (
+    MomentFunctional,
+    MonicPolynomial,
     poly_eval,
     poly_roots_bracketed,
     ttrr_build,
 )
-
-from _oracles import random_mixture
 
 UNIFORM_MOMENTS = MomentSequence((1.0, 0.0, 1 / 3, 0.0, 1 / 5, 0.0, 1 / 7))
 

@@ -1,0 +1,28 @@
+import os
+import subprocess
+import sys
+
+import npgq
+
+TEST_ONLY_NAMES = (
+    "run_cell",
+    "ttrr_build",
+    "MomentFunctional",
+    "MonicPolynomial",
+    "poly_eval",
+    "poly_roots_bracketed",
+)
+
+
+def test_import_loads_no_test_only_route():
+    # A fresh interpreter, so modules imported by other tests do not count.
+    probe = (
+        "import sys, npgq; "
+        "print('npgq.orthopoly' in sys.modules, "
+        f"[n for n in {TEST_ONLY_NAMES!r} if hasattr(npgq, n)])"
+    )
+    src = os.path.dirname(os.path.dirname(npgq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False []"
