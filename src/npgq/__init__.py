@@ -1,8 +1,9 @@
 """Moment-based discretization of empirical distributions.
 
 The core operation turns raw data into an N-point discrete distribution
-whose first ``2N - 1`` moments match the sample moments exactly, by
-feeding sample moments through the Golub-Welsch quadrature construction.
+whose first ``2N - 1`` moments match the sample moments exactly: the
+Golub-Welsch rule of the Jacobi matrix of the data's empirical measure,
+built by Lanczos.
 Baseline discretizers, a CRRA portfolio application, and a Monte Carlo
 accuracy harness round out the package.
 """
@@ -28,16 +29,12 @@ from .moments import (
     standardized_mixture,
 )
 from .quadrature import (
-    DEFAULT_MAX_NODES,
-    CholeskyFactor,
     DiscreteDistribution,
     JacobiMatrix,
-    cholesky,
     discretize_data,
     expectation,
     golub_welsch,
-    hankel_matrix,
-    jacobi_from_cholesky,
+    jacobi_from_moments,
     tridiagonal_eigen,
 )
 from .baselines import (

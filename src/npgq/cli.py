@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import replace
@@ -45,12 +46,24 @@ __all__ = ["main", "entry"]
 _NUM = "{:.12g}".format
 
 
-def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_text(path: str, newline: str | None = None) -> str:
+    """The text of ``path``; an unreadable or non-UTF-8 file is an InputError."""
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    rows = list(csv.reader(io.StringIO(_read_text(path, newline=""))))
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one data row")
     header, data = rows[0], rows[1:]
@@ -80,7 +93,7 @@ def _column_values(header: list[str], rows: list[list[str]], selector: str, path
 
 
 def _write_rows(path: str | None, header: list[str], rows) -> None:
-    out = sys.stdout if path in (None, "-") else open(path, "w", newline="")
+    out = sys.stdout if path in (None, "-") else _open_output(path)
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
@@ -172,25 +185,21 @@ def cmd_portfolio(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                cfg = parse_config(fh.read())
-        except OSError as exc:
-            raise InputError(f"cannot read {args.config}: {exc}") from exc
+        cfg = parse_config(_read_text(args.config))
     else:
         cfg = ExperimentConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.smoke:
         cfg = replace(cfg, replications=10)
-    report = run_experiment(cfg, jobs=args.jobs)
     csv_path = args.output + ".csv"
     txt_path = args.output + ".txt"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(report.to_csv())
-    tables = report.format_tables()
-    with open(txt_path, "w", newline="") as fh:
-        fh.write(tables)
+    # Both outputs are opened before the study runs, so a bad path fails fast.
+    with _open_output(csv_path) as csv_fh, _open_output(txt_path) as txt_fh:
+        report = run_experiment(cfg, jobs=args.jobs)
+        csv_fh.write(report.to_csv())
+        tables = report.format_tables()
+        txt_fh.write(tables)
     print(tables, end="")
     print(f"wrote {csv_path} and {txt_path}", file=sys.stderr)
     return 0

@@ -14,15 +14,19 @@ class DegenerateDataError(NpgqError):
 
 
 class NotPositiveDefiniteError(NpgqError):
-    """Cholesky factorization hit a non-positive pivot.
+    """The measure has fewer support points than the nodes requested.
+
+    Raised when the Cholesky factorization of a Hankel moment matrix hits
+    a non-positive pivot, or when Lanczos on data breaks down (its next
+    off-diagonal entry is rounding noise).
 
     Attributes
     ----------
     pivot : int
-        1-based index of the failing pivot.  A failure at pivot ``i``
-        signals that the underlying measure has fewer than ``i``
-        effective support points; reducing the node count to ``i - 1``
-        is the usual remedy.
+        1-based index of the failing pivot, or one more than the number
+        of Lanczos steps completed.  A failure at pivot ``i`` signals that
+        the underlying measure has fewer than ``i`` effective support
+        points; reducing the node count to ``i - 1`` is the usual remedy.
     """
 
     def __init__(self, message: str, pivot: int):

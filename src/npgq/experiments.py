@@ -7,9 +7,9 @@ reports the relative bias and mean absolute error of the resulting risky
 share against the share computed from the true mixture.
 
 Each replication's sample is wrapped in one :class:`~npgq.moments.Sample`
-that every method and node count shares, so the data is standardized once
-and its moments are taken in one pass up to the highest order any rule
-needs.
+that every method and node count shares, so the data is standardized once;
+np-gq builds its rules from the standardized data and np-me's moment
+targets (order 2 or 4) come from one moment pass.
 
 Reproducibility: every replication draws from its own counter-based
 substream keyed by (seed, sample size, replication index), and sampling
@@ -88,6 +88,8 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.replications < 1:
             raise InputError("replications must be >= 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         for name in ("sample_sizes", "node_counts", "gammas", "methods"):
             if not getattr(self, name):
                 raise InputError(f"{name} must not be empty")
@@ -245,10 +247,9 @@ def _replication_block(cfg: ExperimentConfig, sample_size: int,
     """theta-hat array of shape (stop-start, methods, node counts, gammas)."""
     shape = (stop - start, len(cfg.methods), len(cfg.node_counts), len(cfg.gammas))
     out = np.empty(shape)
-    moment_order = 2 * max(cfg.node_counts)
     for i, m in enumerate(range(start, stop)):
         data = sample_mixture(cfg.mixture, sample_size, replication_rng(cfg.seed, sample_size, m))
-        sample = Sample(data, moment_order=moment_order)
+        sample = Sample(data)
         for j, method in enumerate(cfg.methods):
             for k, n in enumerate(cfg.node_counts):
                 out[i, j, k, :] = _theta_hat(method, sample, n, cfg.risk_free, cfg.gammas)

@@ -1,11 +1,10 @@
 """Raw moments of data, Gaussians, and Gaussian mixtures.
 
-Everything downstream (Hankel matrices, recurrence coefficients,
-quadrature rules) consumes plain sequences of raw moments
+Moment-based quadrature (:func:`~npgq.quadrature.golub_welsch`) and the
+np-me baseline consume plain sequences of raw moments
 ``m_0, m_1, ..., m_K`` with ``m_k = E[X^k]``.  Sample moments use the
-population divisor ``1/I`` and compensated summation, since high-order
-moments feed a Cholesky factorization that is sensitive to cancellation.
-Data is standardized (mean 0, std 1) before moments are taken; Gaussian
+population divisor ``1/I`` and compensated summation.  Data is
+standardized (mean 0, std 1) before moments are taken; Gaussian
 quadrature commutes with affine maps, so nodes are mapped back afterwards
 at no cost in accuracy.
 
@@ -13,8 +12,8 @@ at no cost in accuracy.
 array, its standardization, the MLE fit of the standardized values and
 the longest standardized moment sequence asked for so far), computed on
 first use and shared by every discretizer handed the same ``Sample``.
-Moments of order ``k`` are a prefix of those of any higher order, so one
-moment pass serves every node count.
+Moments of order ``k`` are a prefix of those of any higher order, so a
+lower-order request costs no pass over the data.
 """
 from __future__ import annotations
 
@@ -159,7 +158,8 @@ def sample_moments(data, max_order: int) -> MomentSequence:
     -------
     MomentSequence
         ``values[0]`` is exactly 1; each sum is accumulated with
-        error-compensated summation.
+        error-compensated summation.  A moment past the float range raises
+        :class:`InputError` naming its order.
     """
     if max_order < 0:
         raise InputError(f"max_order must be >= 0, got {max_order}")
@@ -167,9 +167,16 @@ def sample_moments(data, max_order: int) -> MomentSequence:
     n = x.size
     out = [1.0]
     power = np.ones_like(x)
-    for _ in range(max_order):
-        power = power * x
-        out.append(math.fsum(power) / n)
+    for k in range(1, max_order + 1):
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            power = power * x
+        try:
+            total = math.fsum(power)
+        except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
+            total = math.inf
+        if not math.isfinite(total):
+            raise InputError(f"sample moment of order {k} overflows; rescale the data")
+        out.append(total / n)
     return MomentSequence(tuple(out))
 
 
@@ -206,15 +213,10 @@ class Sample:
     :class:`InputError` or :class:`DegenerateDataError` from the call that
     first needs it, and raises again on every later call.  The data must
     not be modified while the sample is in use.
-
-    ``moment_order`` is the order the first :meth:`moments` request
-    computes up to (at least), so that a caller who will ask for several
-    orders pays for one pass over the data.
     """
 
-    def __init__(self, data, *, moment_order: int = 0):
+    def __init__(self, data):
         self._data = data
-        self._moment_order = int(moment_order)
         self._moments = None
 
     @classmethod
@@ -257,8 +259,7 @@ class Sample:
         if max_order < 0:
             raise InputError(f"max_order must be >= 0, got {max_order}")
         if self._moments is None or self._moments.max_order < max_order:
-            order = max(max_order, self._moment_order)
-            self._moments = sample_moments(self.z, order)
+            self._moments = sample_moments(self.z, max_order)
         return MomentSequence(self._moments.values[: max_order + 1])
 
 

@@ -1,15 +1,20 @@
-"""Moment-based Gaussian quadrature and the data-driven discretizer.
+"""Gaussian quadrature from a Jacobi matrix, and the data-driven discretizer.
 
-The pipeline: raw moments ``m_0..m_2N`` -> Hankel moment matrix ->
-Cholesky factor -> recurrence coefficients of the monic orthogonal
-polynomials -> symmetric tridiagonal eigenproblem.  Eigenvalues are the
-quadrature nodes; squared first eigenvector components (times ``m_0``)
-are the weights.  An N-point rule built this way integrates polynomials
-up to degree ``2N - 1`` exactly, so feeding in sample moments yields an
-N-point distribution matching the first ``2N - 1`` sample moments.
-:func:`discretize_data` takes those moments from a
-:class:`~npgq.moments.Sample`, so rules for several N on one data set
-share one standardization and one moment pass.
+An N-point Gaussian rule is the eigen-solve of the Jacobi matrix of its
+measure (Golub-Welsch): the eigenvalues are the nodes, and the total mass
+times the squared first eigenvector components are the weights.  It
+integrates polynomials up to degree ``2N - 1`` exactly, so it depends
+only on the first ``2N`` moments of the measure.  One route per input:
+
+* moments (Gaussian and mixture laws): :func:`jacobi_from_moments`
+  factors the Hankel moment matrix and reads the recurrence coefficients
+  off the Cholesky factor; :func:`golub_welsch` gives the rule.
+* data: :func:`discretize_data` runs Lanczos on ``diag(z)`` for the
+  standardized data ``z`` of a :class:`~npgq.moments.Sample`, which gives
+  the Jacobi matrix of the empirical measure without forming the
+  ill-conditioned sample-moment/Hankel chain.  The rule matches the first
+  ``2N - 1`` sample moments.  Lanczos breaks down after k steps when the
+  data has only k support points: that is the node limit for that data.
 """
 from __future__ import annotations
 
@@ -31,20 +36,12 @@ from .moments import MomentSequence, Sample
 __all__ = [
     "DiscreteDistribution",
     "JacobiMatrix",
-    "CholeskyFactor",
-    "DEFAULT_MAX_NODES",
-    "hankel_matrix",
-    "cholesky",
-    "jacobi_from_cholesky",
+    "jacobi_from_moments",
     "tridiagonal_eigen",
     "golub_welsch",
     "discretize_data",
     "expectation",
 ]
-
-# Conditioning of the standardized Hankel matrix degrades quickly past
-# this point; callers can raise the cap explicitly via ``max_nodes``.
-DEFAULT_MAX_NODES = 9
 
 # Relative pivot floor: a Cholesky pivot below this fraction of its own
 # row's diagonal entry is treated as loss of positive definiteness.  (The
@@ -52,6 +49,11 @@ DEFAULT_MAX_NODES = 9
 # which for standardized moments spans ten orders of magnitude by k = 11,
 # and a global floor would reject the well-conditioned leading rows.)
 _PIVOT_RTOL = 1e-12
+
+# Lanczos breakdown floor: an off-diagonal entry at or below this fraction
+# of max|z| (the norm of diag(z)) is rounding noise, meaning the data's
+# Krylov space, and so its support, is exhausted.
+_BREAKDOWN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,117 +121,74 @@ class JacobiMatrix:
         return t
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Upper-triangular factor R with positive diagonal, M = R'R.
+def jacobi_from_moments(m: MomentSequence, n: int) -> JacobiMatrix:
+    """N-square Jacobi matrix of the measure with raw moments ``m_0..m_2N``.
 
-    The entry conventionally written ``r_{ij}`` (1-based) lives at
-    ``matrix[i-1, j-1]``.  When built by :func:`golub_welsch` the final
-    diagonal entry may be zero: the recurrence coefficients never use it,
-    which is what lets a measure with exactly N support points produce an
-    N-point rule.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        r = np.array(self.matrix, dtype=float)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise InputError("Cholesky factor must be square")
-        object.__setattr__(self, "matrix", r)
-        self.matrix.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    def entry(self, i: int, j: int) -> float:
-        """1-based access to r_{ij}."""
-        return float(self.matrix[i - 1, j - 1])
-
-
-def hankel_matrix(m: MomentSequence, n: int) -> np.ndarray:
-    """(N+1)-square matrix of moments with ``M[i, j] = m_{i+j}`` (0-based).
-
-    Requires moments up to order ``2n``.
+    Factors the Hankel moment matrix ``H[i, j] = m_{i+j}`` as ``R'R`` row
+    by row and reads the recurrence coefficients of the monic orthogonal
+    polynomials off ``R``.  With 1-based entries: ``diag[0] = r_12/r_11``,
+    ``diag[k] = r_{k+1,k+2}/r_{k+1,k+1} - r_{k,k+1}/r_{k,k}`` and
+    ``offdiag[k] = r_{k+2,k+2}/r_{k+1,k+1}``.  The last pivot ``r_{N+1,N+1}``
+    is never used, which is what lets a measure with exactly N support
+    points give an N-point rule.  A pivot at or below ``1e-12`` times its
+    row's diagonal entry raises :class:`NotPositiveDefiniteError` carrying
+    its 1-based index: the measure supports fewer nodes than that index.
     """
     if n < 1:
         raise InputError(f"node count must be >= 1, got {n}")
     if m.max_order < 2 * n:
-        raise InputError(
-            f"need moments up to order {2 * n}, have only {m.max_order}"
-        )
+        raise InputError(f"need moments up to order {2 * n}, have only {m.max_order}")
     vals = np.asarray(m.values, dtype=float)
     idx = np.arange(n + 1)
-    return vals[idx[:, None] + idx[None, :]]
-
-
-def _cholesky_upper(mat: np.ndarray, *, semidefinite_tail: bool) -> tuple[np.ndarray, int | None]:
-    """Row-wise upper Cholesky with a relative pivot floor.
-
-    Returns ``(R, failed_pivot)`` where ``failed_pivot`` is the 1-based
-    index of the first pivot at or below the floor, or None.  With
-    ``semidefinite_tail`` a failure at the final pivot is tolerated: the
-    offending diagonal entry is clamped to zero and no failure reported.
-    """
-    n = mat.shape[0]
-    r = np.zeros_like(mat)
+    hank = vals[idx[:n, None] + idx[None, :]]  # the first N rows of H
+    r = np.zeros_like(hank)
     for i in range(n):
-        pivot = mat[i, i] - r[:i, i] @ r[:i, i]
-        if pivot <= _PIVOT_RTOL * mat[i, i]:
-            if semidefinite_tail and i == n - 1:
-                r[i, i] = 0.0
-                return r, None
-            return r, i + 1
-        rii = math.sqrt(pivot)
-        r[i, i] = rii
-        if i + 1 < n:
-            r[i, i + 1 :] = (mat[i, i + 1 :] - r[:i, i] @ r[:i, i + 1 :]) / rii
-    return r, None
+        pivot = hank[i, i] - r[:i, i] @ r[:i, i]
+        if pivot <= _PIVOT_RTOL * hank[i, i]:
+            raise NotPositiveDefiniteError(
+                f"moment matrix is not positive definite at pivot {i + 1}; "
+                f"the measure supports at most {i} nodes -- reduce N",
+                pivot=i + 1,
+            )
+        r[i, i] = math.sqrt(pivot)
+        r[i, i + 1 :] = (hank[i, i + 1 :] - r[:i, i] @ r[:i, i + 1 :]) / r[i, i]
+    d = np.diag(r)
+    ratio = np.diag(r, 1) / d
+    return JacobiMatrix(
+        diag=tuple(ratio - np.concatenate(([0.0], ratio[:-1]))),
+        offdiag=tuple(d[1:] / d[:-1]),
+    )
 
 
-def cholesky(mat) -> CholeskyFactor:
-    """Factor a symmetric positive definite matrix as ``M = R'R``.
+def _lanczos(z: np.ndarray, n: int) -> JacobiMatrix:
+    """N-square Jacobi matrix of the empirical measure of ``z`` (mass 1/T each).
 
-    A pivot at or below ``1e-12`` times its row's diagonal entry raises
-    :class:`NotPositiveDefiniteError` carrying the 1-based pivot index.
-    For a Hankel moment matrix that failure means the underlying measure
-    has fewer effective support points than requested.
+    Lanczos on ``diag(z)`` from the start vector ``1/sqrt(T)``, with full
+    reorthogonalization (twice, against every earlier vector).  Row k of
+    ``q`` holds the k-th orthonormal polynomial at the data points over
+    ``sqrt(T)``.  Breakdown after k steps means the data has only k support
+    points; it raises :class:`NotPositiveDefiniteError` with ``pivot=k+1``.
     """
-    m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError("matrix must be square")
-    if not np.all(np.isfinite(m)):
-        raise InputError("matrix contains non-finite entries")
-    scale = float(np.max(np.abs(m))) or 1.0
-    if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
-        raise InputError("matrix must be symmetric")
-    r, failed = _cholesky_upper(m, semidefinite_tail=False)
-    if failed is not None:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (pivot {failed} of {m.shape[0]})",
-            pivot=failed,
-        )
-    return CholeskyFactor(r)
-
-
-def jacobi_from_cholesky(factor: CholeskyFactor, n: int) -> JacobiMatrix:
-    """Recurrence coefficients from the Cholesky factor of an (N+1)-square
-    Hankel moment matrix.
-
-    With 1-based entries: ``diag[0] = r_12/r_11``,
-    ``diag[k] = r_{k+1,k+2}/r_{k+1,k+1} - r_{k,k+1}/r_{k,k}``, and
-    ``offdiag[k] = r_{k+2,k+2}/r_{k+1,k+1}``.
-    """
-    if factor.size != n + 1:
-        raise InputError(
-            f"factor size {factor.size} does not match node count {n} (+1)"
-        )
-    r = factor.matrix
-    diag = [r[0, 1] / r[0, 0]]
-    for k in range(1, n):
-        diag.append(r[k, k + 1] / r[k, k] - r[k - 1, k] / r[k - 1, k - 1])
-    offdiag = [r[k + 1, k + 1] / r[k, k] for k in range(n - 1)]
+    q = np.empty((n, z.size))
+    q[0] = 1.0 / math.sqrt(z.size)
+    floor = _BREAKDOWN_RTOL * float(np.max(np.abs(z)))
+    diag, offdiag = [], []
+    for k in range(n):
+        w = z * q[k]
+        diag.append(float(q[k] @ w))
+        if k == n - 1:
+            break
+        for _ in range(2):
+            w -= q[: k + 1].T @ (q[: k + 1] @ w)
+        b = float(np.linalg.norm(w))
+        if b <= floor:
+            raise NotPositiveDefiniteError(
+                f"Lanczos broke down at step {k + 1}; the data supports at "
+                f"most {k + 1} nodes -- reduce N",
+                pivot=k + 2,
+            )
+        offdiag.append(b)
+        q[k + 1] = w / b
     return JacobiMatrix(diag=tuple(diag), offdiag=tuple(offdiag))
 
 
@@ -256,55 +215,45 @@ def tridiagonal_eigen(jac: JacobiMatrix) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def _gauss_rule(jac: JacobiMatrix, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gaussian rule of a Jacobi matrix."""
+    nodes, vecs = tridiagonal_eigen(jac)
+    return nodes, mass * vecs[0, :] ** 2
+
+
 def golub_welsch(m: MomentSequence, n: int) -> DiscreteDistribution:
     """N-point Gaussian quadrature rule from raw moments ``m_0..m_2N``.
 
-    Nodes are the eigenvalues of the Jacobi matrix; the weight at node k
-    is ``m_0`` times the squared first component of the k-th unit
-    eigenvector.  The rule reproduces the input moments up to order
+    Nodes are the eigenvalues of :func:`jacobi_from_moments`; the weight
+    at node k is ``m_0`` times the squared first component of the k-th
+    unit eigenvector.  The rule reproduces the input moments up to order
     ``2N - 1``.  Raises :class:`NotPositiveDefiniteError` when the
     underlying measure has fewer than N support points.
     """
-    hank = hankel_matrix(m, n)
-    r, failed = _cholesky_upper(hank, semidefinite_tail=True)
-    if failed is not None:
-        raise NotPositiveDefiniteError(
-            f"moment matrix is not positive definite at pivot {failed}; "
-            f"the measure supports at most {failed - 1} nodes -- reduce N",
-            pivot=failed,
-        )
-    jac = jacobi_from_cholesky(CholeskyFactor(r), n)
-    nodes, vecs = tridiagonal_eigen(jac)
-    weights = m.values[0] * vecs[0, :] ** 2
+    nodes, weights = _gauss_rule(jacobi_from_moments(m, n), m.values[0])
     return DiscreteDistribution(nodes=tuple(nodes), weights=tuple(weights))
 
 
-def discretize_data(data, n: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> DiscreteDistribution:
+def discretize_data(data, n: int) -> DiscreteDistribution:
     """Fit an N-point discrete distribution to raw data.
 
-    Standardizes the data, feeds its first ``2N`` sample moments through
-    :func:`golub_welsch`, and maps the nodes back to data units.  The
-    result matches the raw sample moments of ``data`` up to order
-    ``2N - 1``.
+    Builds the Jacobi matrix of the standardized data's empirical measure
+    by Lanczos, takes its Gaussian rule, and maps the nodes back to data
+    units.  The result matches the raw sample moments of ``data`` up to
+    order ``2N - 1``.
 
     Parameters
     ----------
     data : array_like or Sample
-        Observations; need at least N distinct values.  A
-        :class:`~npgq.moments.Sample` reuses its standardization and
-        moments across calls.
+        Observations; need at least N distinct values, otherwise
+        :class:`NotPositiveDefiniteError` says how many nodes the data
+        supports.  A :class:`~npgq.moments.Sample` reuses its
+        standardization across calls.
     n : int
-        Number of nodes.  Capped at ``max_nodes`` (default 9) because the
-        standardized Hankel matrix becomes badly conditioned for large N;
-        pass a larger ``max_nodes`` to override.
+        Number of nodes.
     """
     if n < 1:
         raise InputError(f"node count must be >= 1, got {n}")
-    if n > max_nodes:
-        raise InputError(
-            f"node count {n} exceeds the cap {max_nodes}; pass max_nodes={n} "
-            "to override (conditioning degrades for large N)"
-        )
     sample = Sample.of(data)
     try:
         transform = sample.transform
@@ -316,9 +265,10 @@ def discretize_data(data, n: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> Disc
         raise DegenerateDataError(
             "data is constant; only a single node is representable -- reduce N to 1"
         )
-    rule = golub_welsch(sample.moments(2 * n), n)
-    nodes = transform.to_original(np.asarray(rule.nodes))
-    return DiscreteDistribution(nodes=tuple(nodes), weights=rule.weights)
+    nodes, weights = _gauss_rule(_lanczos(sample.z, n), 1.0)
+    return DiscreteDistribution(
+        nodes=tuple(transform.to_original(nodes)), weights=tuple(weights)
+    )
 
 
 def expectation(dist: DiscreteDistribution, g: Callable) -> float:

@@ -102,3 +102,50 @@ def random_portfolio_problem(rng, max_states=8):
             continue
         risk_free = float(rng.uniform(0.98, 1.05))
         return DiscreteDistribution(nodes=tuple(nodes), weights=tuple(w)), risk_free
+
+
+def mp_data_rules(data, node_counts, dps=80):
+    """Gaussian rules of the empirical measure of ``data`` at ``dps`` digits.
+
+    The moment route throughout, in arbitrary precision: exact-ish
+    standardization, sample moments, Hankel matrix, Cholesky factor,
+    recurrence coefficients, and ``mpmath.eigsy`` on each N's leading
+    block of the Jacobi matrix.  Returns ``{N: (nodes, weights)}`` in data
+    units, as floats, nodes ascending.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in data]
+        size = len(x)
+        mean = mpmath.fsum(x) / size
+        std = mpmath.sqrt(mpmath.fsum((v - mean) ** 2 for v in x) / size)
+        z = [(v - mean) / std for v in x]
+        n_max = max(node_counts)
+        moments, power = [mpmath.mpf(1)], [mpmath.mpf(1)] * size
+        for _ in range(2 * n_max):
+            power = [p * v for p, v in zip(power, z)]
+            moments.append(mpmath.fsum(power) / size)
+        hankel = mpmath.matrix(n_max + 1, n_max + 1)
+        for i in range(n_max + 1):
+            for j in range(n_max + 1):
+                hankel[i, j] = moments[i + j]
+        r = mpmath.cholesky(hankel).T
+        diag = [r[0, 1] / r[0, 0]] + [
+            r[k, k + 1] / r[k, k] - r[k - 1, k] / r[k - 1, k - 1] for k in range(1, n_max)
+        ]
+        offdiag = [r[k + 1, k + 1] / r[k, k] for k in range(n_max - 1)]
+        rules = {}
+        for n in node_counts:
+            jac = mpmath.matrix(n, n)
+            for i in range(n):
+                jac[i, i] = diag[i]
+            for i in range(n - 1):
+                jac[i, i + 1] = jac[i + 1, i] = offdiag[i]
+            vals, vecs = mpmath.eigsy(jac)
+            order = sorted(range(n), key=lambda i: vals[i])
+            rules[n] = (
+                [float(mean + std * vals[i]) for i in order],
+                [float(vecs[0, i] ** 2) for i in order],
+            )
+    return rules

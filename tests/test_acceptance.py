@@ -14,13 +14,11 @@ import pytest
 from npgq import (
     DiscreteDistribution,
     PortfolioProblem,
-    cholesky,
     discretize_data,
     gauss_hermite_discretize,
     gaussian_moments,
     golub_welsch,
-    hankel_matrix,
-    jacobi_from_cholesky,
+    jacobi_from_moments,
     maxent_dual,
     maxent_solve,
     mixture_moments,
@@ -105,7 +103,7 @@ def test_criterion_3_oracle_equivalence(announce):
         n = 2 + trial % 5
         ms = mixture_moments(mix, 2 * n)
         polys, jac_recurrence = ttrr_build(MomentFunctional(ms), n)
-        jac_cholesky = jacobi_from_cholesky(cholesky(hankel_matrix(ms, n)), n)
+        jac_cholesky = jacobi_from_moments(ms, n)
         rule = golub_welsch(ms, n)
         roots = poly_roots_bracketed(polys[n])
         worst = max(

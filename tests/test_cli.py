@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import npgq.cli as cli
 from npgq.cli import main
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
 
@@ -98,6 +99,31 @@ class TestDiscretize:
         src = write_csv(tmp_path / "in.csv", ["x"], [[0.0, 1.0] * 6])
         assert main(["discretize", src, "--column", "x", "--n", "4"]) == 3
         assert "reduce n" in capsys.readouterr().err.lower()
+
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"x\n1.0\n\xff\xfe2.0\n")
+        assert main(["discretize", str(src), "--column", "x", "--n", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read")
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, where):
+        src = write_csv(tmp_path / "in.csv", ["x"], [[1.0, 2.0, 4.0]])
+        out = tmp_path / "no" / "out.csv" if where == "missing-dir" else tmp_path
+        assert main(["discretize", src, "--column", "x", "--n", "2", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+
+    def test_verify_moment_overflow_exits_2(self, tmp_path, capsys):
+        # The rule itself is fine in standardized units; the raw order-9
+        # sample moment of data at scale 1e150 is not a float.
+        data = 1e150 * np.random.default_rng(0).standard_normal(40)
+        src = write_csv(tmp_path / "in.csv", ["x"], [data.tolist()])
+        out = tmp_path / "o.csv"
+        assert main(["discretize", src, "--column", "x", "--n", "5", "--verify",
+                     "--output", str(out)]) == 2
+        assert "order 3 overflows" in capsys.readouterr().err
+        _, rows = read_csv(out)
+        assert len(rows) == 5
 
 
 class TestPortfolio:
@@ -224,6 +250,29 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(cfg), "--output", str(tmp_path / "x")]) == 2
         assert "node_counts must not be empty" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = -1\n")
+        for argv in (["--seed", "-1"], ["--config", str(cfg)]):
+            assert main(["experiment", *argv, "--smoke", "--output", str(tmp_path / "x")]) == 2
+            assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unwritable_output_exits_2_before_the_study(self, tmp_path, capsys, monkeypatch):
+        def study_must_not_run(*args, **kwargs):
+            raise AssertionError("the study ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", study_must_not_run)
+        out = tmp_path / "no" / "study"
+        assert main(["experiment", "--smoke", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"seed = 1\xff\n")
+        assert main(["experiment", "--config", str(cfg), "--output", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read")
 
 
 class TestPlotdata:

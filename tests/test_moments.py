@@ -11,9 +11,8 @@ from npgq import (
     GaussianMixture,
     InputError,
     MomentSequence,
-    cholesky,
     gaussian_moments,
-    hankel_matrix,
+    jacobi_from_moments,
     mixture_moments,
     sample_moments,
     standardize,
@@ -43,11 +42,12 @@ class TestMomentSequence:
 
     def test_hankel_positive_definite_with_enough_support(self):
         # A sample with many distinct points gives a PD Hankel matrix,
-        # observable through Cholesky success.
+        # observable through Cholesky success: N = 4 factors the 4x4
+        # leading block of the 5x5 Hankel matrix of orders 0..8.
         rng = np.random.default_rng(11)
         _, z = standardize(rng.standard_normal(400))
         ms = sample_moments(z, 8)
-        cholesky(hankel_matrix(ms, 3)[:4, :4])  # 4x4 leading block
+        assert jacobi_from_moments(ms, 4).size == 4
 
 
 class TestSampleMoments:
@@ -71,6 +71,15 @@ class TestSampleMoments:
             sample_moments([1.0, math.nan], 2)
         with pytest.raises(InputError):
             sample_moments([1.0], -1)
+
+    @pytest.mark.parametrize("sign", ["mixed", "positive"])
+    def test_overflow_is_an_input_error_naming_the_order(self, sign):
+        data = 1e150 * np.random.default_rng(2).standard_normal(50)
+        if sign == "positive":
+            data = np.abs(data)
+        assert math.isfinite(sample_moments(data, 2)[2])
+        with pytest.raises(InputError, match="order 3 overflows"):
+            sample_moments(data, 9)
 
     def test_mass_is_exactly_one(self):
         rng = np.random.default_rng(5)

@@ -26,3 +26,11 @@ def test_import_loads_no_test_only_route():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False []"
+
+
+def test_data_route_plumbing_is_not_public():
+    # One public moment route, jacobi_from_moments; no node cap.
+    removed = ("hankel_matrix", "cholesky", "CholeskyFactor", "jacobi_from_cholesky",
+               "DEFAULT_MAX_NODES")
+    assert [n for n in removed if hasattr(npgq, n) or hasattr(npgq.quadrature, n)] == []
+    assert "jacobi_from_moments" in npgq.quadrature.__all__

@@ -12,13 +12,11 @@ from npgq import (
     JacobiMatrix,
     MomentSequence,
     NotPositiveDefiniteError,
-    cholesky,
     discretize_data,
     expectation,
     gaussian_moments,
     golub_welsch,
-    hankel_matrix,
-    jacobi_from_cholesky,
+    jacobi_from_moments,
     sample_moments,
     tridiagonal_eigen,
 )
@@ -51,64 +49,50 @@ class TestTypes:
 
 
 class TestHankelMatrix:
+    """The Hankel moment matrix, observed through :func:`jacobi_from_moments`."""
+
     def test_standard_normal_order_two(self):
         m = MomentSequence((1.0, 0.0, 1.0))
-        np.testing.assert_array_equal(hankel_matrix(m, 1), [[1, 0], [0, 1]])
+        jac = jacobi_from_moments(m, 1)
+        assert jac.diag == (0.0,)
+        assert jac.offdiag == ()
 
     def test_standard_normal_order_four(self):
         m = MomentSequence((1.0, 0.0, 1.0, 0.0, 3.0))
-        np.testing.assert_array_equal(
-            hankel_matrix(m, 2), [[1, 0, 1], [0, 1, 0], [1, 0, 3]]
-        )
+        jac = jacobi_from_moments(m, 2)
+        assert jac.diag == (0.0, 0.0)
+        assert jac.offdiag == (1.0,)
 
     def test_point_mass_is_rank_one(self):
         m = MomentSequence((1.0, 1.0, 1.0, 1.0, 1.0))
-        h = hankel_matrix(m, 2)
-        np.testing.assert_array_equal(h, np.ones((3, 3)))
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky(h)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            golub_welsch(m, 2)
+        assert err.value.pivot == 2
 
     def test_insufficient_order(self):
         with pytest.raises(InputError):
-            hankel_matrix(MomentSequence((1.0, 0.0, 1.0)), 2)
+            jacobi_from_moments(MomentSequence((1.0, 0.0, 1.0)), 2)
 
 
 class TestCholesky:
-    def test_hand_factorization(self):
-        factor = cholesky([[4.0, 2.0], [2.0, 5.0]])
-        np.testing.assert_allclose(factor.matrix, [[2.0, 1.0], [0.0, 2.0]], atol=1e-14)
-
-    def test_identity(self):
-        factor = cholesky(np.eye(3))
-        np.testing.assert_array_equal(factor.matrix, np.eye(3))
-
     def test_rank_one_fails_at_second_pivot(self):
+        # Moments of a point mass at 2: the Hankel matrix is rank one.
+        m = MomentSequence((1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
         with pytest.raises(NotPositiveDefiniteError) as err:
-            cholesky(np.ones((3, 3)))
+            golub_welsch(m, 3)
         assert err.value.pivot == 2
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 6))
-        m = a @ a.T + 6 * np.eye(6)
-        r = cholesky(m).matrix
-        assert np.linalg.norm(r.T @ r - m) <= 1e-10 * np.linalg.norm(m)
-        assert np.all(np.diag(r) > 0)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(InputError):
-            cholesky([[1.0, 0.5], [0.0, 1.0]])
+        assert "at most 1 nodes" in str(err.value)
 
 
 class TestJacobiFromCholesky:
     def test_standard_normal_two_nodes(self):
         m = MomentSequence(STD_NORMAL_6.values[:5])
-        jac = jacobi_from_cholesky(cholesky(hankel_matrix(m, 2)), 2)
+        jac = jacobi_from_moments(m, 2)
         np.testing.assert_allclose(jac.diag, [0.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(jac.offdiag, monic_hermite_offdiag(2), rtol=1e-14)
 
     def test_standard_normal_three_nodes(self):
-        jac = jacobi_from_cholesky(cholesky(hankel_matrix(STD_NORMAL_6, 3)), 3)
+        jac = jacobi_from_moments(STD_NORMAL_6, 3)
         np.testing.assert_allclose(jac.diag, [0.0, 0.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(jac.offdiag, monic_hermite_offdiag(3), rtol=1e-14)
 
@@ -215,13 +199,14 @@ class TestDiscretizeData:
         for k in range(10):
             assert abs(dist.moment(k) - target[k]) <= 1e-8 * max(1.0, abs(target[k]))
 
-    def test_node_cap_with_override(self):
+    def test_ten_nodes_need_no_override(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal(4000)
-        with pytest.raises(InputError):
-            discretize_data(data, 10)
-        dist = discretize_data(data, 10, max_nodes=10)
+        dist = discretize_data(data, 10)
         assert len(dist) == 10
+        target = sample_moments(data, 19)
+        for k in range(20):
+            assert abs(dist.moment(k) - target[k]) <= 1e-8 * max(1.0, abs(target[k]))
 
     def test_exactness_property_random_datasets(self):
         rng = np.random.default_rng(77)

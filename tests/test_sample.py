@@ -49,14 +49,13 @@ class TestSampleMoments:
         seed=st.integers(0, 2**32 - 1),
         size=st.integers(2, 300),
         orders=st.lists(st.integers(0, 18), min_size=1, max_size=12),
-        moment_order=st.sampled_from([0, 6, 18]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_any_request_order_matches_fresh_moments(self, seed, size, orders, moment_order):
+    def test_any_request_order_matches_fresh_moments(self, seed, size, orders):
         data = np.random.default_rng(seed).standard_normal(size) * 3.0 + 1.5
         _, z = standardize(data)
         for sequence in (orders, sorted(orders), sorted(orders, reverse=True)):
-            sample = Sample(data, moment_order=moment_order)
+            sample = Sample(data)
             for k in sequence:
                 assert sample.moments(k).values == sample_moments(z, k).values
 
@@ -69,10 +68,10 @@ class TestSampleMoments:
             return original(z, max_order)
 
         monkeypatch.setattr(moments, "sample_moments", counting)
-        sample = Sample(mixture_data(500), moment_order=10)
+        sample = Sample(mixture_data(500))
         for k in (4, 10, 2, 0, 14, 6, 14):
             sample.moments(k)
-        assert orders == [10, 14]
+        assert orders == [4, 10, 14]
 
     def test_standardization_matches_standardize(self):
         data = mixture_data(400)
@@ -109,7 +108,7 @@ class TestSharedSampleMatchesFreshCalls:
     def test_every_method_and_node_count(self, data, order_seed):
         calls = [(method, n) for method in DISCRETIZERS for n in range(1, 10)]
         np.random.default_rng(order_seed).shuffle(calls)
-        sample = Sample(data, moment_order=18 if order_seed else 0)
+        sample = Sample(data)
         for method, n in calls:
             fn = DISCRETIZERS[method]
             assert outcome(fn, sample, n) == outcome(fn, data.copy(), n), (method, n)
@@ -143,7 +142,7 @@ class TestSampleErrors:
 
     def test_fewer_observations_than_nodes(self):
         data = np.array([0.1, -0.4, 0.9, 0.3])
-        sample = Sample(data, moment_order=18)
+        sample = Sample(data)
         with pytest.raises(NotPositiveDefiniteError):
             discretize_data(sample, 5)
         assert discretize_data(sample, 2) == discretize_data(data.copy(), 2)
