@@ -53,6 +53,7 @@ from .portfolio import (
     PortfolioSolution,
     crra_objective,
     solve_portfolio,
+    solve_portfolios,
     state_returns,
     theoretical_portfolio,
 )

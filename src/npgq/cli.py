@@ -38,8 +38,9 @@ from .experiments import (
     run_experiment,
     _DISCRETIZERS,
 )
-from .moments import Sample, sample_moments
-from .portfolio import PortfolioProblem, solve_portfolio
+from .moments import AffineTransform, Sample, sample_moments
+from .portfolio import PortfolioProblem, solve_portfolios
+from .quadrature import DiscreteDistribution
 
 __all__ = ["main", "entry"]
 
@@ -129,18 +130,29 @@ def _gamma_grid(spec: str) -> list[float]:
 
 def cmd_discretize(args) -> int:
     header, rows = _read_csv(args.input)
-    data = _column_values(header, rows, args.column, args.input)
-    dist = _DISCRETIZERS[args.method](data, args.n)
+    sample = Sample(_column_values(header, rows, args.column, args.input))
+    dist = _DISCRETIZERS[args.method](sample, args.n)
     _write_rows(
         args.output,
         ["node", "weight"],
         [[_NUM(x), _NUM(w)] for x, w in zip(dist.nodes, dist.weights)],
     )
     if args.verify:
-        target = sample_moments(data, max(2 * args.n - 1, 1))
+        # Standardized units, so the verdict does not depend on the data's
+        # location or scale.  Constant data (whose rule is its own point
+        # mass) has no scale: it is only centred.
+        try:
+            transform, z = sample.transform, sample.z
+        except DegenerateDataError:
+            transform = AffineTransform(shift=float(sample.x[0]), scale=1.0)
+            z = sample.x - transform.shift
+        target = sample_moments(z, max(2 * args.n - 1, 1))
+        rule = DiscreteDistribution(
+            nodes=tuple(transform.to_standardized(dist.nodes)), weights=dist.weights
+        )
         worst = 0.0
         for k in range(len(target)):
-            err = abs(dist.moment(k) - target[k]) / max(1.0, abs(target[k]))
+            err = abs(rule.moment(k) - target[k]) / max(1.0, abs(target[k]))
             worst = max(worst, err)
         print(f"max relative moment error (orders 0..{len(target) - 1}): {_NUM(worst)}")
     return 0
@@ -162,19 +174,26 @@ def cmd_portfolio(args) -> int:
     log_excess = Sample(np.log(stock) - math.log(risk_free))
     dist_np = _DISCRETIZERS[args.method](log_excess, args.n)
     dist_g = _DISCRETIZERS["gauss-hermite"](log_excess, args.n)
-    out_rows = []
-    for gamma in _gamma_grid(args.gamma):
-        row = [_NUM(gamma)]
+    gammas = _gamma_grid(args.gamma)
+    # Two problems per gamma (np rule, Gaussian rule), all solved in one
+    # call; a gamma the problem rejects is an error in both slots.
+    problems = []
+    for gamma in gammas:
         try:
-            theta_np = solve_portfolio(
-                PortfolioProblem(dist=dist_np, risk_free=risk_free, gamma=gamma)
-            ).theta
-            theta_g = solve_portfolio(
-                PortfolioProblem(dist=dist_g, risk_free=risk_free, gamma=gamma)
-            ).theta
+            problems += [PortfolioProblem(dist=d, risk_free=risk_free, gamma=gamma)
+                         for d in (dist_np, dist_g)]
         except NpgqError as exc:
-            row += ["error", "error", str(exc)]
+            problems += [exc, exc]
+    solved = iter(solve_portfolios(p for p in problems if not isinstance(p, NpgqError)))
+    results = [p if isinstance(p, NpgqError) else next(solved) for p in problems]
+    out_rows = []
+    for gamma, sol_np, sol_g in zip(gammas, results[::2], results[1::2]):
+        row = [_NUM(gamma)]
+        failure = next((r for r in (sol_np, sol_g) if isinstance(r, NpgqError)), None)
+        if failure is not None:
+            row += ["error", "error", str(failure)]
         else:
+            theta_np, theta_g = sol_np.theta, sol_g.theta
             error = theta_g / theta_np - 1.0 if theta_np != 0.0 else math.nan
             row += [_NUM(theta_np), _NUM(theta_g), _NUM(error)]
         out_rows.append(row)
@@ -251,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="print the worst relative error of the matched sample moments",
+        help="print the worst relative error of the matched standardized sample moments",
     )
     p.set_defaults(func=cmd_discretize)
 

@@ -9,12 +9,16 @@ share against the share computed from the true mixture.
 Each replication's sample is wrapped in one :class:`~npgq.moments.Sample`
 that every method and node count shares, so the data is standardized once;
 np-gq builds its rules from the standardized data and np-me's moment
-targets (order 2 or 4) come from one moment pass.
+targets (order 2 or 4) come from one moment pass.  The study works in
+blocks of replications that span every sample size: a block builds all its
+rules, then solves all their portfolio problems in one call of
+:func:`~npgq.portfolio.solve_portfolios`.
 
 Reproducibility: every replication draws from its own counter-based
 substream keyed by (seed, sample size, replication index), and sampling
-is inverse-CDF on uniforms, so reports are bit-identical across runs and
-across serial/parallel execution on one platform.
+is inverse-CDF on uniforms, and a problem's share does not depend on the
+other problems solved with it, so reports are bit-identical across runs
+and across serial/parallel execution on one platform.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from scipy.special import ndtri
 from .baselines import gauss_hermite_discretize, maxent_discretize
 from .errors import InputError, NpgqError
 from .moments import GaussianMixture, Sample
-from .portfolio import PortfolioProblem, solve_portfolio, theoretical_portfolio
+from .portfolio import PortfolioProblem, _mixture_rule, solve_portfolios
 from .quadrature import discretize_data
 
 __all__ = [
@@ -223,44 +227,48 @@ def sample_mixture(mix: GaussianMixture, size: int, rng: np.random.Generator) ->
     return means + stds * z
 
 
-def _theta_hat(method: str, data, node_count: int,
-               risk_free: float, gammas: tuple[float, ...]) -> list[float]:
-    """Risky share per gamma for one discretization; NaN rows on failure."""
-    try:
-        dist = _DISCRETIZERS[method](data, node_count)
-    except NpgqError:
-        return [math.nan] * len(gammas)
-    out = []
-    for gamma in gammas:
-        try:
-            sol = solve_portfolio(
-                PortfolioProblem(dist=dist, risk_free=risk_free, gamma=gamma)
-            )
-            out.append(sol.theta)
-        except NpgqError:
-            out.append(math.nan)
-    return out
+def _replication_block(cfg: ExperimentConfig, start: int, stop: int) -> np.ndarray:
+    """theta-hat array of shape (stop-start, sample sizes, methods, node counts, gammas).
 
-
-def _replication_block(cfg: ExperimentConfig, sample_size: int,
-                       start: int, stop: int) -> np.ndarray:
-    """theta-hat array of shape (stop-start, methods, node counts, gammas)."""
-    shape = (stop - start, len(cfg.methods), len(cfg.node_counts), len(cfg.gammas))
-    out = np.empty(shape)
+    Every rule of the block is built first, one shared sample per
+    (replication, T); then one call solves all their portfolio problems.
+    A failed discretization or solve leaves NaN.
+    """
+    shape = (stop - start, len(cfg.sample_sizes), len(cfg.methods),
+             len(cfg.node_counts), len(cfg.gammas))
+    out = np.full(shape, np.nan)
+    problems, slots = [], []
     for i, m in enumerate(range(start, stop)):
-        data = sample_mixture(cfg.mixture, sample_size, replication_rng(cfg.seed, sample_size, m))
-        sample = Sample(data)
-        for j, method in enumerate(cfg.methods):
-            for k, n in enumerate(cfg.node_counts):
-                out[i, j, k, :] = _theta_hat(method, sample, n, cfg.risk_free, cfg.gammas)
+        for s, t in enumerate(cfg.sample_sizes):
+            sample = Sample(sample_mixture(cfg.mixture, t, replication_rng(cfg.seed, t, m)))
+            for j, method in enumerate(cfg.methods):
+                for k, n in enumerate(cfg.node_counts):
+                    try:
+                        dist = _DISCRETIZERS[method](sample, n)
+                    except NpgqError:
+                        continue
+                    for g, gamma in enumerate(cfg.gammas):
+                        problems.append(
+                            PortfolioProblem(dist=dist, risk_free=cfg.risk_free, gamma=gamma)
+                        )
+                        slots.append((i, s, j, k, g))
+    for slot, solution in zip(slots, solve_portfolios(problems)):
+        if not isinstance(solution, NpgqError):
+            out[slot] = solution.theta
     return out
 
 
 def _theta_star_table(cfg: ExperimentConfig) -> dict[float, float]:
     try:
-        table = {
-            g: theoretical_portfolio(cfg.mixture, cfg.risk_free, g) for g in cfg.gammas
-        }
+        dist = _mixture_rule(cfg.mixture)
+        problems = [
+            PortfolioProblem(dist=dist, risk_free=cfg.risk_free, gamma=g) for g in cfg.gammas
+        ]
+        table = {}
+        for gamma, solution in zip(cfg.gammas, solve_portfolios(problems)):
+            if isinstance(solution, NpgqError):
+                raise solution
+            table[gamma] = solution.theta
     except NpgqError as exc:
         raise InputError(
             f"cannot compute the true optimal share for this configuration: {exc}"
@@ -292,14 +300,8 @@ def _summarize(ratios_minus_one: np.ndarray) -> tuple[float, float, int, int, fl
 
 def _grid_tasks(cfg: ExperimentConfig, jobs: int):
     block = max(1, math.ceil(cfg.replications / max(8 * jobs, 1)))
-    for t in cfg.sample_sizes:
-        for start in range(0, cfg.replications, block):
-            yield t, start, min(start + block, cfg.replications)
-
-
-def _run_task(args):
-    cfg, sample_size, start, stop = args
-    return sample_size, start, _replication_block(cfg, sample_size, start, stop)
+    for start in range(0, cfg.replications, block):
+        yield start, min(start + block, cfg.replications)
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -312,24 +314,20 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     if jobs < 1:
         raise InputError("jobs must be >= 1")
     theta_star = _theta_star_table(cfg)
-    tasks = [(cfg, t, a, b) for (t, a, b) in _grid_tasks(cfg, jobs)]
+    tasks = [(cfg, start, stop) for start, stop in _grid_tasks(cfg, jobs)]
     if jobs == 1:
-        pieces = [_run_task(task) for task in tasks]
+        blocks = [_replication_block(*task) for task in tasks]
     else:
         with get_context("fork").Pool(processes=jobs) as pool:
-            pieces = pool.map(_run_task, tasks, chunksize=1)
-    by_size: dict[int, np.ndarray] = {
-        t: np.empty((cfg.replications, len(cfg.methods), len(cfg.node_counts), len(cfg.gammas)))
-        for t in cfg.sample_sizes
-    }
-    for sample_size, start, block in pieces:
-        by_size[sample_size][start : start + block.shape[0]] = block
+            blocks = pool.starmap(_replication_block, tasks, chunksize=1)
+    # Blocks come back in task order, which is replication order.
+    thetas = np.concatenate(blocks)
     cells = []
     for j, method in enumerate(cfg.methods):
-        for t in cfg.sample_sizes:
+        for s, t in enumerate(cfg.sample_sizes):
             for k, n in enumerate(cfg.node_counts):
                 for g_idx, gamma in enumerate(cfg.gammas):
-                    errors = by_size[t][:, j, k, g_idx] / theta_star[gamma] - 1.0
+                    errors = thetas[:, s, j, k, g_idx] / theta_star[gamma] - 1.0
                     bias, mae, failures, n_used, bias_se, mae_se = _summarize(errors)
                     cells.append(
                         CellResult(

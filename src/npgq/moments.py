@@ -171,7 +171,7 @@ def sample_moments(data, max_order: int) -> MomentSequence:
         with np.errstate(over="ignore"):  # an overflow is reported below
             power = power * x
         try:
-            total = math.fsum(power)
+            total = math.fsum(memoryview(power))  # Python floats, not numpy scalars
         except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
             total = math.inf
         if not math.isfinite(total):
@@ -183,8 +183,9 @@ def sample_moments(data, max_order: int) -> MomentSequence:
 def _mean_std(x: np.ndarray) -> tuple[float, float]:
     """Sample mean and population std (divisor ``I``) of a clean array."""
     n = x.size
-    mean = math.fsum(x) / n
-    var = math.fsum((x - mean) ** 2) / n
+    # A memoryview iterates Python floats: the same sum, without numpy scalars.
+    mean = math.fsum(memoryview(x)) / n
+    var = math.fsum(memoryview((x - mean) ** 2)) / n
     if var <= 0.0:
         raise DegenerateDataError(
             "data has zero sample variance; cannot standardize"

@@ -6,6 +6,13 @@ expected CRRA utility of portfolio gross return.  The first-order
 condition is strictly decreasing on the feasible set, so the optimum is
 the unique root of a monotone function and bisection is exact and
 deterministic.
+
+One vectorized bracketed bisection solves every problem a caller has at
+once (:func:`solve_portfolios`; :func:`solve_portfolio` is a call with one
+problem).  The problems are stacked as a (nodes x problems) array, shorter
+rules padded with zero-weight nodes, and each problem's first-order
+terms are summed in node order, so a problem's share is the same whatever
+else shares the call.
 """
 from __future__ import annotations
 
@@ -14,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NotPositiveDefiniteError, NumericalError, UnboundedError
+from .errors import (
+    InputError,
+    NotPositiveDefiniteError,
+    NpgqError,
+    NumericalError,
+    UnboundedError,
+)
 from .moments import GaussianMixture, mixture_moments, standardized_mixture
 from .quadrature import DiscreteDistribution, golub_welsch
 
@@ -24,6 +37,7 @@ __all__ = [
     "state_returns",
     "crra_objective",
     "solve_portfolio",
+    "solve_portfolios",
     "theoretical_portfolio",
 ]
 
@@ -69,22 +83,15 @@ class PortfolioSolution:
     foc_scale: float = 0.0
 
 
-def _portfolio_terms(problem: PortfolioProblem):
-    returns = state_returns(problem.dist, problem.risk_free)
-    excess = tuple(float(r - problem.risk_free) for r in returns)
-    weights = problem.dist.weights
-    return weights, excess
-
-
 def crra_objective(problem: PortfolioProblem, theta: float) -> float:
     """Expected CRRA utility of gross portfolio return at risky share theta.
 
     Log utility is the exact limit at unit risk aversion.  Raises
     :class:`InputError` when some state's portfolio return is not positive.
     """
-    weights, excess = _portfolio_terms(problem)
     rf, gamma = problem.risk_free, problem.gamma
-    wealth = [rf + theta * d for d in excess]
+    weights = problem.dist.weights
+    wealth = [rf + theta * d for d in (state_returns(problem.dist, rf) - rf).tolist()]
     if min(wealth) <= 0.0:
         raise InputError(
             f"risky share {theta} is infeasible: some state's portfolio return is <= 0"
@@ -95,28 +102,6 @@ def crra_objective(problem: PortfolioProblem, theta: float) -> float:
     return math.fsum(w * v**p for w, v in zip(weights, wealth)) / p
 
 
-def _make_foc(weights, excess, rf: float, gamma: float):
-    """Marginal expected utility of the risky share, as a scalar function.
-
-    Strictly decreasing on the feasible interval; diverges to -inf/+inf
-    at the upper/lower feasibility boundary.  Overflow near a boundary is
-    resolved by the sign of the binding state's term.
-    """
-    neg_gamma = -gamma
-    pairs = tuple(zip(weights, excess))
-
-    def foc(theta: float) -> float:
-        try:
-            return math.fsum(
-                w * d * (rf + theta * d) ** neg_gamma for w, d in pairs
-            )
-        except OverflowError:
-            _, d_bind = min(pairs, key=lambda p: rf + theta * p[1])
-            return math.inf if d_bind > 0.0 else -math.inf
-
-    return foc
-
-
 def solve_portfolio(problem: PortfolioProblem) -> PortfolioSolution:
     """Unique root of the first-order condition by bracketed bisection.
 
@@ -125,73 +110,144 @@ def solve_portfolio(problem: PortfolioProblem) -> PortfolioSolution:
     before refinement.  If every excess return has the same sign the
     problem has no finite optimum (:class:`UnboundedError`); if all are
     zero the objective is flat and the zero share is returned with the
-    degenerate flag set.
+    degenerate flag set.  :class:`NumericalError` reports a condition that
+    finds no bracket or overflows at the optimum.  This is
+    :func:`solve_portfolios` on one problem.
     """
-    weights, excess = _portfolio_terms(problem)
-    rf, gamma = problem.risk_free, problem.gamma
-    d_min, d_max = min(excess), max(excess)
-    if max(abs(d_min), abs(d_max)) <= 1e-14 * rf:
-        return PortfolioSolution(theta=0.0, degenerate=True)
-    if d_min >= 0.0 or d_max <= 0.0:
-        raise UnboundedError(
+    (result,) = solve_portfolios([problem])
+    if isinstance(result, NpgqError):
+        raise result
+    return result
+
+
+def solve_portfolios(problems) -> list[PortfolioSolution | NpgqError]:
+    """Solve many problems in one vectorized bisection.
+
+    Returns, in order, what :func:`solve_portfolio` returns for each
+    problem, or the :class:`NpgqError` it raises, as a value.  A problem's
+    share does not depend on the other problems in the call.
+    """
+    problems = list(problems)
+    if not problems:
+        return []
+    sizes = np.array([len(p.dist.nodes) for p in problems])
+    # (nodes x problems); shorter rules are padded with zero-weight nodes
+    # at zero log excess return, whose excess return is exactly zero.
+    real = np.arange(sizes.max())[:, None] < sizes
+    nodes, weights = np.zeros(real.shape), np.zeros(real.shape)
+    nodes.T[real.T] = [x for p in problems for x in p.dist.nodes]
+    weights.T[real.T] = [w for p in problems for w in p.dist.weights]
+    rf = np.array([p.risk_free for p in problems])
+    gamma = np.array([p.gamma for p in problems])
+    excess = rf * np.exp(nodes) - rf
+    d_min, d_max = excess.min(axis=0), excess.max(axis=0)
+    degenerate = np.maximum(np.abs(d_min), np.abs(d_max)) <= 1e-14 * rf
+    unbounded = ~degenerate & ((d_min >= 0.0) | (d_max <= 0.0))
+    live = np.flatnonzero(~(degenerate | unbounded))
+    theta, residual, scale, failed = _bisect_stack(
+        excess[:, live], weights[:, live], rf[live], gamma[live]
+    )
+    out: list = [PortfolioSolution(theta=0.0, degenerate=True)] * len(problems)
+    for j in np.flatnonzero(unbounded):
+        out[j] = UnboundedError(
             "all state returns lie on one side of the risk-free rate; "
             "expected utility has no interior maximum"
         )
-    upper = -rf / d_min  # > 0: wipe-out leverage against the worst state
-    lower = -rf / d_max  # < 0: wipe-out short position against the best state
-    margin_up = min(_BOUNDARY_MARGIN * max(1.0, abs(upper)), 0.5 * upper)
-    margin_dn = min(_BOUNDARY_MARGIN * max(1.0, abs(lower)), 0.5 * abs(lower))
-    foc = _make_foc(weights, excess, rf, gamma)
-
-    f0 = foc(0.0)
-    if f0 == 0.0:
-        theta = 0.0
-    else:
-        if f0 > 0.0:
-            lo, hi = _expand_bracket(foc, 0.0, upper - margin_up)
+    for i, j in enumerate(live):
+        if failed[i]:
+            out[j] = NumericalError("failed to bracket the first-order condition root")
+        elif not math.isfinite(scale[i]):
+            out[j] = NumericalError("first-order condition overflows at the optimum")
         else:
-            neg_lo, neg_hi = _expand_bracket(
-                lambda t: -foc(-t), 0.0, -(lower + margin_dn)
+            out[j] = PortfolioSolution(
+                theta=float(theta[i]),
+                degenerate=False,
+                foc_residual=float(residual[i]),
+                foc_scale=float(scale[i]),
             )
-            lo, hi = -neg_hi, -neg_lo
-        theta = _bisect(foc, lo, hi)
-    residual = foc(theta)
-    scale = math.fsum(
-        abs(w * d) * (rf + theta * d) ** -gamma for w, d in zip(weights, excess)
-    )
-    return PortfolioSolution(
-        theta=theta, degenerate=False, foc_residual=residual, foc_scale=scale
-    )
+    return out
 
 
-def _expand_bracket(func, start: float, limit: float):
-    """Grow [start, b] geometrically toward limit until func changes sign.
+def _foc(theta, excess, wd, rf, neg_gamma):
+    """Marginal expected utility of each column's share; decreasing in theta.
 
-    Assumes func(start) > 0 and func -> -inf as b -> limit.
+    Terms are summed in node order, so trailing padding adds exact zeros.
+    Where the sum is not finite (a term overflowed near a feasibility
+    boundary) its sign is the binding state's: the one with the smallest
+    portfolio return.
     """
-    step = min(1.0, 0.5 * (limit - start))
-    prev = start
-    for k in range(200):
-        b = min(limit, start + step * 2.0**k)
-        if func(b) <= 0.0:
-            return prev, b
-        prev = b
-        if b >= limit:
-            break
-    raise NumericalError("failed to bracket the first-order condition root")
+    f = np.add.accumulate(wd * (rf + theta * excess) ** neg_gamma, axis=0)[-1]
+    if not np.isfinite(f).all():
+        bad = np.flatnonzero(~np.isfinite(f))
+        base = rf[bad] + theta[bad] * excess[:, bad]
+        d_bind = excess[np.argmin(base, axis=0), bad]
+        f[bad] = np.where(d_bind > 0.0, math.inf, -math.inf)
+    return f
 
 
-def _bisect(func, lo: float, hi: float) -> float:
-    """Bisection on a decreasing function with func(lo) > 0 >= func(hi)."""
-    while hi - lo > _BISECT_RTOL * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if func(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect_stack(excess, weights, rf, gamma):
+    """Bracket and bisect the first-order condition of every column at once.
+
+    Every column takes the steps of a scalar bracketed bisection: the
+    bracket ``[0, b]`` grows geometrically toward the feasibility boundary
+    (less a margin) on the side the condition at zero points to, then
+    bisection halves it until ``_BISECT_RTOL`` or until the midpoint equals
+    an end.  Returns theta, the condition and the sum of its absolute
+    terms at theta, and a mask of the columns that found no bracket.
+    """
+    wd = weights * excess
+    # A full-size exponent: numpy rounds a broadcast exponent of -1 as an
+    # exact reciprocal, so a one-column stack would round differently.
+    neg_gamma = np.tile(-gamma, (excess.shape[0], 1))
+    upper = -rf / excess.min(axis=0)  # > 0: wipe-out leverage against the worst state
+    lower = -rf / excess.max(axis=0)  # < 0: wipe-out short position against the best state
+    margin_up = np.minimum(_BOUNDARY_MARGIN * np.maximum(1.0, np.abs(upper)), 0.5 * upper)
+    margin_dn = np.minimum(_BOUNDARY_MARGIN * np.maximum(1.0, np.abs(lower)), 0.5 * np.abs(lower))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f0 = _foc(np.zeros_like(rf), excess, wd, rf, neg_gamma)
+        # Grow [0, b] on the side sign * theta > 0 until sign * foc(sign * b) <= 0.
+        sign = np.where(f0 > 0.0, 1.0, -1.0)
+        limit = np.where(f0 > 0.0, upper - margin_up, -(lower + margin_dn))
+        step = np.minimum(1.0, 0.5 * limit)
+        prev, end = np.zeros_like(rf), np.zeros_like(rf)
+        searching = f0 != 0.0
+        failed = np.zeros_like(searching)
+        for k in range(200):
+            if not searching.any():
+                break
+            b = np.minimum(limit, step * 2.0**k)
+            f = _foc(np.where(searching, sign * b, 0.0), excess, wd, rf, neg_gamma)
+            found = searching & (sign * f <= 0.0)
+            np.copyto(end, b, where=found)
+            searching &= ~found
+            np.copyto(prev, b, where=searching)
+            failed |= searching & (b >= limit)
+            searching &= b < limit
+        failed |= searching
+        # Bisect the bracketed columns, dropping each one as it stops.
+        theta = np.zeros_like(rf)
+        cols = np.flatnonzero((f0 != 0.0) & ~failed)
+        lo = np.where(sign > 0.0, prev, -end)[cols]
+        hi = np.where(sign > 0.0, end, -prev)[cols]
+        args = excess[:, cols], wd[:, cols], rf[cols], neg_gamma[:, cols]
+        while cols.size:
+            mid = 0.5 * (lo + hi)
+            # lo < hi, so max(|lo|, |hi|) == max(-lo, hi).
+            tol = _BISECT_RTOL * np.maximum(np.maximum(-lo, hi), 1.0)
+            stop = (hi - lo <= tol) | (mid <= lo) | (mid >= hi)
+            if np.count_nonzero(stop):
+                theta[cols[stop]] = mid[stop]
+                keep = ~stop
+                cols, lo, hi, mid = cols[keep], lo[keep], hi[keep], mid[keep]
+                args = tuple(a[..., keep] for a in args)
+                if not cols.size:
+                    break
+            up = _foc(mid, *args) > 0.0
+            np.copyto(lo, mid, where=up)
+            np.copyto(hi, mid, where=~up)
+        residual = _foc(theta, excess, wd, rf, neg_gamma)
+        scale = np.add.accumulate(np.abs(wd) * (rf + theta * excess) ** neg_gamma, axis=0)[-1]
+    return theta, residual, scale, failed
 
 
 def theoretical_portfolio(
@@ -205,6 +261,12 @@ def theoretical_portfolio(
     fewer points than requested is recovered exactly with its own support
     size.
     """
+    dist = _mixture_rule(mix, nodes)
+    return solve_portfolio(PortfolioProblem(dist=dist, risk_free=risk_free, gamma=gamma)).theta
+
+
+def _mixture_rule(mix: GaussianMixture, nodes: int = 11) -> DiscreteDistribution:
+    """The quadrature rule :func:`theoretical_portfolio` solves on."""
     transform, std_mix = standardized_mixture(mix)
     ms = mixture_moments(std_mix, 2 * nodes)
     n = nodes
@@ -216,9 +278,7 @@ def theoretical_portfolio(
             if exc.pivot <= 1:
                 raise
             n = exc.pivot - 1
-    dist = DiscreteDistribution(
+    return DiscreteDistribution(
         nodes=tuple(transform.to_original(np.asarray(rule.nodes))),
         weights=rule.weights,
     )
-    solution = solve_portfolio(PortfolioProblem(dist=dist, risk_free=risk_free, gamma=gamma))
-    return solution.theta

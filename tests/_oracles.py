@@ -3,13 +3,22 @@
 Everything here deliberately avoids the code paths under test: moments by
 plain one-pass accumulation, optimal shares by objective-only grid search
 plus golden-section refinement, random problem generators for property
-tests.
+tests.  ``reference_solve_portfolio`` is the scalar bracketed bisection the
+vectorized portfolio engine replaced, kept as its step-for-step reference.
 """
 import math
 
 import numpy as np
 
-from npgq import DiscreteDistribution, GaussianMixture
+from npgq import (
+    DiscreteDistribution,
+    GaussianMixture,
+    NumericalError,
+    PortfolioSolution,
+    UnboundedError,
+    state_returns,
+)
+from npgq.portfolio import _BISECT_RTOL, _BOUNDARY_MARGIN
 
 
 def naive_moments(data, max_order):
@@ -65,6 +74,69 @@ def golden_section_theta(dist, risk_free, gamma, grid_points=20001, tol=1e-9):
             d = a + invphi * (b - a)
             fd = objective(d)
     return 0.5 * (a + b)
+
+
+def reference_solve_portfolio(problem):
+    """Scalar bracketed bisection: one exactly summed (``math.fsum``)
+    first-order condition per step, otherwise the steps of
+    :func:`npgq.solve_portfolio`."""
+    rf, gamma = problem.risk_free, problem.gamma
+    weights = problem.dist.weights
+    excess = tuple(float(r - rf) for r in state_returns(problem.dist, rf))
+    d_min, d_max = min(excess), max(excess)
+    if max(abs(d_min), abs(d_max)) <= 1e-14 * rf:
+        return PortfolioSolution(theta=0.0, degenerate=True)
+    if d_min >= 0.0 or d_max <= 0.0:
+        raise UnboundedError(
+            "all state returns lie on one side of the risk-free rate; "
+            "expected utility has no interior maximum"
+        )
+    upper = -rf / d_min
+    lower = -rf / d_max
+    margin_up = min(_BOUNDARY_MARGIN * max(1.0, abs(upper)), 0.5 * upper)
+    margin_dn = min(_BOUNDARY_MARGIN * max(1.0, abs(lower)), 0.5 * abs(lower))
+    pairs = tuple(zip(weights, excess))
+
+    def foc(theta):
+        try:
+            return math.fsum(w * d * (rf + theta * d) ** -gamma for w, d in pairs)
+        except OverflowError:
+            _, d_bind = min(pairs, key=lambda p: rf + theta * p[1])
+            return math.inf if d_bind > 0.0 else -math.inf
+
+    def expand_bracket(func, limit):
+        step = min(1.0, 0.5 * limit)
+        prev = 0.0
+        for k in range(200):
+            b = min(limit, step * 2.0**k)
+            if func(b) <= 0.0:
+                return prev, b
+            prev = b
+            if b >= limit:
+                break
+        raise NumericalError("failed to bracket the first-order condition root")
+
+    f0 = foc(0.0)
+    if f0 == 0.0:
+        theta = 0.0
+    else:
+        if f0 > 0.0:
+            lo, hi = expand_bracket(foc, upper - margin_up)
+        else:
+            neg_lo, neg_hi = expand_bracket(lambda t: -foc(-t), -(lower + margin_dn))
+            lo, hi = -neg_hi, -neg_lo
+        while hi - lo > _BISECT_RTOL * max(1.0, abs(lo), abs(hi)):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if foc(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        theta = 0.5 * (lo + hi)
+    residual = foc(theta)
+    scale = math.fsum(abs(w * d) * (rf + theta * d) ** -gamma for w, d in pairs)
+    return PortfolioSolution(theta=theta, degenerate=False, foc_residual=residual, foc_scale=scale)
 
 
 def random_mixture(rng, max_components=3, standardized=False):

@@ -1,11 +1,16 @@
 import csv
+import io
+import math
 
 import numpy as np
 import pytest
 
 import npgq.cli as cli
+from npgq import NpgqError, PortfolioProblem, discretize_data, gauss_hermite_discretize
 from npgq.cli import main
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
+
+from _oracles import reference_solve_portfolio
 
 
 def write_csv(path, header, columns):
@@ -113,17 +118,39 @@ class TestDiscretize:
         assert main(["discretize", src, "--column", "x", "--n", "2", "--output", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write")
 
-    def test_verify_moment_overflow_exits_2(self, tmp_path, capsys):
-        # The rule itself is fine in standardized units; the raw order-9
-        # sample moment of data at scale 1e150 is not a float.
+    def test_verify_is_standardized_at_scale_1e150(self, tmp_path, capsys):
+        # The raw order-3 sample moment of data at scale 1e150 is not a
+        # float; the standardized moments the check compares are O(1).
         data = 1e150 * np.random.default_rng(0).standard_normal(40)
         src = write_csv(tmp_path / "in.csv", ["x"], [data.tolist()])
         out = tmp_path / "o.csv"
         assert main(["discretize", src, "--column", "x", "--n", "5", "--verify",
-                     "--output", str(out)]) == 2
-        assert "order 3 overflows" in capsys.readouterr().err
+                     "--output", str(out)]) == 0
+        worst = float(capsys.readouterr().out.rsplit(":", 1)[1])
+        assert worst < 1e-8
         _, rows = read_csv(out)
         assert len(rows) == 5
+
+    def test_verify_is_not_dominated_by_an_offset(self, tmp_path, capsys):
+        # Raw moments of 1e8 + noise are powers of the offset, and matched
+        # them to 1e-15 whatever the rule's spread.  Standardized moments
+        # see what the rule's nodes, written in data units, carry: unit
+        # noise survives rounding to 1e8 (ulp 1.5e-8), 1e-6 noise does not.
+        noise = np.random.default_rng(3).standard_normal(2000)
+        reported = {}
+        for spread in (1.0, 1e-6):
+            src = write_csv(tmp_path / "in.csv", ["x"], [(1e8 + spread * noise).tolist()])
+            assert main(["discretize", src, "--column", "x", "--n", "5", "--verify",
+                         "--output", str(tmp_path / "o.csv")]) == 0
+            reported[spread] = float(capsys.readouterr().out.rsplit(":", 1)[1])
+        assert reported[1.0] < 1e-6
+        assert reported[1e-6] > 1e-3
+
+    def test_verify_constant_column(self, tmp_path, capsys):
+        src = write_csv(tmp_path / "in.csv", ["x"], [[3.5] * 10])
+        assert main(["discretize", src, "--column", "x", "--n", "1", "--verify",
+                     "--output", str(tmp_path / "o.csv")]) == 0
+        assert capsys.readouterr().out == "max relative moment error (orders 0..1): 0\n"
 
 
 class TestPortfolio:
@@ -197,6 +224,55 @@ class TestPortfolio:
         _, rows1 = read_csv(out1)
         _, rows2 = read_csv(out2)
         assert float(rows1[0][1]) == pytest.approx(float(rows2[0][1]), rel=1e-9)
+
+    @staticmethod
+    def per_gamma_rows(src, gammas, n=5):
+        """The output of one scalar solve per (gamma, rule), first error per row."""
+        header, rows = read_csv(src)
+        stock = np.array([float(r[0]) for r in rows])
+        risk_free = float(np.exp(np.mean(np.log([float(r[1]) for r in rows]))))
+        log_excess = np.log(stock) - math.log(risk_free)
+        dists = (discretize_data(log_excess, n), gauss_hermite_discretize(log_excess, n))
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["gamma", "theta_np", "theta_gaussian", "error"])
+        for gamma in gammas:
+            try:
+                theta_np, theta_g = (
+                    reference_solve_portfolio(PortfolioProblem(d, risk_free, gamma)).theta
+                    for d in dists
+                )
+            except NpgqError as exc:
+                writer.writerow([f"{gamma:.12g}", "error", "error", str(exc)])
+            else:
+                error = f"{theta_g / theta_np - 1.0:.12g}"
+                writer.writerow([f"{gamma:.12g}", f"{theta_np:.12g}", f"{theta_g:.12g}", error])
+        return text.getvalue()
+
+    def test_bad_gamma_is_an_error_row_of_its_own(self, tmp_path, capsys):
+        src = self.make_returns(tmp_path, t=200)
+        assert main(["portfolio", src, "--stock", "stock", "--riskfree", "rf",
+                     "--gamma", "0,2,4"]) == 0
+        out = capsys.readouterr().out
+        assert out == self.per_gamma_rows(src, [0.0, 2.0, 4.0])
+        lines = out.splitlines()
+        assert lines[1] == '0,error,error,"risk aversion must be positive, got 0.0"'
+        assert "error" not in lines[2] + lines[3]
+
+    def test_all_positive_excess_returns_are_unbounded_rows(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        stock = (1.05 + 0.1 * rng.random(60)).tolist()
+        src = write_csv(tmp_path / "up.csv", ["stock", "rf"], [stock, [1.0045] * 60])
+        assert main(["portfolio", src, "--stock", "stock", "--riskfree", "rf",
+                     "--gamma", "2:3:0.5", "--n", "3"]) == 0
+        out = capsys.readouterr().out
+        message = ("all state returns lie on one side of the risk-free rate; "
+                   "expected utility has no interior maximum")
+        assert out == (
+            "gamma,theta_np,theta_gaussian,error\n"
+            + "".join(f"{g},error,error,{message}\n" for g in ("2", "2.5", "3"))
+        )
+        assert out == self.per_gamma_rows(src, [2.0, 2.5, 3.0], n=3)
 
     def test_nonpositive_returns_exit_2(self, tmp_path):
         src = write_csv(tmp_path / "r.csv", ["s", "b"], [[1.0, -0.5], [1.0, 1.0]])

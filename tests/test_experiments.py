@@ -270,16 +270,16 @@ class TestSharedSampleStudy:
         blocks = []
         original = experiments._replication_block
 
-        def recording(cfg, sample_size, start, stop):
-            block = original(cfg, sample_size, start, stop)
-            blocks.append((sample_size, start, block))
+        def recording(cfg, start, stop):
+            block = original(cfg, start, stop)
+            blocks.append((start, block))
             return block
 
         monkeypatch.setattr(experiments, "_replication_block", recording)
         run_experiment(REFERENCE_CFG, jobs=1)
-        for t in REFERENCE_CFG.sample_sizes:
-            study = np.concatenate([b for size, _, b in sorted(blocks, key=lambda x: x[:2]) if size == t])
-            assert np.array_equal(study, _fresh_theta_hats(REFERENCE_CFG, t), equal_nan=True)
+        study = np.concatenate([b for _, b in sorted(blocks, key=lambda x: x[0])])
+        for s, t in enumerate(REFERENCE_CFG.sample_sizes):
+            assert np.array_equal(study[:, s], _fresh_theta_hats(REFERENCE_CFG, t), equal_nan=True)
 
     def test_one_standardization_and_moment_pass_per_sample(self, monkeypatch):
         calls = {"standardize": 0, "orders": {}}

@@ -2,23 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npgq import (
     DiscreteDistribution,
     GaussianMixture,
     InputError,
+    NpgqError,
+    NumericalError,
     PortfolioProblem,
+    PortfolioSolution,
     UnboundedError,
     crra_objective,
     gaussian_moments,
     golub_welsch,
     solve_portfolio,
+    solve_portfolios,
     state_returns,
     theoretical_portfolio,
 )
 from npgq.experiments import DEFAULT_MIXTURE, DEFAULT_RISK_FREE
+from npgq.portfolio import _BISECT_RTOL
 
-from _oracles import golden_section_theta, random_portfolio_problem
+from _oracles import golden_section_theta, random_portfolio_problem, reference_solve_portfolio
 
 
 def two_state_problem(returns, weights, risk_free, gamma):
@@ -172,3 +179,143 @@ class TestTheoreticalPortfolio:
             for g in (2.0, 4.0, 6.0)
         ]
         assert thetas[0] > thetas[1] > thetas[2]
+
+
+def assert_matches_reference(problem, result):
+    """``result`` is what the scalar reference bisection gives for ``problem``.
+
+    A theta may move only where a first-order condition sign flips at
+    rounding level (sequential sum against ``math.fsum``), which bounds
+    the move by the final bracket.  An overflow that escaped the
+    reference as a bare ``OverflowError`` is a ``NumericalError`` now.
+    """
+    try:
+        expected = reference_solve_portfolio(problem)
+    except OverflowError:
+        assert isinstance(result, NumericalError)
+        assert str(result) == "first-order condition overflows at the optimum"
+        return
+    except NpgqError as exc:
+        assert type(result) is type(exc)
+        assert str(result) == str(exc)
+        return
+    assert isinstance(result, PortfolioSolution)
+    assert result.degenerate == expected.degenerate
+    assert abs(result.theta - expected.theta) <= 2 * _BISECT_RTOL * max(1.0, abs(expected.theta))
+
+
+def _outcome(problem):
+    try:
+        return solve_portfolio(problem)
+    except NpgqError as exc:
+        return exc
+
+
+def _cancelling_problem(gamma):
+    """Two states whose first-order terms cancel exactly at theta = 0."""
+    nodes = (-0.3, 0.2)
+    d = [float(r) - 1.0 for r in state_returns(DiscreteDistribution(nodes, (1.0, 1.0)), 1.0)]
+    return PortfolioProblem(DiscreteDistribution(nodes, (d[1], -d[0])), 1.0, gamma)
+
+
+def _two_state(nodes, weights, risk_free, gamma):
+    return PortfolioProblem(DiscreteDistribution(nodes, weights), risk_free, gamma)
+
+
+EDGE_PROBLEMS = {
+    "degenerate": _two_state((0.0,), (1.0,), 1.02, 2.0),
+    "unbounded-above": _two_state((0.01, 0.3), (0.5, 0.5), 1.0, 2.0),
+    "unbounded-below": _two_state((-0.3, -0.01), (0.5, 0.5), 1.0, 2.0),
+    "f0-zero": _cancelling_problem(3.0),
+    "log-utility": _two_state((math.log(0.9), math.log(1.2)), (0.5, 0.5), 1.0, 1.0),
+    "negative-share": _two_state((-0.3, 0.05), (0.5, 0.5), 1.0, 2.0),
+    # The bracket grows to the feasibility limit, where a term overflows
+    # and the binding (worst) state decides the sign.
+    "overflow-at-limit-log": _two_state((-0.5, 0.3), (0.05, 0.95), 1e-300, 1.0),
+    "overflow-at-limit": _two_state((-0.5, 0.3), (0.01, 0.99), 1e-150, 2.0),
+    # rf ** -gamma overflows at every share, the optimum included.
+    "overflow-everywhere": _two_state((-0.5, 0.3), (0.3, 0.7), 1e-31, 10.0),
+}
+
+
+class TestEngineMatchesReference:
+    @pytest.mark.parametrize("name", sorted(EDGE_PROBLEMS))
+    def test_edge_case(self, name):
+        problem = EDGE_PROBLEMS[name]
+        assert_matches_reference(problem, _outcome(problem))
+
+    def test_edge_cases_exercise_their_branch(self):
+        assert _outcome(EDGE_PROBLEMS["degenerate"]).degenerate
+        assert _outcome(EDGE_PROBLEMS["f0-zero"]).theta == 0.0
+        for name in ("overflow-at-limit-log", "overflow-at-limit"):
+            problem = EDGE_PROBLEMS[name]
+            rf = problem.risk_free
+            d_min = float(state_returns(problem.dist, rf)[0]) - rf
+            upper = -rf / d_min
+            limit = upper - min(1e-12 * max(1.0, upper), 0.5 * upper)
+            with pytest.raises(OverflowError):
+                (rf + limit * d_min) ** -problem.gamma
+            # The bracket reaches the limit: the optimum lies past 2.
+            assert _outcome(problem).theta > 2.0
+        with pytest.raises(NumericalError, match="overflows at the optimum"):
+            solve_portfolio(EDGE_PROBLEMS["overflow-everywhere"])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=9, unique=True),
+                st.lists(st.floats(0.01, 5.0), min_size=9, max_size=9),
+                st.one_of(st.floats(0.5, 2.0), st.sampled_from([1e-300, 1e-150, 1e-31, 1e-25, 1e20])),
+                st.one_of(st.just(1.0), st.floats(1.0, 10.0)),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_batches(self, specs):
+        problems = [
+            _two_state(tuple(sorted(nodes)), tuple(weights[: len(nodes)]), risk_free, gamma)
+            for nodes, weights, risk_free, gamma in specs
+        ]
+        for problem, result in zip(problems, solve_portfolios(problems)):
+            assert_matches_reference(problem, result)
+
+
+def _random_problems(rng, count):
+    problems = []
+    for _ in range(count):
+        dist, risk_free = random_portfolio_problem(rng, max_states=9)
+        gamma = float(rng.choice([1.0, 2.0, 4.0, 6.0, 8.5]))
+        problems.append(PortfolioProblem(dist=dist, risk_free=risk_free, gamma=gamma))
+    return problems
+
+
+class TestBatchInvariance:
+    def test_same_steps_as_the_reference(self):
+        # A sign differs from the exactly rounded sum's only at rounding
+        # level, so nearly every share is the reference's bit for bit; a
+        # change of the steps (bracket, midpoints, stop rule) moves them all.
+        problems = _random_problems(np.random.default_rng(7), 200)
+        thetas = [r.theta for r in solve_portfolios(problems)]
+        same = sum(t == reference_solve_portfolio(p).theta for p, t in zip(problems, thetas))
+        assert same >= 195
+
+    def test_alone_equals_inside_a_shuffled_mixed_batch(self):
+        rng = np.random.default_rng(5)
+        problems = _random_problems(rng, 60) + list(EDGE_PROBLEMS.values())
+        alone = [_outcome(p) for p in problems]
+        order = rng.permutation(len(problems))
+        batch = solve_portfolios([problems[i] for i in order])
+        for i, result in zip(order, batch):
+            if isinstance(alone[i], NpgqError):
+                assert type(result) is type(alone[i]) and str(result) == str(alone[i])
+            else:
+                assert result == alone[i]
+
+    def test_empty_batch(self):
+        assert solve_portfolios([]) == []
+
+    def test_one_problem_is_solve_portfolio(self):
+        problem = _two_state((-0.2, 0.05, 0.3), (0.2, 0.5, 0.3), 1.0045, 4.0)
+        assert solve_portfolios([problem]) == [solve_portfolio(problem)]
