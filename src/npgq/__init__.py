@@ -30,12 +30,10 @@ from .moments import (
 )
 from .quadrature import (
     DiscreteDistribution,
-    JacobiMatrix,
     discretize_data,
     expectation,
     golub_welsch,
     jacobi_from_moments,
-    tridiagonal_eigen,
 )
 from .baselines import (
     KernelDensity,
@@ -44,17 +42,13 @@ from .baselines import (
     gauss_hermite_discretize,
     kde_pdf,
     maxent_discretize,
-    maxent_dual,
-    maxent_grid,
     maxent_solve,
 )
 from .portfolio import (
     PortfolioProblem,
     PortfolioSolution,
-    crra_objective,
     solve_portfolio,
     solve_portfolios,
-    state_returns,
     theoretical_portfolio,
 )
 from .experiments import (
@@ -64,7 +58,6 @@ from .experiments import (
     CellResult,
     ExperimentConfig,
     ExperimentReport,
-    format_config,
     parse_config,
     replication_rng,
     run_experiment,

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InfeasibleError, InputError, NumericalError
-from .moments import Sample, gaussian_moments
+from .moments import Sample, _as_clean_array, gaussian_moments
 from .quadrature import DiscreteDistribution, golub_welsch
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "fit_gaussian_mle",
     "gauss_hermite_discretize",
     "kde_pdf",
-    "maxent_grid",
-    "maxent_dual",
     "maxent_solve",
     "maxent_discretize",
 ]
@@ -84,11 +82,7 @@ class KernelDensity:
     bandwidth: float
 
     def __post_init__(self):
-        x = np.array(self.data, dtype=float).reshape(-1)
-        if x.size == 0:
-            raise InputError("data must be nonempty")
-        if not np.all(np.isfinite(x)):
-            raise InputError("data contains non-finite entries")
+        x = _as_clean_array(self.data).copy()
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0.0):
             raise InputError(f"bandwidth must be positive, got {self.bandwidth}")
         x.setflags(write=False)
@@ -115,33 +109,9 @@ def kde_pdf(kd: KernelDensity, x):
     return float(vals[0]) if scalar else vals
 
 
-def maxent_grid(data, n: int) -> np.ndarray:
-    """Even grid of N points centered at the sample mean.
-
-    The grid spans ``sqrt(2 (N - 1))`` sample standard deviations on each
-    side, which is wide enough for the tilting problem to stay feasible
-    while keeping interior resolution.
-    """
-    if n < 2:
-        raise InputError(f"grid needs at least 2 points, got {n}")
-    return _even_grid(*fit_gaussian_mle(data), n)
-
-
 def _even_grid(mean: float, std: float, n: int) -> np.ndarray:
     half_span = math.sqrt(2.0 * (n - 1)) * std
     return np.linspace(mean - half_span, mean + half_span, n)
-
-
-def maxent_dual(lam, nodes, prior, targets) -> tuple[float, np.ndarray]:
-    """Value and gradient of the tilting dual at ``lam``.
-
-    The dual is ``log sum_n q_n exp(lam' (T(x_n) - tbar))`` with
-    ``T(x) = (x, x^2, ..., x^L)``; it is smooth and convex, its gradient
-    is the moment mismatch of the tilted weights, and its minimizer makes
-    the tilted moments hit the targets exactly.
-    """
-    value, grad, _ = _dual(np.asarray(lam, dtype=float), *_dual_terms(nodes, prior, targets))
-    return value, grad
 
 
 def _dual_terms(nodes, prior, targets) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from multiprocessing import get_context
+from multiprocessing import Pool
 
 import numpy as np
 from scipy.special import ndtri
@@ -48,7 +48,6 @@ __all__ = [
     "replication_rng",
     "run_experiment",
     "parse_config",
-    "format_config",
 ]
 
 # Two-component mixture calibrated to annual U.S. log excess stock
@@ -307,9 +306,10 @@ def _grid_tasks(cfg: ExperimentConfig, jobs: int):
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Full grid of cells; failures are excluded per cell, never fatal.
 
-    ``jobs`` > 1 distributes replication blocks over worker processes;
-    results are reassembled in replication order, so serial and parallel
-    runs produce identical reports.
+    ``jobs`` > 1 distributes replication blocks over a pool of worker
+    processes under the default start method; results are reassembled in
+    replication order, so serial and parallel runs produce identical
+    reports.
     """
     if jobs < 1:
         raise InputError("jobs must be >= 1")
@@ -318,7 +318,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     if jobs == 1:
         blocks = [_replication_block(*task) for task in tasks]
     else:
-        with get_context("fork").Pool(processes=jobs) as pool:
+        with Pool(processes=jobs) as pool:
             blocks = pool.starmap(_replication_block, tasks, chunksize=1)
     # Blocks come back in task order, which is replication order.
     thetas = np.concatenate(blocks)
@@ -396,23 +396,3 @@ def parse_config(text: str) -> ExperimentConfig:
         )
         raw["mixture"] = mixture
     return ExperimentConfig(**raw)
-
-
-def format_config(cfg: ExperimentConfig) -> str:
-    """Render a configuration in the flat file format."""
-
-    def fmt_list(xs):
-        return ", ".join(x if isinstance(x, str) else format(x, "g") for x in xs)
-
-    return (
-        f"seed = {cfg.seed}\n"
-        f"replications = {cfg.replications}\n"
-        f"risk_free = {cfg.risk_free:.12g}\n"
-        f"sample_sizes = {fmt_list(cfg.sample_sizes)}\n"
-        f"node_counts = {fmt_list(cfg.node_counts)}\n"
-        f"gammas = {fmt_list(cfg.gammas)}\n"
-        f"methods = {fmt_list(cfg.methods)}\n"
-        f"mixture_proportions = {fmt_list(cfg.mixture.proportions)}\n"
-        f"mixture_means = {fmt_list(cfg.mixture.means)}\n"
-        f"mixture_stds = {fmt_list(cfg.mixture.stds)}\n"
-    )

@@ -34,8 +34,6 @@ from .quadrature import DiscreteDistribution, golub_welsch
 __all__ = [
     "PortfolioProblem",
     "PortfolioSolution",
-    "state_returns",
-    "crra_objective",
     "solve_portfolio",
     "solve_portfolios",
     "theoretical_portfolio",
@@ -44,12 +42,10 @@ __all__ = [
 _BISECT_RTOL = 1e-12
 _BOUNDARY_MARGIN = 1e-12
 
-
-def state_returns(dist: DiscreteDistribution, risk_free: float) -> np.ndarray:
-    """Gross stock return per state: ``R_f * exp(x_n)``."""
-    if not (math.isfinite(risk_free) and risk_free > 0.0):
-        raise InputError(f"risk-free rate must be positive, got {risk_free}")
-    return risk_free * np.exp(np.asarray(dist.nodes, dtype=float))
+# Nodes of the rule the true optimal share is solved on.  For the default
+# mixture, eleven agree with a 2 x 200-node component-wise Gauss-Hermite
+# integration to 1.1e-12 (relative) at gamma 2, 4 and 6.
+_THETA_STAR_NODES = 11
 
 
 @dataclass(frozen=True)
@@ -81,25 +77,6 @@ class PortfolioSolution:
     degenerate: bool = False
     foc_residual: float = 0.0
     foc_scale: float = 0.0
-
-
-def crra_objective(problem: PortfolioProblem, theta: float) -> float:
-    """Expected CRRA utility of gross portfolio return at risky share theta.
-
-    Log utility is the exact limit at unit risk aversion.  Raises
-    :class:`InputError` when some state's portfolio return is not positive.
-    """
-    rf, gamma = problem.risk_free, problem.gamma
-    weights = problem.dist.weights
-    wealth = [rf + theta * d for d in (state_returns(problem.dist, rf) - rf).tolist()]
-    if min(wealth) <= 0.0:
-        raise InputError(
-            f"risky share {theta} is infeasible: some state's portfolio return is <= 0"
-        )
-    if gamma == 1.0:
-        return math.fsum(w * math.log(v) for w, v in zip(weights, wealth))
-    p = 1.0 - gamma
-    return math.fsum(w * v**p for w, v in zip(weights, wealth)) / p
 
 
 def solve_portfolio(problem: PortfolioProblem) -> PortfolioSolution:
@@ -250,27 +227,24 @@ def _bisect_stack(excess, weights, rf, gamma):
     return theta, residual, scale, failed
 
 
-def theoretical_portfolio(
-    mix: GaussianMixture, risk_free: float, gamma: float, *, nodes: int = 11
-) -> float:
+def theoretical_portfolio(mix: GaussianMixture, risk_free: float, gamma: float) -> float:
     """Optimal risky share when log excess returns follow a known mixture.
 
     The mixture is discretized by an 11-point moment-based quadrature rule
     (standardized first for conditioning, nodes mapped back), and the
     resulting discrete problem is solved exactly.  A mixture supported on
-    fewer points than requested is recovered exactly with its own support
-    size.
+    fewer than 11 points is recovered exactly with its own support size.
     """
-    dist = _mixture_rule(mix, nodes)
+    dist = _mixture_rule(mix)
     return solve_portfolio(PortfolioProblem(dist=dist, risk_free=risk_free, gamma=gamma)).theta
 
 
-def _mixture_rule(mix: GaussianMixture, nodes: int = 11) -> DiscreteDistribution:
+def _mixture_rule(mix: GaussianMixture) -> DiscreteDistribution:
     """The quadrature rule :func:`theoretical_portfolio` solves on."""
     transform, std_mix = standardized_mixture(mix)
-    ms = mixture_moments(std_mix, 2 * nodes)
-    n = nodes
-    for _ in range(nodes):
+    ms = mixture_moments(std_mix, 2 * _THETA_STAR_NODES)
+    n = _THETA_STAR_NODES
+    for _ in range(_THETA_STAR_NODES):
         try:
             rule = golub_welsch(ms, n)
             break

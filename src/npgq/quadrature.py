@@ -1,10 +1,11 @@
 """Gaussian quadrature from a Jacobi matrix, and the data-driven discretizer.
 
-An N-point Gaussian rule is the eigen-solve of the Jacobi matrix of its
-measure (Golub-Welsch): the eigenvalues are the nodes, and the total mass
-times the squared first eigenvector components are the weights.  It
-integrates polynomials up to degree ``2N - 1`` exactly, so it depends
-only on the first ``2N`` moments of the measure.  One route per input:
+One pipeline: a Jacobi matrix, held as its diagonal and off-diagonal
+float arrays, then one symmetric-tridiagonal eigensolve (Golub-Welsch):
+the eigenvalues are the nodes, and the total mass times the squared first
+eigenvector components are the weights.  The rule integrates polynomials
+up to degree ``2N - 1`` exactly, so it depends only on the first ``2N``
+moments of the measure.  One route to the Jacobi matrix per input:
 
 * moments (Gaussian and mixture laws): :func:`jacobi_from_moments`
   factors the Hankel moment matrix and reads the recurrence coefficients
@@ -15,6 +16,8 @@ only on the first ``2N`` moments of the measure.  One route per input:
   ill-conditioned sample-moment/Hankel chain.  The rule matches the first
   ``2N - 1`` sample moments.  Lanczos breaks down after k steps when the
   data has only k support points: that is the node limit for that data.
+
+:func:`expectation` integrates a scalar function against a rule.
 """
 from __future__ import annotations
 
@@ -35,9 +38,7 @@ from .moments import MomentSequence, Sample
 
 __all__ = [
     "DiscreteDistribution",
-    "JacobiMatrix",
     "jacobi_from_moments",
-    "tridiagonal_eigen",
     "golub_welsch",
     "discretize_data",
     "expectation",
@@ -84,45 +85,9 @@ class DiscreteDistribution:
         return math.fsum(w * x**order for x, w in zip(self.nodes, self.weights))
 
 
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Symmetric tridiagonal matrix of recurrence coefficients.
-
-    ``diag`` holds the N diagonal entries and ``offdiag`` the N-1
-    off-diagonal entries, all of which must be positive.
-    """
-
-    diag: tuple[float, ...]
-    offdiag: tuple[float, ...]
-
-    def __post_init__(self):
-        d = tuple(float(v) for v in self.diag)
-        e = tuple(float(v) for v in self.offdiag)
-        if len(d) == 0:
-            raise InputError("Jacobi matrix needs at least one diagonal entry")
-        if len(e) != len(d) - 1:
-            raise InputError("off-diagonal must be one entry shorter than diagonal")
-        if not all(math.isfinite(v) for v in d + e):
-            raise InputError("Jacobi matrix entries must be finite")
-        if any(v <= 0.0 for v in e):
-            raise InputError("off-diagonal entries must be positive")
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
-
-    @property
-    def size(self) -> int:
-        return len(self.diag)
-
-    def dense(self) -> np.ndarray:
-        t = np.diag(np.asarray(self.diag, dtype=float))
-        e = np.asarray(self.offdiag, dtype=float)
-        if e.size:
-            t += np.diag(e, 1) + np.diag(e, -1)
-        return t
-
-
-def jacobi_from_moments(m: MomentSequence, n: int) -> JacobiMatrix:
-    """N-square Jacobi matrix of the measure with raw moments ``m_0..m_2N``.
+def jacobi_from_moments(m: MomentSequence, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal (N) and off-diagonal (N-1) of the Jacobi matrix of the
+    measure with raw moments ``m_0..m_2N``.
 
     Factors the Hankel moment matrix ``H[i, j] = m_{i+j}`` as ``R'R`` row
     by row and reads the recurrence coefficients of the monic orthogonal
@@ -154,16 +119,16 @@ def jacobi_from_moments(m: MomentSequence, n: int) -> JacobiMatrix:
         r[i, i + 1 :] = (hank[i, i + 1 :] - r[:i, i] @ r[:i, i + 1 :]) / r[i, i]
     d = np.diag(r)
     ratio = np.diag(r, 1) / d
-    return JacobiMatrix(
-        diag=tuple(ratio - np.concatenate(([0.0], ratio[:-1]))),
-        offdiag=tuple(d[1:] / d[:-1]),
-    )
+    diag, offdiag = ratio - np.concatenate(([0.0], ratio[:-1])), d[1:] / d[:-1]
+    if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
+        raise InputError("Jacobi matrix entries must be finite")
+    return diag, offdiag
 
 
-def _lanczos(z: np.ndarray, n: int) -> JacobiMatrix:
-    """N-square Jacobi matrix of the empirical measure of ``z`` (mass 1/T each).
+def _lanczos(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi matrix ``(diag, offdiag)`` of the empirical measure of ``z``.
 
-    Lanczos on ``diag(z)`` from the start vector ``1/sqrt(T)``, with full
+    Each point has mass 1/T.  Lanczos on ``diag(z)`` from the start vector ``1/sqrt(T)``, with full
     reorthogonalization (twice, against every earlier vector).  Row k of
     ``q`` holds the k-th orthonormal polynomial at the data points over
     ``sqrt(T)``.  Breakdown after k steps means the data has only k support
@@ -172,10 +137,10 @@ def _lanczos(z: np.ndarray, n: int) -> JacobiMatrix:
     q = np.empty((n, z.size))
     q[0] = 1.0 / math.sqrt(z.size)
     floor = _BREAKDOWN_RTOL * float(np.max(np.abs(z)))
-    diag, offdiag = [], []
+    diag, offdiag = np.empty(n), np.empty(n - 1)
     for k in range(n):
         w = z * q[k]
-        diag.append(float(q[k] @ w))
+        diag[k] = q[k] @ w
         if k == n - 1:
             break
         for _ in range(2):
@@ -187,37 +152,23 @@ def _lanczos(z: np.ndarray, n: int) -> JacobiMatrix:
                 f"most {k + 1} nodes -- reduce N",
                 pivot=k + 2,
             )
-        offdiag.append(b)
+        offdiag[k] = b
         q[k + 1] = w / b
-    return JacobiMatrix(diag=tuple(diag), offdiag=tuple(offdiag))
+    return diag, offdiag
 
 
-def tridiagonal_eigen(jac: JacobiMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a Jacobi matrix.
+def _gauss_rule(diag, offdiag, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gaussian rule of a Jacobi matrix.
 
-    Returns eigenvalues in ascending order and the matching unit-norm
-    eigenvectors as columns, each sign-normalized so its first component
-    is positive.  Positive off-diagonals guarantee simple eigenvalues and
-    nonzero first components.  Uses a symmetric-tridiagonal-specific
-    solver; non-convergence (which should be unreachable for a valid
-    Jacobi matrix) surfaces as :class:`NumericalError`.
+    The nodes are the eigenvalues, ascending; the weights are ``mass``
+    times the squared first components of the unit eigenvectors.
+    Non-convergence of the symmetric-tridiagonal solver (unreachable for
+    positive off-diagonals) surfaces as :class:`NumericalError`.
     """
-    d = np.asarray(jac.diag, dtype=float)
-    e = np.asarray(jac.offdiag, dtype=float)
-    if d.size == 1:
-        return d.copy(), np.array([[1.0]])
     try:
-        vals, vecs = eigh_tridiagonal(d, e)
+        nodes, vecs = eigh_tridiagonal(diag, offdiag)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
-    flip = vecs[0, :] < 0.0
-    vecs[:, flip] *= -1.0
-    return vals, vecs
-
-
-def _gauss_rule(jac: JacobiMatrix, mass: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gaussian rule of a Jacobi matrix."""
-    nodes, vecs = tridiagonal_eigen(jac)
     return nodes, mass * vecs[0, :] ** 2
 
 
@@ -230,7 +181,7 @@ def golub_welsch(m: MomentSequence, n: int) -> DiscreteDistribution:
     ``2N - 1``.  Raises :class:`NotPositiveDefiniteError` when the
     underlying measure has fewer than N support points.
     """
-    nodes, weights = _gauss_rule(jacobi_from_moments(m, n), m.values[0])
+    nodes, weights = _gauss_rule(*jacobi_from_moments(m, n), m.values[0])
     return DiscreteDistribution(nodes=tuple(nodes), weights=tuple(weights))
 
 
@@ -265,7 +216,7 @@ def discretize_data(data, n: int) -> DiscreteDistribution:
         raise DegenerateDataError(
             "data is constant; only a single node is representable -- reduce N to 1"
         )
-    nodes, weights = _gauss_rule(_lanczos(sample.z, n), 1.0)
+    nodes, weights = _gauss_rule(*_lanczos(sample.z, n), 1.0)
     return DiscreteDistribution(
         nodes=tuple(transform.to_original(nodes)), weights=tuple(weights)
     )
@@ -274,14 +225,8 @@ def discretize_data(data, n: int) -> DiscreteDistribution:
 def expectation(dist: DiscreteDistribution, g: Callable) -> float:
     """Expectation ``sum_n w_n g(x_n)`` under a discrete distribution.
 
-    ``g`` may be vectorized over a numpy array of nodes or a plain scalar
-    function.
+    ``g`` is called once per node, on a float64 scalar, and must return a
+    real number; the products are summed exactly rounded.
     """
     nodes = np.asarray(dist.nodes, dtype=float)
-    try:
-        vals = np.asarray(g(nodes), dtype=float)
-        if vals.shape != nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(g(x)) for x in dist.nodes])
-    return math.fsum(w * v for w, v in zip(dist.weights, vals))
+    return math.fsum(w * float(g(x)) for x, w in zip(nodes, dist.weights))

@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths under test: moments by
 plain one-pass accumulation, optimal shares by objective-only grid search
 plus golden-section refinement, random problem generators for property
 tests.  ``reference_solve_portfolio`` is the scalar bracketed bisection the
-vectorized portfolio engine replaced, kept as its step-for-step reference.
+vectorized portfolio engine replaced, kept as its step-for-step reference;
+``crra_objective`` is the expected utility it maximizes, and
+``maxent_dual`` exposes np-me's tilting dual for finite-difference checks.
 """
 import math
 
@@ -13,12 +15,45 @@ import numpy as np
 from npgq import (
     DiscreteDistribution,
     GaussianMixture,
+    InputError,
     NumericalError,
     PortfolioSolution,
     UnboundedError,
-    state_returns,
 )
+from npgq.baselines import _dual, _dual_terms
 from npgq.portfolio import _BISECT_RTOL, _BOUNDARY_MARGIN
+
+
+def state_returns(dist, risk_free):
+    """Gross stock return per state: ``R_f * exp(x_n)``."""
+    if not (math.isfinite(risk_free) and risk_free > 0.0):
+        raise InputError(f"risk-free rate must be positive, got {risk_free}")
+    return risk_free * np.exp(np.asarray(dist.nodes, dtype=float))
+
+
+def crra_objective(problem, theta):
+    """Expected CRRA utility of gross portfolio return at risky share theta.
+
+    Log utility is the exact limit at unit risk aversion.  Raises
+    :class:`InputError` when some state's portfolio return is not positive.
+    """
+    rf, gamma = problem.risk_free, problem.gamma
+    weights = problem.dist.weights
+    wealth = [rf + theta * d for d in (state_returns(problem.dist, rf) - rf).tolist()]
+    if min(wealth) <= 0.0:
+        raise InputError(
+            f"risky share {theta} is infeasible: some state's portfolio return is <= 0"
+        )
+    if gamma == 1.0:
+        return math.fsum(w * math.log(v) for w, v in zip(weights, wealth))
+    p = 1.0 - gamma
+    return math.fsum(w * v**p for w, v in zip(weights, wealth)) / p
+
+
+def maxent_dual(lam, nodes, prior, targets):
+    """Value and gradient of np-me's tilting dual at ``lam``."""
+    value, grad, _ = _dual(np.asarray(lam, dtype=float), *_dual_terms(nodes, prior, targets))
+    return value, grad
 
 
 def naive_moments(data, max_order):

@@ -18,7 +18,6 @@ import numpy as np
 from npgq import (
     DegenerateDataError,
     InputError,
-    JacobiMatrix,
     MomentSequence,
     NumericalError,
 )
@@ -83,14 +82,16 @@ def _shift_mul(coeffs: np.ndarray, a: float) -> np.ndarray:
     return out
 
 
-def ttrr_build(mf: MomentFunctional, n: int) -> tuple[list[MonicPolynomial], JacobiMatrix]:
+def ttrr_build(
+    mf: MomentFunctional, n: int
+) -> tuple[list[MonicPolynomial], tuple[np.ndarray, np.ndarray]]:
     """Monic orthogonal polynomials ``p_0..p_N`` via the three-term recurrence.
 
     Each step computes ``a = (x p_k, p_k) / (p_k, p_k)`` and
     ``b^2 = (p_k, p_k) / (p_{k-1}, p_{k-1})``, then
     ``p_{k+1} = (x - a) p_k - b^2 p_{k-1}``.  Returns the polynomials and
-    the Jacobi matrix of recurrence coefficients (diagonal ``a``,
-    off-diagonal ``b``), which must agree with the Cholesky route.
+    the Jacobi matrix of recurrence coefficients as ``(diag, offdiag)``
+    arrays (``a`` and ``b``), which must agree with the Cholesky route.
 
     Raises :class:`DegenerateDataError` when some ``(p_k, p_k)`` with
     ``k < N`` vanishes, i.e. the measure has at most ``k`` support points.
@@ -126,7 +127,7 @@ def ttrr_build(mf: MomentFunctional, n: int) -> tuple[list[MonicPolynomial], Jac
             norms2.append(norm2)
             offdiag.append(math.sqrt(norm2 / norms2[k]))
     out = [MonicPolynomial(tuple(c)) for c in polys]
-    return out, JacobiMatrix(diag=tuple(diag), offdiag=tuple(offdiag))
+    return out, (np.array(diag), np.array(offdiag))
 
 
 def poly_eval(p, x: float) -> float:

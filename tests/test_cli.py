@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import npgq.cli as cli
-from npgq import NpgqError, PortfolioProblem, discretize_data, gauss_hermite_discretize
+from npgq import (
+    NpgqError,
+    PortfolioProblem,
+    discretize_data,
+    gauss_hermite_discretize,
+    maxent_discretize,
+)
 from npgq.cli import main
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
 
@@ -43,7 +49,7 @@ class TestDiscretize:
         src = write_csv(tmp_path / "in.csv", ["ret"], [[3.5] * 10])
         assert main(["discretize", src, "--column", "ret", "--n", "1"]) == 0
         out = capsys.readouterr().out
-        assert out.splitlines()[1] == "3.5,1"
+        assert out.splitlines()[1] == "3.5,1.0"
 
     def test_verify_flag_reports_small_error(self, tmp_path, capsys):
         data = sample_mixture(DEFAULT_MIXTURE, 2000, replication_rng(1, 2000, 0))
@@ -91,7 +97,7 @@ class TestDiscretize:
             abs(dist.moment(k) - target[k]) / max(1.0, abs(target[k]))
             for k in range(8)
         )
-        # the 12-significant-digit file format perturbs moments by ~1e-11
+        # the file holds the rule at round-trip precision
         assert recomputed < 1e-8
         assert abs(recomputed - reported) < 1e-10
 
@@ -145,6 +151,32 @@ class TestDiscretize:
             reported[spread] = float(capsys.readouterr().out.rsplit(":", 1)[1])
         assert reported[1.0] < 1e-6
         assert reported[1e-6] > 1e-3
+
+    def test_written_rule_round_trips_exactly(self, tmp_path, capsys):
+        # Unit noise on a 1e8 offset needs all 17 digits: 12 would round the
+        # nodes to 1e-4 and miss the standardized moments by about 1e-3.
+        data = 1e8 + np.random.default_rng(3).standard_normal(2000)
+        src = write_csv(tmp_path / "in.csv", ["x"], [data.tolist()])
+        out = tmp_path / "o.csv"
+        for method, fn in (("np-gq", discretize_data),
+                           ("gauss-hermite", gauss_hermite_discretize),
+                           ("np-me", maxent_discretize)):
+            assert main(["discretize", src, "--column", "x", "--n", "5", "--method", method,
+                         "--output", str(out)]) == 0
+            _, rows = read_csv(out)
+            dist = fn(data, 5)
+            assert [float(r[0]) for r in rows] == list(dist.nodes), method
+            assert [float(r[1]) for r in rows] == list(dist.weights), method
+
+    @pytest.mark.parametrize("method, top", [("np-gq", 9), ("gauss-hermite", 2), ("np-me", 4)])
+    def test_verify_checks_the_orders_the_method_matches(self, tmp_path, capsys, method, top):
+        data = 1e8 + np.random.default_rng(3).standard_normal(2000)
+        src = write_csv(tmp_path / "in.csv", ["x"], [data.tolist()])
+        assert main(["discretize", src, "--column", "x", "--n", "5", "--method", method,
+                     "--verify", "--output", str(tmp_path / "o.csv")]) == 0
+        msg = capsys.readouterr().out
+        assert msg.startswith(f"max relative moment error (orders 0..{top}): ")
+        assert float(msg.rsplit(":", 1)[1]) < 1e-6
 
     def test_verify_constant_column(self, tmp_path, capsys):
         src = write_csv(tmp_path / "in.csv", ["x"], [[3.5] * 10])
@@ -395,10 +427,19 @@ class TestPlotdata:
 
 class TestOutputPrecision:
     def test_twelve_significant_digits(self, tmp_path, capsys):
+        # Every printed number but discretize's nodes and weights.
+        src = write_csv(tmp_path / "in.csv", ["x"], [[0.0, 1.0, 2.0, 7.0]])
+        assert main(["plotdata", src, "--column", "x", "--bins", "3"]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        edge = line.split(",")[2]
+        # 12 significant digits survive a round trip at that precision
+        assert float(edge) == pytest.approx(float(f"{float(edge):.12g}"), abs=0)
+        assert len(edge.replace("-", "").replace(".", "").lstrip("0")) <= 12
+        assert edge == f"{7.0 / 3.0:.12g}"  # the first inner bin edge, rounded
+
+    def test_discretize_writes_round_trip_precision(self, tmp_path, capsys):
         src = write_csv(tmp_path / "in.csv", ["x"], [[0.0, 1.0, 2.0]])
         assert main(["discretize", src, "--column", "x", "--n", "2"]) == 0
-        line = capsys.readouterr().out.splitlines()[1]
-        node = line.split(",")[0]
-        # 12 significant digits survive a round trip at that precision
-        assert float(node) == pytest.approx(float(f"{float(node):.12g}"), abs=0)
-        assert len(node.replace("-", "").replace(".", "").lstrip("0")) <= 12
+        node, weight = capsys.readouterr().out.splitlines()[1].split(",")
+        dist = discretize_data([0.0, 1.0, 2.0], 2)
+        assert (node, weight) == (repr(dist.nodes[0]), repr(dist.weights[0]))

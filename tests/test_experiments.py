@@ -1,4 +1,8 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +20,6 @@ from npgq import (
     gauss_hermite_discretize,
     maxent_discretize,
     solve_portfolio,
-    format_config,
     parse_config,
     replication_rng,
     run_experiment,
@@ -140,6 +143,25 @@ class TestRunExperiment:
         parallel = run_experiment(SMALL_CFG, jobs=2)
         assert serial.to_csv() == parallel.to_csv()
 
+    def test_spawned_workers_match_serial(self):
+        # Under "spawn" each worker re-imports npgq and receives its task by
+        # pickling; the report must not depend on the start method.
+        probe = (
+            "import multiprocessing, pickle, sys\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    from npgq import run_experiment\n"
+            "    cfg = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+            "    sys.stdout.write(run_experiment(cfg, jobs=2).to_csv())\n"
+        )
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        spawned = subprocess.run(
+            [sys.executable, "-c", probe, pickle.dumps(SMALL_CFG).hex()],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
+        assert spawned == run_experiment(SMALL_CFG, jobs=1).to_csv()
+
     def test_mae_dominates_bias(self):
         report = run_experiment(SMALL_CFG)
         for cell in report.cells:
@@ -207,9 +229,20 @@ class TestConfigValidation:
 
 class TestConfigFiles:
     def test_round_trip(self):
-        cfg = SMALL_CFG
-        parsed = parse_config(format_config(cfg))
-        assert parsed == cfg
+        # Every key, written out by hand for SMALL_CFG.
+        text = (
+            "seed = 424242\n"
+            "replications = 12\n"
+            "risk_free = 1.0045\n"
+            "sample_sizes = 60, 120\n"
+            "node_counts = 2, 3\n"
+            "gammas = 2, 4\n"
+            "methods = np-gq, gauss-hermite\n"
+            "mixture_proportions = 0.1392, 0.8608\n"
+            "mixture_means = -0.2242, 0.1064\n"
+            "mixture_stds = 0.2164, 0.1453\n"
+        )
+        assert parse_config(text) == SMALL_CFG
 
     def test_defaults_and_comments(self):
         cfg = parse_config("# comment line\nseed = 99\n\nreplications = 3\n")

@@ -47,7 +47,8 @@ class TestMomentSequence:
         rng = np.random.default_rng(11)
         _, z = standardize(rng.standard_normal(400))
         ms = sample_moments(z, 8)
-        assert jacobi_from_moments(ms, 4).size == 4
+        diag, offdiag = jacobi_from_moments(ms, 4)
+        assert (diag.size, offdiag.size) == (4, 3)
 
 
 class TestSampleMoments:

@@ -36,12 +36,12 @@ class TestMonicPolynomial:
 class TestTtrrBuild:
     def test_monic_hermite(self):
         mf = MomentFunctional(gaussian_moments(0.0, 1.0, 6))
-        polys, jac = ttrr_build(mf, 3)
+        polys, (diag, offdiag) = ttrr_build(mf, 3)
         np.testing.assert_allclose(polys[1].coeffs, (0.0, 1.0), atol=1e-14)
         np.testing.assert_allclose(polys[2].coeffs, (-1.0, 0.0, 1.0), atol=1e-14)
         np.testing.assert_allclose(polys[3].coeffs, (0.0, -3.0, 0.0, 1.0), atol=1e-13)
-        np.testing.assert_allclose(jac.diag, [0.0, 0.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(jac.offdiag, [1.0, math.sqrt(2.0)], rtol=1e-14)
+        np.testing.assert_allclose(diag, [0.0, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(offdiag, [1.0, math.sqrt(2.0)], rtol=1e-14)
 
     def test_monic_legendre(self):
         polys, _ = ttrr_build(MomentFunctional(UNIFORM_MOMENTS), 3)
@@ -122,10 +122,10 @@ class TestRouteAgreement:
             mix = random_mixture(rng, standardized=True)
             n = int(rng.integers(2, 7))
             ms = mixture_moments(mix, 2 * n)
-            polys, jac_oracle = ttrr_build(MomentFunctional(ms), n)
-            jac_main = jacobi_from_moments(ms, n)
-            np.testing.assert_allclose(jac_oracle.diag, jac_main.diag, rtol=1e-8, atol=1e-8)
-            np.testing.assert_allclose(jac_oracle.offdiag, jac_main.offdiag, rtol=1e-8)
+            polys, (diag_oracle, offdiag_oracle) = ttrr_build(MomentFunctional(ms), n)
+            diag_main, offdiag_main = jacobi_from_moments(ms, n)
+            np.testing.assert_allclose(diag_oracle, diag_main, rtol=1e-8, atol=1e-8)
+            np.testing.assert_allclose(offdiag_oracle, offdiag_main, rtol=1e-8)
             rule = golub_welsch(ms, n)
             roots = poly_roots_bracketed(polys[n])
             np.testing.assert_allclose(roots, rule.nodes, rtol=1e-8, atol=1e-8)

@@ -14,18 +14,22 @@ from npgq import (
     PortfolioProblem,
     PortfolioSolution,
     UnboundedError,
-    crra_objective,
     gaussian_moments,
     golub_welsch,
     solve_portfolio,
     solve_portfolios,
-    state_returns,
     theoretical_portfolio,
 )
 from npgq.experiments import DEFAULT_MIXTURE, DEFAULT_RISK_FREE
 from npgq.portfolio import _BISECT_RTOL
 
-from _oracles import golden_section_theta, random_portfolio_problem, reference_solve_portfolio
+from _oracles import (
+    crra_objective,
+    golden_section_theta,
+    random_portfolio_problem,
+    reference_solve_portfolio,
+    state_returns,
+)
 
 
 def two_state_problem(returns, weights, risk_free, gamma):

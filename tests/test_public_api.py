@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -34,3 +35,23 @@ def test_data_route_plumbing_is_not_public():
                "DEFAULT_MAX_NODES")
     assert [n for n in removed if hasattr(npgq, n) or hasattr(npgq.quadrature, n)] == []
     assert "jacobi_from_moments" in npgq.quadrature.__all__
+
+
+def test_only_the_pipeline_is_public():
+    # Test-only wrappers, second routes and single-use plumbing are gone;
+    # the tests keep their own copies in _oracles where they need them.
+    removed = {
+        "baselines": ("maxent_grid", "maxent_dual"),
+        "quadrature": ("tridiagonal_eigen", "JacobiMatrix"),
+        "portfolio": ("state_returns", "crra_objective"),
+        "experiments": ("format_config",),
+    }
+    left = [
+        f"{mod}.{name}"
+        for mod, names in removed.items()
+        for name in names
+        if hasattr(npgq, name) or hasattr(getattr(npgq, mod), name)
+        or name in getattr(npgq, mod).__all__
+    ]
+    assert left == []
+    assert "nodes" not in inspect.signature(npgq.theoretical_portfolio).parameters

@@ -9,7 +9,6 @@ from npgq import (
     DegenerateDataError,
     DiscreteDistribution,
     InputError,
-    JacobiMatrix,
     MomentSequence,
     NotPositiveDefiniteError,
     discretize_data,
@@ -18,9 +17,9 @@ from npgq import (
     golub_welsch,
     jacobi_from_moments,
     sample_moments,
-    tridiagonal_eigen,
 )
 from npgq.experiments import replication_rng, sample_mixture
+from npgq.quadrature import _gauss_rule
 
 from _oracles import random_mixture
 
@@ -41,33 +40,33 @@ class TestTypes:
         with pytest.raises(InputError):
             DiscreteDistribution(nodes=(0.0, 1.0), weights=(0.5, 0.0))
 
-    def test_jacobi_offdiag_positive(self):
-        with pytest.raises(InputError):
-            JacobiMatrix(diag=(0.0, 0.0), offdiag=(0.0,))
-        with pytest.raises(InputError):
-            JacobiMatrix(diag=(0.0, 0.0), offdiag=(1.0, 2.0))
-
 
 class TestHankelMatrix:
     """The Hankel moment matrix, observed through :func:`jacobi_from_moments`."""
 
     def test_standard_normal_order_two(self):
         m = MomentSequence((1.0, 0.0, 1.0))
-        jac = jacobi_from_moments(m, 1)
-        assert jac.diag == (0.0,)
-        assert jac.offdiag == ()
+        diag, offdiag = jacobi_from_moments(m, 1)
+        assert diag.tolist() == [0.0]
+        assert offdiag.tolist() == []
 
     def test_standard_normal_order_four(self):
         m = MomentSequence((1.0, 0.0, 1.0, 0.0, 3.0))
-        jac = jacobi_from_moments(m, 2)
-        assert jac.diag == (0.0, 0.0)
-        assert jac.offdiag == (1.0,)
+        diag, offdiag = jacobi_from_moments(m, 2)
+        assert diag.tolist() == [0.0, 0.0]
+        assert offdiag.tolist() == [1.0]
 
     def test_point_mass_is_rank_one(self):
         m = MomentSequence((1.0, 1.0, 1.0, 1.0, 1.0))
         with pytest.raises(NotPositiveDefiniteError) as err:
             golub_welsch(m, 2)
         assert err.value.pivot == 2
+
+    def test_overflowing_recurrence_is_an_input_error(self):
+        # m_1 * m_2 overflows in the factor's second row: diag[1] is inf.
+        m = MomentSequence((1.0, -1e100, 1e250, 0.0, 1e300))
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="finite"):
+            golub_welsch(m, 2)
 
     def test_insufficient_order(self):
         with pytest.raises(InputError):
@@ -87,14 +86,14 @@ class TestCholesky:
 class TestJacobiFromCholesky:
     def test_standard_normal_two_nodes(self):
         m = MomentSequence(STD_NORMAL_6.values[:5])
-        jac = jacobi_from_moments(m, 2)
-        np.testing.assert_allclose(jac.diag, [0.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(jac.offdiag, monic_hermite_offdiag(2), rtol=1e-14)
+        diag, offdiag = jacobi_from_moments(m, 2)
+        np.testing.assert_allclose(diag, [0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(offdiag, monic_hermite_offdiag(2), rtol=1e-14)
 
     def test_standard_normal_three_nodes(self):
-        jac = jacobi_from_moments(STD_NORMAL_6, 3)
-        np.testing.assert_allclose(jac.diag, [0.0, 0.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(jac.offdiag, monic_hermite_offdiag(3), rtol=1e-14)
+        diag, offdiag = jacobi_from_moments(STD_NORMAL_6, 3)
+        np.testing.assert_allclose(diag, [0.0, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(offdiag, monic_hermite_offdiag(3), rtol=1e-14)
 
     def test_point_mass_single_node(self):
         c = 5.0
@@ -104,42 +103,48 @@ class TestJacobiFromCholesky:
 
 
 class TestTridiagonalEigen:
+    """The eigensolve of the Jacobi matrix, seen through the rules it gives."""
+
     def test_two_by_two(self):
-        vals, vecs = tridiagonal_eigen(JacobiMatrix(diag=(0.0, 0.0), offdiag=(1.0,)))
-        np.testing.assert_allclose(vals, [-1.0, 1.0], atol=1e-14)
-        s = 1.0 / math.sqrt(2.0)
-        np.testing.assert_allclose(vecs[:, 0], [s, -s], atol=1e-14)
-        np.testing.assert_allclose(vecs[:, 1], [s, s], atol=1e-14)
+        # Moments of +-1 with mass 1/2 each: Jacobi matrix diag 0, offdiag 1.
+        rule = golub_welsch(MomentSequence((1.0, 0.0, 1.0, 0.0, 1.0)), 2)
+        np.testing.assert_allclose(rule.nodes, [-1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(rule.weights, [0.5, 0.5], atol=1e-14)
 
     def test_single_entry(self):
-        vals, vecs = tridiagonal_eigen(JacobiMatrix(diag=(2.5,), offdiag=()))
-        np.testing.assert_array_equal(vals, [2.5])
-        np.testing.assert_array_equal(vecs, [[1.0]])
+        rule = golub_welsch(MomentSequence((1.0, 2.5, 7.0)), 1)
+        assert rule.nodes == (2.5,)
+        assert rule.weights == (1.0,)
+        nodes, weights = _gauss_rule(np.array([2.5]), np.array([]), 3.0)
+        np.testing.assert_array_equal(nodes, [2.5])
+        np.testing.assert_array_equal(weights, [3.0])
 
     def test_char_poly_oracle_three_by_three(self):
-        # det(T - x I) = -(x^3 - 3x) for diag 0, offdiag (1, sqrt(2)):
-        # eigenvalues are the roots -sqrt(3), 0, sqrt(3).
-        jac = JacobiMatrix(diag=(0.0, 0.0, 0.0), offdiag=(1.0, math.sqrt(2.0)))
-        vals, _ = tridiagonal_eigen(jac)
-        np.testing.assert_allclose(vals, [-math.sqrt(3.0), 0.0, math.sqrt(3.0)], atol=1e-14)
+        # The Jacobi matrix of N(0, 1) at N = 3 is diag 0, offdiag (1, sqrt(2)):
+        # det(T - x I) = -(x^3 - 3x), whose roots are -sqrt(3), 0, sqrt(3).
+        rule = golub_welsch(gaussian_moments(0.0, 1.0, 6), 3)
+        np.testing.assert_allclose(rule.nodes, [-math.sqrt(3.0), 0.0, math.sqrt(3.0)], atol=1e-14)
 
     def test_residuals_and_ordering_random(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
             n = int(rng.integers(1, 10))
-            jac = JacobiMatrix(
-                diag=tuple(rng.uniform(-2, 2, n)),
-                offdiag=tuple(rng.uniform(0.05, 2.0, max(n - 1, 0))),
-            )
-            vals, vecs = tridiagonal_eigen(jac)
-            assert np.all(np.diff(vals) > 0)
-            dense = jac.dense()
+            diag = rng.uniform(-2, 2, n)
+            offdiag = rng.uniform(0.05, 2.0, max(n - 1, 0))
+            mass = float(rng.uniform(0.5, 2.0))
+            nodes, weights = _gauss_rule(diag, offdiag, mass)
+            assert np.all(np.diff(nodes) > 0)
+            dense = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
             scale = np.linalg.norm(dense)
+            vals, vecs = np.linalg.eigh(dense)
             for k in range(n):
-                resid = np.linalg.norm(dense @ vecs[:, k] - vals[k] * vecs[:, k])
+                # The unit eigenvector of node k, from an independent solver.
+                vec = vecs[:, np.argmin(np.abs(vals - nodes[k]))]
+                resid = np.linalg.norm(dense @ vec - nodes[k] * vec)
                 assert resid <= 1e-10 * max(scale, 1.0)
-                assert vecs[0, k] > 0.0
-                assert np.linalg.norm(vecs[:, k]) == pytest.approx(1.0, rel=1e-12)
+                assert weights[k] > 0.0
+                assert weights[k] == pytest.approx(mass * vec[0] ** 2, rel=1e-12, abs=1e-14)
+            assert weights.sum() == pytest.approx(mass, rel=1e-12)
 
 
 class TestGolubWelsch:
@@ -275,6 +280,18 @@ class TestExpectation:
         # degree 5 = 2N - 1 is still exact; degree 6 is not (9 vs true 15)
         assert expectation(rule, lambda x: x**5) == pytest.approx(0.0, abs=1e-12)
         assert expectation(rule, lambda x: x**6) == pytest.approx(9.0, rel=1e-12)
+
+    def test_calls_g_once_per_node_on_a_scalar(self):
+        dist = DiscreteDistribution(nodes=(-1.0, 0.5, 2.0), weights=(0.25, 0.25, 0.5))
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return x * x
+
+        assert expectation(dist, g) == pytest.approx(0.25 + 0.0625 + 2.0, rel=1e-15)
+        assert len(seen) == len(dist)
+        assert all(type(x) is np.float64 for x in seen)
 
     def test_scalar_function_fallback(self):
         dist = DiscreteDistribution(nodes=(0.0, 2.0), weights=(0.25, 0.75))

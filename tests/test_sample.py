@@ -18,7 +18,6 @@ from npgq import (
     fit_gaussian_mle,
     gauss_hermite_discretize,
     maxent_discretize,
-    maxent_grid,
     maxent_solve,
     sample_moments,
     standardize,
@@ -118,7 +117,6 @@ class TestSharedSampleMatchesFreshCalls:
         sample = Sample(data)
         for n in (3, 5, 9):
             assert maxent_solve(sample, n) == maxent_solve(data.copy(), n)
-            assert np.array_equal(maxent_grid(sample, n), maxent_grid(data.copy(), n))
         assert fit_gaussian_mle(sample) == fit_gaussian_mle(data.copy())
         shared, fresh = KernelDensity.fit(sample), KernelDensity.fit(data.copy())
         assert shared.bandwidth == fresh.bandwidth
