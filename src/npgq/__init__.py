@@ -22,8 +22,6 @@ from .moments import (
     GaussianMixture,
     MomentSequence,
     Sample,
-    gaussian_moments,
-    mixture_moments,
     sample_moments,
     standardize,
     standardized_mixture,
@@ -32,8 +30,6 @@ from .quadrature import (
     DiscreteDistribution,
     discretize_data,
     expectation,
-    golub_welsch,
-    jacobi_from_moments,
 )
 from .baselines import (
     KernelDensity,

@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InfeasibleError, InputError, NumericalError
-from .moments import Sample, _as_clean_array, gaussian_moments
-from .quadrature import DiscreteDistribution, golub_welsch
+from .moments import Sample, _as_clean_array
+from .quadrature import DiscreteDistribution, _gauss_rule
 
 __all__ = [
     "KernelDensity",
@@ -52,15 +52,17 @@ def fit_gaussian_mle(data) -> tuple[float, float]:
 
 @lru_cache(maxsize=32)
 def _standard_normal_rule(n: int) -> DiscreteDistribution:
-    return golub_welsch(gaussian_moments(0.0, 1.0, 2 * n), n)
+    """N-point Gauss-Hermite rule of N(0, 1), from its exact Jacobi matrix:
+    the monic Hermite recurrence, diagonal 0 and off-diagonal sqrt(1..N-1)."""
+    nodes, weights = _gauss_rule(np.zeros(n), np.sqrt(np.arange(1.0, n)), 1.0)
+    return DiscreteDistribution(nodes=tuple(nodes), weights=tuple(weights))
 
 
 def gauss_hermite_discretize(data, n: int) -> DiscreteDistribution:
     """N-point Gauss-Hermite rule for the MLE Gaussian fit of the data.
 
-    Equivalent to running the moment pipeline on the fitted Gaussian's
-    moments; computed as the standard-normal rule scaled to
-    ``N(mean, std^2)``, which is the same rule with better conditioning.
+    The standard-normal rule scaled to ``N(mean, std^2)``: the Gaussian
+    rule of the fitted Gaussian.
     """
     if n < 1:
         raise InputError(f"node count must be >= 1, got {n}")
@@ -206,10 +208,12 @@ def maxent_solve(data, n: int) -> MaxEntSolution:
     the standardized data, four moments are matched when the grid has at
     least five points (two otherwise), and nodes are mapped back to data
     units at the end.  If four moments are unattainable on the grid the
-    solver retries with two and flags the downgrade.
+    solver retries with two and flags the downgrade.  The grid needs at
+    least three points: a two-point grid sits at +-sqrt(2) standardized
+    units, where every tilt has second moment 2, not the data's 1.
     """
-    if n < 2:
-        raise InputError(f"node count must be >= 2, got {n}")
+    if n < 3:
+        raise InputError(f"node count must be >= 3, got {n}")
     sample = Sample.of(data)
     transform, z = sample.transform, sample.z
     mean, std = sample.z_fit

@@ -7,8 +7,8 @@ returns -> discretize -> optimal risky share per risk aversion),
 (histogram/KDE/fitted-Gaussian curves as CSV for plotting elsewhere).
 
 Exit codes: 0 on success, 2 for input/parse/config problems, 3 when the
-numerics reject the request (degenerate data, loss of positive
-definiteness, infeasible tilting).  Numbers are printed with 12
+numerics reject the request (degenerate data, fewer support points than
+nodes, infeasible tilting).  Numbers are printed with 12
 significant digits, except the nodes and weights ``discretize`` writes:
 those are written at round-trip precision, so the file holds exactly the
 rule that ``--verify`` checks.
@@ -25,15 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import KernelDensity, fit_gaussian_mle, kde_pdf, maxent_solve
-from .errors import (
-    DegenerateDataError,
-    InfeasibleError,
-    InputError,
-    NotPositiveDefiniteError,
-    NpgqError,
-    NumericalError,
-    UnboundedError,
-)
+from .errors import DegenerateDataError, InputError, NpgqError
 from .experiments import (
     ExperimentConfig,
     parse_config,
@@ -326,10 +318,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateDataError, NotPositiveDefiniteError) as exc:
-        print(f"error: {exc} (try reducing N)", file=sys.stderr)
-        return 3
-    except (InfeasibleError, UnboundedError, NumericalError) as exc:
+    except NpgqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

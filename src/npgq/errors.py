@@ -16,17 +16,16 @@ class DegenerateDataError(NpgqError):
 class NotPositiveDefiniteError(NpgqError):
     """The measure has fewer support points than the nodes requested.
 
-    Raised when the Cholesky factorization of a Hankel moment matrix hits
-    a non-positive pivot, or when Lanczos on data breaks down (its next
-    off-diagonal entry is rounding noise).
+    Raised when Lanczos on data breaks down before N steps: its next
+    off-diagonal entry is rounding noise.
 
     Attributes
     ----------
     pivot : int
-        1-based index of the failing pivot, or one more than the number
-        of Lanczos steps completed.  A failure at pivot ``i`` signals that
-        the underlying measure has fewer than ``i`` effective support
-        points; reducing the node count to ``i - 1`` is the usual remedy.
+        One more than the number of Lanczos steps completed.  A failure at
+        pivot ``i`` signals that the data has fewer than ``i`` effective
+        support points; reducing the node count to ``i - 1`` is the usual
+        remedy.
     """
 
     def __init__(self, message: str, pivot: int):

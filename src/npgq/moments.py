@@ -1,12 +1,13 @@
-"""Raw moments of data, Gaussians, and Gaussian mixtures.
+"""Raw sample moments, standardization, and Gaussian mixtures.
 
-Moment-based quadrature (:func:`~npgq.quadrature.golub_welsch`) and the
-np-me baseline consume plain sequences of raw moments
-``m_0, m_1, ..., m_K`` with ``m_k = E[X^k]``.  Sample moments use the
-population divisor ``1/I`` and compensated summation.  Data is
-standardized (mean 0, std 1) before moments are taken; Gaussian
-quadrature commutes with affine maps, so nodes are mapped back afterwards
-at no cost in accuracy.
+The np-me baseline and ``npgq discretize --verify`` consume plain
+sequences of raw moments ``m_0, m_1, ..., m_K`` with ``m_k = E[X^k]``.
+Sample moments use the population divisor ``1/I`` and compensated
+summation.  Data is standardized (mean 0, std 1) before any rule is
+built; Gaussian quadrature commutes with affine maps, so nodes are
+mapped back afterwards at no cost in accuracy.  No rule is built from
+moments: the quadrature takes its Jacobi matrices by Lanczos
+(:mod:`npgq.quadrature`).
 
 :class:`Sample` holds one data set's derived statistics (the validated
 array, its standardization, the MLE fit of the standardized values and
@@ -32,8 +33,6 @@ __all__ = [
     "GaussianMixture",
     "sample_moments",
     "standardize",
-    "gaussian_moments",
-    "mixture_moments",
     "standardized_mixture",
 ]
 
@@ -262,44 +261,6 @@ class Sample:
         if self._moments is None or self._moments.max_order < max_order:
             self._moments = sample_moments(self.z, max_order)
         return MomentSequence(self._moments.values[: max_order + 1])
-
-
-def gaussian_moments(mean: float, std: float, max_order: int) -> MomentSequence:
-    """Raw moments of ``N(mean, std^2)`` up to ``max_order``.
-
-    Uses the stable recursion
-    ``m_k = mean * m_{k-1} + (k - 1) * std^2 * m_{k-2}`` with ``m_0 = 1``;
-    ``std = 0`` yields the point-mass moments ``mean^k``.
-    """
-    if max_order < 0:
-        raise InputError(f"max_order must be >= 0, got {max_order}")
-    if not (math.isfinite(mean) and math.isfinite(std)):
-        raise InputError("mean and std must be finite")
-    if std < 0.0:
-        raise InputError(f"std must be nonnegative, got {std}")
-    out = [1.0]
-    if max_order >= 1:
-        out.append(mean)
-    var = std * std
-    for k in range(2, max_order + 1):
-        out.append(mean * out[k - 1] + (k - 1) * var * out[k - 2])
-    return MomentSequence(tuple(out))
-
-
-def mixture_moments(mix: GaussianMixture, max_order: int) -> MomentSequence:
-    """Raw moments of a Gaussian mixture: proportion-weighted component moments."""
-    if max_order < 0:
-        raise InputError(f"max_order must be >= 0, got {max_order}")
-    per_component = [
-        gaussian_moments(m, s, max_order).values
-        for m, s in zip(mix.means, mix.stds)
-    ]
-    out = [
-        math.fsum(p * comp[k] for p, comp in zip(mix.proportions, per_component))
-        for k in range(max_order + 1)
-    ]
-    out[0] = 1.0
-    return MomentSequence(tuple(out))
 
 
 def standardized_mixture(mix: GaussianMixture) -> tuple[AffineTransform, GaussianMixture]:

@@ -21,15 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InputError,
-    NotPositiveDefiniteError,
-    NpgqError,
-    NumericalError,
-    UnboundedError,
-)
-from .moments import GaussianMixture, mixture_moments, standardized_mixture
-from .quadrature import DiscreteDistribution, golub_welsch
+from .baselines import _standard_normal_rule
+from .errors import InputError, NpgqError, NumericalError, UnboundedError
+from .moments import GaussianMixture, standardized_mixture
+from .quadrature import DiscreteDistribution, _gauss_rule, _lanczos
 
 __all__ = [
     "PortfolioProblem",
@@ -230,7 +225,7 @@ def _bisect_stack(excess, weights, rf, gamma):
 def theoretical_portfolio(mix: GaussianMixture, risk_free: float, gamma: float) -> float:
     """Optimal risky share when log excess returns follow a known mixture.
 
-    The mixture is discretized by an 11-point moment-based quadrature rule
+    The mixture is discretized by its 11-point Gaussian quadrature rule
     (standardized first for conditioning, nodes mapped back), and the
     resulting discrete problem is solved exactly.  A mixture supported on
     fewer than 11 points is recovered exactly with its own support size.
@@ -239,20 +234,26 @@ def theoretical_portfolio(mix: GaussianMixture, risk_free: float, gamma: float) 
     return solve_portfolio(PortfolioProblem(dist=dist, risk_free=risk_free, gamma=gamma)).theta
 
 
+def _mixture_jacobi(mix: GaussianMixture, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi matrix ``(diag, offdiag)`` of a mixture, at most N steps.
+
+    Lanczos on the mixture's component N-point Gauss-Hermite nodes, each
+    of mass proportion times Gauss-Hermite weight.  That discrete measure
+    shares the mixture's moments up to order ``2N - 1``, which are all an
+    N-step Jacobi matrix depends on, so the matrix is the mixture's own.
+    A mixture with fewer than N support points gives a smaller matrix.
+    """
+    base = _standard_normal_rule(n)
+    x, w = np.asarray(base.nodes), np.asarray(base.weights)
+    points = np.concatenate([m + s * x for m, s in zip(mix.means, mix.stds)])
+    mass = np.concatenate([p * w for p in mix.proportions])
+    return _lanczos(points, np.sqrt(mass / mass.sum()), n)
+
+
 def _mixture_rule(mix: GaussianMixture) -> DiscreteDistribution:
     """The quadrature rule :func:`theoretical_portfolio` solves on."""
     transform, std_mix = standardized_mixture(mix)
-    ms = mixture_moments(std_mix, 2 * _THETA_STAR_NODES)
-    n = _THETA_STAR_NODES
-    for _ in range(_THETA_STAR_NODES):
-        try:
-            rule = golub_welsch(ms, n)
-            break
-        except NotPositiveDefiniteError as exc:
-            if exc.pivot <= 1:
-                raise
-            n = exc.pivot - 1
+    nodes, weights = _gauss_rule(*_mixture_jacobi(std_mix, _THETA_STAR_NODES), 1.0)
     return DiscreteDistribution(
-        nodes=tuple(transform.to_original(np.asarray(rule.nodes))),
-        weights=rule.weights,
+        nodes=tuple(transform.to_original(nodes)), weights=tuple(weights)
     )

@@ -5,17 +5,18 @@ float arrays, then one symmetric-tridiagonal eigensolve (Golub-Welsch):
 the eigenvalues are the nodes, and the total mass times the squared first
 eigenvector components are the weights.  The rule integrates polynomials
 up to degree ``2N - 1`` exactly, so it depends only on the first ``2N``
-moments of the measure.  One route to the Jacobi matrix per input:
+moments of the measure.
 
-* moments (Gaussian and mixture laws): :func:`jacobi_from_moments`
-  factors the Hankel moment matrix and reads the recurrence coefficients
-  off the Cholesky factor; :func:`golub_welsch` gives the rule.
-* data: :func:`discretize_data` runs Lanczos on ``diag(z)`` for the
-  standardized data ``z`` of a :class:`~npgq.moments.Sample`, which gives
-  the Jacobi matrix of the empirical measure without forming the
-  ill-conditioned sample-moment/Hankel chain.  The rule matches the first
-  ``2N - 1`` sample moments.  Lanczos breaks down after k steps when the
-  data has only k support points: that is the node limit for that data.
+One route to the Jacobi matrix: Lanczos on a discrete measure
+(:func:`_lanczos`), which works on the points themselves and never forms
+their ill-conditioned high-order moments.  :func:`discretize_data` runs
+it on the empirical measure of the standardized data of a
+:class:`~npgq.moments.Sample`, so the rule matches the first ``2N - 1``
+sample moments; the true optimal share's rule runs it on the component
+Gauss-Hermite nodes of a Gaussian mixture.  Lanczos breaks down after k
+steps when the measure has only k support points: that is the node limit
+for that measure.  The Gauss-Hermite baseline needs no Lanczos, since
+the standard normal's Jacobi matrix is known exactly.
 
 :func:`expectation` integrates a scalar function against a rule.
 """
@@ -34,25 +35,16 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalError,
 )
-from .moments import MomentSequence, Sample
+from .moments import Sample
 
 __all__ = [
     "DiscreteDistribution",
-    "jacobi_from_moments",
-    "golub_welsch",
     "discretize_data",
     "expectation",
 ]
 
-# Relative pivot floor: a Cholesky pivot below this fraction of its own
-# row's diagonal entry is treated as loss of positive definiteness.  (The
-# row's entry, not the global maximum: Hankel diagonals grow as m_{2k},
-# which for standardized moments spans ten orders of magnitude by k = 11,
-# and a global floor would reject the well-conditioned leading rows.)
-_PIVOT_RTOL = 1e-12
-
 # Lanczos breakdown floor: an off-diagonal entry at or below this fraction
-# of max|z| (the norm of diag(z)) is rounding noise, meaning the data's
+# of max|x| (the norm of diag(x)) is rounding noise, meaning the measure's
 # Krylov space, and so its support, is exhausted.
 _BREAKDOWN_RTOL = 1e-12
 
@@ -85,61 +77,23 @@ class DiscreteDistribution:
         return math.fsum(w * x**order for x, w in zip(self.nodes, self.weights))
 
 
-def jacobi_from_moments(m: MomentSequence, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal (N) and off-diagonal (N-1) of the Jacobi matrix of the
-    measure with raw moments ``m_0..m_2N``.
+def _lanczos(x: np.ndarray, start, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi matrix ``(diag, offdiag)`` of the discrete measure with point
+    ``x[i]`` of mass ``start[i]**2``, for at most N steps.
 
-    Factors the Hankel moment matrix ``H[i, j] = m_{i+j}`` as ``R'R`` row
-    by row and reads the recurrence coefficients of the monic orthogonal
-    polynomials off ``R``.  With 1-based entries: ``diag[0] = r_12/r_11``,
-    ``diag[k] = r_{k+1,k+2}/r_{k+1,k+1} - r_{k,k+1}/r_{k,k}`` and
-    ``offdiag[k] = r_{k+2,k+2}/r_{k+1,k+1}``.  The last pivot ``r_{N+1,N+1}``
-    is never used, which is what lets a measure with exactly N support
-    points give an N-point rule.  A pivot at or below ``1e-12`` times its
-    row's diagonal entry raises :class:`NotPositiveDefiniteError` carrying
-    its 1-based index: the measure supports fewer nodes than that index.
+    ``start`` is the unit start vector, or one scalar for equal masses
+    (``1/sqrt(T)`` for an empirical measure).  Lanczos on ``diag(x)``,
+    with full reorthogonalization (twice, against every earlier vector):
+    row k of ``q`` holds the k-th orthonormal polynomial at the points
+    times ``start``.  Breakdown after k < N steps means the measure has
+    only k support points; the k-step matrix is returned.
     """
-    if n < 1:
-        raise InputError(f"node count must be >= 1, got {n}")
-    if m.max_order < 2 * n:
-        raise InputError(f"need moments up to order {2 * n}, have only {m.max_order}")
-    vals = np.asarray(m.values, dtype=float)
-    idx = np.arange(n + 1)
-    hank = vals[idx[:n, None] + idx[None, :]]  # the first N rows of H
-    r = np.zeros_like(hank)
-    for i in range(n):
-        pivot = hank[i, i] - r[:i, i] @ r[:i, i]
-        if pivot <= _PIVOT_RTOL * hank[i, i]:
-            raise NotPositiveDefiniteError(
-                f"moment matrix is not positive definite at pivot {i + 1}; "
-                f"the measure supports at most {i} nodes -- reduce N",
-                pivot=i + 1,
-            )
-        r[i, i] = math.sqrt(pivot)
-        r[i, i + 1 :] = (hank[i, i + 1 :] - r[:i, i] @ r[:i, i + 1 :]) / r[i, i]
-    d = np.diag(r)
-    ratio = np.diag(r, 1) / d
-    diag, offdiag = ratio - np.concatenate(([0.0], ratio[:-1])), d[1:] / d[:-1]
-    if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
-        raise InputError("Jacobi matrix entries must be finite")
-    return diag, offdiag
-
-
-def _lanczos(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi matrix ``(diag, offdiag)`` of the empirical measure of ``z``.
-
-    Each point has mass 1/T.  Lanczos on ``diag(z)`` from the start vector ``1/sqrt(T)``, with full
-    reorthogonalization (twice, against every earlier vector).  Row k of
-    ``q`` holds the k-th orthonormal polynomial at the data points over
-    ``sqrt(T)``.  Breakdown after k steps means the data has only k support
-    points; it raises :class:`NotPositiveDefiniteError` with ``pivot=k+1``.
-    """
-    q = np.empty((n, z.size))
-    q[0] = 1.0 / math.sqrt(z.size)
-    floor = _BREAKDOWN_RTOL * float(np.max(np.abs(z)))
+    q = np.empty((n, x.size))
+    q[0] = start
+    floor = _BREAKDOWN_RTOL * float(np.max(np.abs(x)))
     diag, offdiag = np.empty(n), np.empty(n - 1)
     for k in range(n):
-        w = z * q[k]
+        w = x * q[k]
         diag[k] = q[k] @ w
         if k == n - 1:
             break
@@ -147,11 +101,7 @@ def _lanczos(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
             w -= q[: k + 1].T @ (q[: k + 1] @ w)
         b = float(np.linalg.norm(w))
         if b <= floor:
-            raise NotPositiveDefiniteError(
-                f"Lanczos broke down at step {k + 1}; the data supports at "
-                f"most {k + 1} nodes -- reduce N",
-                pivot=k + 2,
-            )
+            return diag[: k + 1], offdiag[:k]
         offdiag[k] = b
         q[k + 1] = w / b
     return diag, offdiag
@@ -170,19 +120,6 @@ def _gauss_rule(diag, offdiag, mass: float) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
     return nodes, mass * vecs[0, :] ** 2
-
-
-def golub_welsch(m: MomentSequence, n: int) -> DiscreteDistribution:
-    """N-point Gaussian quadrature rule from raw moments ``m_0..m_2N``.
-
-    Nodes are the eigenvalues of :func:`jacobi_from_moments`; the weight
-    at node k is ``m_0`` times the squared first component of the k-th
-    unit eigenvector.  The rule reproduces the input moments up to order
-    ``2N - 1``.  Raises :class:`NotPositiveDefiniteError` when the
-    underlying measure has fewer than N support points.
-    """
-    nodes, weights = _gauss_rule(*jacobi_from_moments(m, n), m.values[0])
-    return DiscreteDistribution(nodes=tuple(nodes), weights=tuple(weights))
 
 
 def discretize_data(data, n: int) -> DiscreteDistribution:
@@ -216,7 +153,14 @@ def discretize_data(data, n: int) -> DiscreteDistribution:
         raise DegenerateDataError(
             "data is constant; only a single node is representable -- reduce N to 1"
         )
-    nodes, weights = _gauss_rule(*_lanczos(sample.z, n), 1.0)
+    diag, offdiag = _lanczos(sample.z, 1.0 / math.sqrt(sample.z.size), n)
+    if diag.size < n:
+        raise NotPositiveDefiniteError(
+            f"Lanczos broke down at step {diag.size}; the data supports at "
+            f"most {diag.size} nodes -- reduce N",
+            pivot=diag.size + 1,
+        )
+    nodes, weights = _gauss_rule(diag, offdiag, 1.0)
     return DiscreteDistribution(
         nodes=tuple(transform.to_original(nodes)), weights=tuple(weights)
     )

@@ -7,6 +7,12 @@ tests.  ``reference_solve_portfolio`` is the scalar bracketed bisection the
 vectorized portfolio engine replaced, kept as its step-for-step reference;
 ``crra_objective`` is the expected utility it maximizes, and
 ``maxent_dual`` exposes np-me's tilting dual for finite-difference checks.
+
+The moment route is the reference for the library's Lanczos route:
+``gaussian_moments`` and ``mixture_moments`` give raw moments,
+``jacobi_from_moments`` reads a Jacobi matrix off the Cholesky factor of
+their Hankel matrix, and ``golub_welsch`` takes its Gaussian rule.
+``mp_data_rules`` and ``mp_mixture_rule`` run the same route in mpmath.
 """
 import math
 
@@ -16,12 +22,114 @@ from npgq import (
     DiscreteDistribution,
     GaussianMixture,
     InputError,
+    MomentSequence,
+    NotPositiveDefiniteError,
     NumericalError,
     PortfolioSolution,
     UnboundedError,
 )
 from npgq.baselines import _dual, _dual_terms
 from npgq.portfolio import _BISECT_RTOL, _BOUNDARY_MARGIN
+from npgq.quadrature import _gauss_rule
+
+# Relative pivot floor: a Cholesky pivot below this fraction of its own
+# row's diagonal entry is treated as loss of positive definiteness.  (The
+# row's entry, not the global maximum: Hankel diagonals grow as m_{2k},
+# which for standardized moments spans ten orders of magnitude by k = 11,
+# and a global floor would reject the well-conditioned leading rows.)
+_PIVOT_RTOL = 1e-12
+
+
+def gaussian_moments(mean, std, max_order):
+    """Raw moments of ``N(mean, std^2)`` up to ``max_order``.
+
+    Uses the stable recursion
+    ``m_k = mean * m_{k-1} + (k - 1) * std^2 * m_{k-2}`` with ``m_0 = 1``;
+    ``std = 0`` yields the point-mass moments ``mean^k``.
+    """
+    if max_order < 0:
+        raise InputError(f"max_order must be >= 0, got {max_order}")
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise InputError("mean and std must be finite")
+    if std < 0.0:
+        raise InputError(f"std must be nonnegative, got {std}")
+    out = [1.0]
+    if max_order >= 1:
+        out.append(mean)
+    var = std * std
+    for k in range(2, max_order + 1):
+        out.append(mean * out[k - 1] + (k - 1) * var * out[k - 2])
+    return MomentSequence(tuple(out))
+
+
+def mixture_moments(mix, max_order):
+    """Raw moments of a Gaussian mixture: proportion-weighted component moments."""
+    if max_order < 0:
+        raise InputError(f"max_order must be >= 0, got {max_order}")
+    per_component = [
+        gaussian_moments(m, s, max_order).values
+        for m, s in zip(mix.means, mix.stds)
+    ]
+    out = [
+        math.fsum(p * comp[k] for p, comp in zip(mix.proportions, per_component))
+        for k in range(max_order + 1)
+    ]
+    out[0] = 1.0
+    return MomentSequence(tuple(out))
+
+
+def jacobi_from_moments(m, n):
+    """Diagonal (N) and off-diagonal (N-1) of the Jacobi matrix of the
+    measure with raw moments ``m_0..m_2N``.
+
+    Factors the Hankel moment matrix ``H[i, j] = m_{i+j}`` as ``R'R`` row
+    by row and reads the recurrence coefficients of the monic orthogonal
+    polynomials off ``R``.  With 1-based entries: ``diag[0] = r_12/r_11``,
+    ``diag[k] = r_{k+1,k+2}/r_{k+1,k+1} - r_{k,k+1}/r_{k,k}`` and
+    ``offdiag[k] = r_{k+2,k+2}/r_{k+1,k+1}``.  The last pivot ``r_{N+1,N+1}``
+    is never used, which is what lets a measure with exactly N support
+    points give an N-point rule.  A pivot at or below ``_PIVOT_RTOL`` times
+    its row's diagonal entry raises :class:`NotPositiveDefiniteError`
+    carrying its 1-based index: the measure supports fewer nodes than that
+    index.
+    """
+    if n < 1:
+        raise InputError(f"node count must be >= 1, got {n}")
+    if m.max_order < 2 * n:
+        raise InputError(f"need moments up to order {2 * n}, have only {m.max_order}")
+    vals = np.asarray(m.values, dtype=float)
+    idx = np.arange(n + 1)
+    hank = vals[idx[:n, None] + idx[None, :]]  # the first N rows of H
+    r = np.zeros_like(hank)
+    for i in range(n):
+        pivot = hank[i, i] - r[:i, i] @ r[:i, i]
+        if pivot <= _PIVOT_RTOL * hank[i, i]:
+            raise NotPositiveDefiniteError(
+                f"moment matrix is not positive definite at pivot {i + 1}; "
+                f"the measure supports at most {i} nodes -- reduce N",
+                pivot=i + 1,
+            )
+        r[i, i] = math.sqrt(pivot)
+        r[i, i + 1 :] = (hank[i, i + 1 :] - r[:i, i] @ r[:i, i + 1 :]) / r[i, i]
+    d = np.diag(r)
+    ratio = np.diag(r, 1) / d
+    diag, offdiag = ratio - np.concatenate(([0.0], ratio[:-1])), d[1:] / d[:-1]
+    if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
+        raise InputError("Jacobi matrix entries must be finite")
+    return diag, offdiag
+
+
+def golub_welsch(m, n):
+    """N-point Gaussian quadrature rule from raw moments ``m_0..m_2N``.
+
+    Nodes are the eigenvalues of :func:`jacobi_from_moments`; the weight
+    at node k is ``m_0`` times the squared first component of the k-th
+    unit eigenvector.  The rule reproduces the input moments up to order
+    ``2N - 1``.  Raises :class:`NotPositiveDefiniteError` when the
+    underlying measure has fewer than N support points.
+    """
+    nodes, weights = _gauss_rule(*jacobi_from_moments(m, n), m.values[0])
+    return DiscreteDistribution(nodes=tuple(nodes), weights=tuple(weights))
 
 
 def state_returns(dist, risk_free):
@@ -211,14 +319,47 @@ def random_portfolio_problem(rng, max_states=8):
         return DiscreteDistribution(nodes=tuple(nodes), weights=tuple(w)), risk_free
 
 
+def _mp_moment_rules(moments, node_counts):
+    """Gaussian rules ``{N: (nodes, weights)}`` of the probability measure
+    with mpmath raw moments ``m_0 = 1, m_1, ..., m_2N``, at the working
+    precision.
+
+    The moment route: Hankel matrix, Cholesky factor, recurrence
+    coefficients, and ``mpmath.eigsy`` on each N's leading block of the
+    Jacobi matrix.  Nodes ascending, as mpf.
+    """
+    import mpmath
+
+    n_max = max(node_counts)
+    hankel = mpmath.matrix(n_max + 1, n_max + 1)
+    for i in range(n_max + 1):
+        for j in range(n_max + 1):
+            hankel[i, j] = moments[i + j]
+    r = mpmath.cholesky(hankel).T
+    diag = [r[0, 1] / r[0, 0]] + [
+        r[k, k + 1] / r[k, k] - r[k - 1, k] / r[k - 1, k - 1] for k in range(1, n_max)
+    ]
+    offdiag = [r[k + 1, k + 1] / r[k, k] for k in range(n_max - 1)]
+    rules = {}
+    for n in node_counts:
+        jac = mpmath.matrix(n, n)
+        for i in range(n):
+            jac[i, i] = diag[i]
+        for i in range(n - 1):
+            jac[i, i + 1] = jac[i + 1, i] = offdiag[i]
+        vals, vecs = mpmath.eigsy(jac)
+        order = sorted(range(n), key=lambda i: vals[i])
+        rules[n] = ([vals[i] for i in order], [vecs[0, i] ** 2 for i in order])
+    return rules
+
+
 def mp_data_rules(data, node_counts, dps=80):
     """Gaussian rules of the empirical measure of ``data`` at ``dps`` digits.
 
     The moment route throughout, in arbitrary precision: exact-ish
-    standardization, sample moments, Hankel matrix, Cholesky factor,
-    recurrence coefficients, and ``mpmath.eigsy`` on each N's leading
-    block of the Jacobi matrix.  Returns ``{N: (nodes, weights)}`` in data
-    units, as floats, nodes ascending.
+    standardization, sample moments, then :func:`_mp_moment_rules`.
+    Returns ``{N: (nodes, weights)}`` in data units, as floats, nodes
+    ascending.
     """
     import mpmath
 
@@ -228,31 +369,34 @@ def mp_data_rules(data, node_counts, dps=80):
         mean = mpmath.fsum(x) / size
         std = mpmath.sqrt(mpmath.fsum((v - mean) ** 2 for v in x) / size)
         z = [(v - mean) / std for v in x]
-        n_max = max(node_counts)
         moments, power = [mpmath.mpf(1)], [mpmath.mpf(1)] * size
-        for _ in range(2 * n_max):
+        for _ in range(2 * max(node_counts)):
             power = [p * v for p, v in zip(power, z)]
             moments.append(mpmath.fsum(power) / size)
-        hankel = mpmath.matrix(n_max + 1, n_max + 1)
-        for i in range(n_max + 1):
-            for j in range(n_max + 1):
-                hankel[i, j] = moments[i + j]
-        r = mpmath.cholesky(hankel).T
-        diag = [r[0, 1] / r[0, 0]] + [
-            r[k, k + 1] / r[k, k] - r[k - 1, k] / r[k - 1, k - 1] for k in range(1, n_max)
-        ]
-        offdiag = [r[k + 1, k + 1] / r[k, k] for k in range(n_max - 1)]
-        rules = {}
-        for n in node_counts:
-            jac = mpmath.matrix(n, n)
-            for i in range(n):
-                jac[i, i] = diag[i]
-            for i in range(n - 1):
-                jac[i, i + 1] = jac[i + 1, i] = offdiag[i]
-            vals, vecs = mpmath.eigsy(jac)
-            order = sorted(range(n), key=lambda i: vals[i])
-            rules[n] = (
-                [float(mean + std * vals[i]) for i in order],
-                [float(vecs[0, i] ** 2) for i in order],
-            )
-    return rules
+        return {
+            n: ([float(mean + std * v) for v in nodes], [float(w) for w in weights])
+            for n, (nodes, weights) in _mp_moment_rules(moments, node_counts).items()
+        }
+
+
+def mp_mixture_rule(mix, n, dps=80):
+    """N-point Gaussian rule of a Gaussian mixture at ``dps`` digits.
+
+    The mixture's parameters are taken as exact; its moments, normalized
+    by the total proportion, come from :func:`gaussian_moments`'s
+    recursion in mpmath, then :func:`_mp_moment_rules`.  Returns
+    ``(nodes, weights)`` as floats, nodes ascending.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        moments = [mpmath.mpf(0)] * (2 * n + 1)
+        for p, mean, std in zip(mix.proportions, mix.means, mix.stds):
+            mean, var = mpmath.mpf(mean), mpmath.mpf(std) ** 2
+            comp = [mpmath.mpf(1), mean]
+            for k in range(2, 2 * n + 1):
+                comp.append(mean * comp[k - 1] + (k - 1) * var * comp[k - 2])
+            moments = [acc + mpmath.mpf(p) * c for acc, c in zip(moments, comp)]
+        moments = [v / moments[0] for v in moments]
+        nodes, weights = _mp_moment_rules(moments, [n])[n]
+        return [float(v) for v in nodes], [float(w) for w in weights]

@@ -1,12 +1,12 @@
 """Monic orthogonal polynomials built directly from a moment functional.
 
 A test-only cross-check: a deliberately independent route to the same
-quadrature nodes as the Cholesky/eigenvalue pipeline in
-:mod:`npgq.quadrature`.  Inner products are exact finite sums over
-moments, the polynomials come from the three-term recurrence, and roots
-are found by bisection between interlacing brackets.  No matrix
-factorization or eigensolver is involved, so agreement between the two
-routes is a genuine check.
+quadrature nodes as the Lanczos/eigenvalue pipeline in
+:mod:`npgq.quadrature` and the moment route in ``_oracles``.  Inner
+products are exact finite sums over moments, the polynomials come from
+the three-term recurrence, and roots are found by bisection between
+interlacing brackets.  No matrix factorization or eigensolver is
+involved, so agreement with either route is a genuine check.
 """
 from __future__ import annotations
 
@@ -91,7 +91,7 @@ def ttrr_build(
     ``b^2 = (p_k, p_k) / (p_{k-1}, p_{k-1})``, then
     ``p_{k+1} = (x - a) p_k - b^2 p_{k-1}``.  Returns the polynomials and
     the Jacobi matrix of recurrence coefficients as ``(diag, offdiag)``
-    arrays (``a`` and ``b``), which must agree with the Cholesky route.
+    arrays (``a`` and ``b``), which must agree with the other routes.
 
     Raises :class:`DegenerateDataError` when some ``(p_k, p_k)`` with
     ``k < N`` vanishes, i.e. the measure has at most ``k`` support points.

@@ -16,11 +16,7 @@ from npgq import (
     PortfolioProblem,
     discretize_data,
     gauss_hermite_discretize,
-    gaussian_moments,
-    golub_welsch,
-    jacobi_from_moments,
     maxent_solve,
-    mixture_moments,
     sample_moments,
     solve_portfolio,
     standardize,
@@ -32,7 +28,18 @@ from npgq.experiments import (
     sample_mixture,
 )
 
-from _oracles import golden_section_theta, maxent_dual, random_mixture, random_portfolio_problem
+from npgq.baselines import _standard_normal_rule
+from npgq.portfolio import _mixture_jacobi
+from npgq.quadrature import _gauss_rule
+
+from _oracles import (
+    gaussian_moments,
+    golden_section_theta,
+    maxent_dual,
+    mixture_moments,
+    random_mixture,
+    random_portfolio_problem,
+)
 from _orthopoly import MomentFunctional, poly_roots_bracketed, ttrr_build
 
 
@@ -80,8 +87,8 @@ def test_criterion_2_gauss_hermite_closed_forms(announce):
     np.testing.assert_allclose(oracle2, [-1.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(oracle3, [-math.sqrt(3.0), 0.0, math.sqrt(3.0)], atol=1e-12)
 
-    rule2 = golub_welsch(gaussian_moments(0.0, 1.0, 4), 2)
-    rule3 = golub_welsch(gaussian_moments(0.0, 1.0, 6), 3)
+    rule2 = _standard_normal_rule(2)
+    rule3 = _standard_normal_rule(3)
     err = max(
         float(np.max(np.abs(np.asarray(rule2.nodes) - oracle2))),
         float(np.max(np.abs(np.asarray(rule2.weights) - np.array([0.5, 0.5])))),
@@ -102,21 +109,21 @@ def test_criterion_3_oracle_equivalence(announce):
         n = 2 + trial % 5
         ms = mixture_moments(mix, 2 * n)
         polys, (diag_recurrence, offdiag_recurrence) = ttrr_build(MomentFunctional(ms), n)
-        diag_cholesky, offdiag_cholesky = jacobi_from_moments(ms, n)
-        rule = golub_welsch(ms, n)
+        diag_lanczos, offdiag_lanczos = _mixture_jacobi(mix, n)
+        nodes, _ = _gauss_rule(diag_lanczos, offdiag_lanczos, 1.0)
         roots = poly_roots_bracketed(polys[n])
         worst = max(
             worst,
-            float(np.max(np.abs(diag_recurrence - diag_cholesky))),
-            float(np.max(np.abs(offdiag_recurrence - offdiag_cholesky))),
-            float(np.max(np.abs(np.asarray(roots) - np.asarray(rule.nodes)))),
+            float(np.max(np.abs(diag_recurrence - diag_lanczos))),
+            float(np.max(np.abs(offdiag_recurrence - offdiag_lanczos))),
+            float(np.max(np.abs(np.asarray(roots) - nodes))),
         )
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 5.0
     announce(
         3,
         ok,
-        f"50 moment sequences: recurrence vs Cholesky/eigen worst gap {worst:.3e} "
+        f"50 mixtures: moment recurrence vs Lanczos/eigen worst gap {worst:.3e} "
         f"(tol 1e-8), {elapsed:.2f}s",
     )
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
 from npgq import (
     DegenerateDataError,
@@ -68,6 +69,18 @@ class TestGaussHermite:
             centered = np.asarray(dist.nodes) - mean
             np.testing.assert_allclose(centered, -centered[::-1], atol=1e-10)
             np.testing.assert_allclose(dist.weights, dist.weights[::-1], rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [20, 38, 40, 60])
+    def test_matches_hermegauss_at_large_n(self, n):
+        # The exact Hermite recurrence keeps its accuracy as N grows; a
+        # route through Gaussian moments drifts from N = 12 and fails at N = 38.
+        data = np.random.default_rng(n).standard_normal(200) * 0.3 + 1.7
+        mean, std = fit_gaussian_mle(data)
+        dist = gauss_hermite_discretize(data, n)
+        nodes, weights = hermegauss(n)
+        assert len(dist) == n
+        np.testing.assert_allclose((np.asarray(dist.nodes) - mean) / std, nodes, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dist.weights, weights / math.sqrt(2.0 * math.pi), rtol=0, atol=1e-13)
 
 
 class TestKernelDensity:
@@ -141,8 +154,11 @@ class TestMaxentGrid:
         assert grid[1] == pytest.approx(mean, rel=1e-12)
 
     def test_requires_two_points(self):
-        with pytest.raises(InputError):
-            maxent_solve([-1.0, 1.0], 1)
+        # A 2-point grid cannot carry unit variance (see above), so np-me
+        # needs three points.
+        for n in (1, 2):
+            with pytest.raises(InputError, match=">= 3"):
+                maxent_solve([-1.0, 1.0], n)
 
 
 class TestMaxentDual:

@@ -111,6 +111,35 @@ class TestDiscretize:
         assert main(["discretize", src, "--column", "x", "--n", "4"]) == 3
         assert "reduce n" in capsys.readouterr().err.lower()
 
+    def test_error_text_is_the_exception_message(self, tmp_path, capsys):
+        # The remedy is stated once, by the error itself.
+        src = write_csv(tmp_path / "in.csv", ["x"], [[0.0, 1.0] * 6])
+        assert main(["discretize", src, "--column", "x", "--n", "4"]) == 3
+        assert capsys.readouterr().err == (
+            "error: Lanczos broke down at step 2; the data supports at most 2 nodes "
+            "-- reduce N\n"
+        )
+        const = write_csv(tmp_path / "c.csv", ["x"], [[2.0] * 8])
+        assert main(["plotdata", const, "--column", "x"]) == 3
+        assert capsys.readouterr().err == (
+            "error: data has zero sample variance; cannot standardize\n"
+        )
+
+    def test_np_me_below_three_nodes_exits_2(self, tmp_path, capsys):
+        src = write_csv(tmp_path / "in.csv", ["x"], [np.random.default_rng(2).standard_normal(50).tolist()])
+        assert main(["discretize", src, "--column", "x", "--n", "2", "--method", "np-me"]) == 2
+        assert capsys.readouterr().err == "error: node count must be >= 3, got 2\n"
+
+    def test_gauss_hermite_forty_nodes(self, tmp_path, capsys):
+        data = np.random.default_rng(4).standard_normal(2000)
+        src = write_csv(tmp_path / "in.csv", ["x"], [data.tolist()])
+        out = tmp_path / "o.csv"
+        assert main(["discretize", src, "--column", "x", "--n", "40", "--method",
+                     "gauss-hermite", "--verify", "--output", str(out)]) == 0
+        assert float(capsys.readouterr().out.rsplit(":", 1)[1]) < 1e-6
+        _, rows = read_csv(out)
+        assert len(rows) == 40
+
     def test_non_utf8_input_exits_2(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         src.write_bytes(b"x\n1.0\n\xff\xfe2.0\n")

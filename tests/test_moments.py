@@ -11,16 +11,13 @@ from npgq import (
     GaussianMixture,
     InputError,
     MomentSequence,
-    gaussian_moments,
-    jacobi_from_moments,
-    mixture_moments,
     sample_moments,
     standardize,
     standardized_mixture,
 )
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
 
-from _oracles import naive_moments
+from _oracles import gaussian_moments, jacobi_from_moments, mixture_moments, naive_moments
 
 
 class TestMomentSequence:

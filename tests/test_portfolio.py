@@ -14,18 +14,20 @@ from npgq import (
     PortfolioProblem,
     PortfolioSolution,
     UnboundedError,
-    gaussian_moments,
-    golub_welsch,
     solve_portfolio,
+    standardized_mixture,
     solve_portfolios,
     theoretical_portfolio,
 )
 from npgq.experiments import DEFAULT_MIXTURE, DEFAULT_RISK_FREE
-from npgq.portfolio import _BISECT_RTOL
+from npgq.portfolio import _BISECT_RTOL, _mixture_rule
 
 from _oracles import (
     crra_objective,
+    gaussian_moments,
+    golub_welsch,
     golden_section_theta,
+    mp_mixture_rule,
     random_portfolio_problem,
     reference_solve_portfolio,
     state_returns,
@@ -168,6 +170,24 @@ class TestTheoreticalPortfolio:
             PortfolioProblem(dist=dist, risk_free=1.0045, gamma=2.0)
         ).theta
         assert via_mixture == pytest.approx(direct, abs=1e-9)
+
+    def test_default_mixture_rule_against_mpmath_moment_route(self):
+        # The 80-digit moment route on the same standardized mixture.
+        transform, std_mix = standardized_mixture(DEFAULT_MIXTURE)
+        nodes, weights = mp_mixture_rule(std_mix, 11)
+        rule = _mixture_rule(DEFAULT_MIXTURE)
+        np.testing.assert_allclose(transform.to_standardized(rule.nodes), nodes, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(rule.weights, weights, rtol=1e-13)
+
+    @pytest.mark.parametrize("mix", [
+        GaussianMixture(proportions=(0.3, 0.7), means=(-0.2, 0.1), stds=(0.0, 0.0)),
+        GaussianMixture(proportions=(0.2, 0.5, 0.3), means=(-0.3, 0.05, 0.2), stds=(0.0,) * 3),
+    ])
+    def test_atom_mixture_rule_has_its_support_size(self, mix):
+        # Lanczos breaks down at the atom count, which sets the rule's size.
+        rule = _mixture_rule(mix)
+        np.testing.assert_allclose(rule.nodes, mix.means, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rule.weights, mix.proportions, rtol=1e-14)
 
     def test_golden_values_for_default_mixture(self):
         # Frozen after computation with the objective-only grid/golden-section

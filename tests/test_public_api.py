@@ -30,11 +30,23 @@ def test_import_loads_no_test_only_route():
 
 
 def test_data_route_plumbing_is_not_public():
-    # One public moment route, jacobi_from_moments; no node cap.
+    # One route to a Jacobi matrix, Lanczos; the moment route lives in the
+    # tests' oracles, and there is no node cap.
     removed = ("hankel_matrix", "cholesky", "CholeskyFactor", "jacobi_from_cholesky",
                "DEFAULT_MAX_NODES")
     assert [n for n in removed if hasattr(npgq, n) or hasattr(npgq.quadrature, n)] == []
-    assert "jacobi_from_moments" in npgq.quadrature.__all__
+    moved = {
+        "quadrature": ("jacobi_from_moments", "golub_welsch", "_PIVOT_RTOL"),
+        "moments": ("gaussian_moments", "mixture_moments"),
+    }
+    left = [
+        f"{mod}.{name}"
+        for mod, names in moved.items()
+        for name in names
+        if hasattr(npgq, name) or hasattr(getattr(npgq, mod), name)
+        or name in getattr(npgq, mod).__all__
+    ]
+    assert left == []
 
 
 def test_only_the_pipeline_is_public():

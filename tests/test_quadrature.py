@@ -13,15 +13,19 @@ from npgq import (
     NotPositiveDefiniteError,
     discretize_data,
     expectation,
+    sample_moments,
+)
+from npgq.baselines import _standard_normal_rule
+from npgq.experiments import replication_rng, sample_mixture
+from npgq.quadrature import _gauss_rule, _lanczos
+
+from _oracles import (
     gaussian_moments,
     golub_welsch,
     jacobi_from_moments,
-    sample_moments,
+    mixture_moments,
+    random_mixture,
 )
-from npgq.experiments import replication_rng, sample_mixture
-from npgq.quadrature import _gauss_rule
-
-from _oracles import random_mixture
 
 STD_NORMAL_6 = gaussian_moments(0.0, 1.0, 6)
 
@@ -42,7 +46,8 @@ class TestTypes:
 
 
 class TestHankelMatrix:
-    """The Hankel moment matrix, observed through :func:`jacobi_from_moments`."""
+    """The Hankel moment matrix of the test-only moment route, observed
+    through :func:`_oracles.jacobi_from_moments`."""
 
     def test_standard_normal_order_two(self):
         m = MomentSequence((1.0, 0.0, 1.0))
@@ -122,7 +127,7 @@ class TestTridiagonalEigen:
     def test_char_poly_oracle_three_by_three(self):
         # The Jacobi matrix of N(0, 1) at N = 3 is diag 0, offdiag (1, sqrt(2)):
         # det(T - x I) = -(x^3 - 3x), whose roots are -sqrt(3), 0, sqrt(3).
-        rule = golub_welsch(gaussian_moments(0.0, 1.0, 6), 3)
+        rule = _standard_normal_rule(3)
         np.testing.assert_allclose(rule.nodes, [-math.sqrt(3.0), 0.0, math.sqrt(3.0)], atol=1e-14)
 
     def test_residuals_and_ordering_random(self):
@@ -169,8 +174,6 @@ class TestGolubWelsch:
         rng = np.random.default_rng(23)
         for _ in range(10):
             mix = random_mixture(rng, standardized=True)
-            from npgq import mixture_moments
-
             n = int(rng.integers(2, 7))
             ms = mixture_moments(mix, 2 * n)
             rule = golub_welsch(ms, n)
@@ -264,6 +267,24 @@ class TestDiscretizeData:
         with pytest.raises(NotPositiveDefiniteError) as err:
             discretize_data([0.0, 1.0, 0.0, 1.0], 3)
         assert "reduce N" in str(err.value)
+        assert "at most 2 nodes" in str(err.value)
+        assert err.value.pivot == 3
+
+    def test_lanczos_breakdown_returns_the_smaller_matrix(self):
+        # Two support points with masses 1/4 and 3/4: two steps, then breakdown.
+        x = np.array([-1.0, 2.0, 2.0, 2.0])
+        diag, offdiag = _lanczos(x, 0.5, 5)
+        assert (diag.size, offdiag.size) == (2, 1)
+        nodes, weights = _gauss_rule(diag, offdiag, 1.0)
+        np.testing.assert_allclose(nodes, [-1.0, 2.0], rtol=1e-14)
+        np.testing.assert_allclose(weights, [0.25, 0.75], rtol=1e-14)
+
+    def test_lanczos_weighted_start_vector(self):
+        # The same measure as one point per atom, its mass in the start vector.
+        diag, offdiag = _lanczos(np.array([-1.0, 2.0]), np.sqrt([0.25, 0.75]), 2)
+        nodes, weights = _gauss_rule(diag, offdiag, 1.0)
+        np.testing.assert_allclose(nodes, [-1.0, 2.0], rtol=1e-14)
+        np.testing.assert_allclose(weights, [0.25, 0.75], rtol=1e-14)
 
 
 class TestExpectation:
@@ -276,7 +297,7 @@ class TestExpectation:
         assert expectation(dist, lambda x: x) == pytest.approx(0.0, abs=1e-15)
 
     def test_exactness_boundary_of_three_point_rule(self):
-        rule = golub_welsch(STD_NORMAL_6, 3)
+        rule = _standard_normal_rule(3)
         # degree 5 = 2N - 1 is still exact; degree 6 is not (9 vs true 15)
         assert expectation(rule, lambda x: x**5) == pytest.approx(0.0, abs=1e-12)
         assert expectation(rule, lambda x: x**6) == pytest.approx(9.0, rel=1e-12)
