@@ -20,11 +20,9 @@ from .errors import (
 from .moments import (
     AffineTransform,
     GaussianMixture,
-    MomentSequence,
     Sample,
     sample_moments,
     standardize,
-    standardized_mixture,
 )
 from .quadrature import (
     DiscreteDistribution,

@@ -221,7 +221,8 @@ def maxent_solve(data, n: int) -> MaxEntSolution:
     prior = kde_pdf(KernelDensity(data=z, bandwidth=_silverman(std, z.size)), grid)
     prior = prior / prior.sum()
     n_match = 4 if n >= 5 else 2
-    targets = np.asarray(sample.moments(n_match).values[1:])
+    # Order 4 whatever N: one pass over the data serves every node count.
+    targets = sample.moments(4)[1 : n_match + 1]
     downgraded = False
     try:
         lam, weights, iterations = _solve_dual(grid, prior, targets)

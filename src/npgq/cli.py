@@ -229,10 +229,16 @@ def cmd_plotdata(args) -> int:
     data = _column_values(header, rows, args.column, args.input)
     if args.bins < 1:
         raise InputError("bins must be >= 1")
-    heights, edges = np.histogram(data, bins=args.bins, density=True)
+    # The fits validate and standardize the data first, so its range is finite.
     sample = Sample(data)
     kd = KernelDensity.fit(sample)
     mean, std = fit_gaussian_mle(sample)
+    try:
+        heights, edges = np.histogram(data, bins=args.bins, density=True)
+    except ValueError:  # numpy: "Too many bins for data range"
+        raise InputError(
+            f"the data range is too narrow for {args.bins} finite-sized histogram bins"
+        ) from None
     lo = data.min() - 3.0 * kd.bandwidth
     hi = data.max() + 3.0 * kd.bandwidth
     grid = np.linspace(lo, hi, 512)

@@ -6,7 +6,8 @@ class NpgqError(Exception):
 
 
 class InputError(NpgqError):
-    """Invalid or malformed input (bad arguments, insufficient moments, parse errors)."""
+    """Invalid or malformed input: bad arguments, data that is empty, non-finite
+    or overflows the float range, and parse errors."""
 
 
 class DegenerateDataError(NpgqError):

@@ -1,8 +1,8 @@
 """Raw sample moments, standardization, and Gaussian mixtures.
 
-The np-me baseline and ``npgq discretize --verify`` consume plain
-sequences of raw moments ``m_0, m_1, ..., m_K`` with ``m_k = E[X^k]``.
-Sample moments use the population divisor ``1/I`` and compensated
+The np-me baseline and ``npgq discretize --verify`` read raw moments
+``m_k = E[X^k]`` as a read-only float array ``[m_0, ..., m_K]``.
+Sample moments use the population divisor ``1/I`` and exactly rounded
 summation.  Data is standardized (mean 0, std 1) before any rule is
 built; Gaussian quadrature commutes with affine maps, so nodes are
 mapped back afterwards at no cost in accuracy.  No rule is built from
@@ -11,10 +11,11 @@ moments: the quadrature takes its Jacobi matrices by Lanczos
 
 :class:`Sample` holds one data set's derived statistics (the validated
 array, its standardization, the MLE fit of the standardized values and
-the longest standardized moment sequence asked for so far), computed on
-first use and shared by every discretizer handed the same ``Sample``.
-Moments of order ``k`` are a prefix of those of any higher order, so a
-lower-order request costs no pass over the data.
+the standardized moments up to the highest order asked for so far),
+computed on first use and shared by every discretizer handed the same
+``Sample``.  Moments of order ``k`` are a prefix of those of any higher
+order, so a lower-order request costs no pass over the data; np-me asks
+for order 4 whatever its node count, so one pass serves every N.
 """
 from __future__ import annotations
 
@@ -27,45 +28,12 @@ import numpy as np
 from .errors import DegenerateDataError, InputError
 
 __all__ = [
-    "MomentSequence",
     "AffineTransform",
     "Sample",
     "GaussianMixture",
     "sample_moments",
     "standardize",
-    "standardized_mixture",
 ]
-
-
-@dataclass(frozen=True)
-class MomentSequence:
-    """Raw moments ``m_0..m_K`` of a (possibly unnormalized) measure.
-
-    ``values[k]`` is the k-th raw moment; ``values[0]`` is the total mass,
-    which must be positive (and is exactly 1 for probability data).
-    """
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) == 0:
-            raise InputError("moment sequence must contain at least m_0")
-        if not all(math.isfinite(v) for v in vals):
-            raise InputError("moment sequence contains non-finite entries")
-        if vals[0] <= 0.0:
-            raise InputError(f"m_0 must be positive, got {vals[0]}")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def max_order(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, k: int) -> float:
-        return self.values[k]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -143,7 +111,7 @@ def _as_clean_array(data, *, name: str = "data") -> np.ndarray:
     return x
 
 
-def sample_moments(data, max_order: int) -> MomentSequence:
+def sample_moments(data, max_order: int) -> np.ndarray:
     """Raw sample moments ``(1/I) * sum_i x_i^k`` for ``k = 0..max_order``.
 
     Parameters
@@ -155,10 +123,10 @@ def sample_moments(data, max_order: int) -> MomentSequence:
 
     Returns
     -------
-    MomentSequence
-        ``values[0]`` is exactly 1; each sum is accumulated with
-        error-compensated summation.  A moment past the float range raises
-        :class:`InputError` naming its order.
+    numpy.ndarray
+        Read-only float64 array ``[m_0, ..., m_K]`` with ``m_0`` exactly 1;
+        each sum is exactly rounded (``math.fsum``).  A moment past the
+        float range raises :class:`InputError` naming its order.
     """
     if max_order < 0:
         raise InputError(f"max_order must be >= 0, got {max_order}")
@@ -176,15 +144,23 @@ def sample_moments(data, max_order: int) -> MomentSequence:
         if not math.isfinite(total):
             raise InputError(f"sample moment of order {k} overflows; rescale the data")
         out.append(total / n)
-    return MomentSequence(tuple(out))
+    moments = np.array(out)
+    moments.setflags(write=False)
+    return moments
 
 
 def _mean_std(x: np.ndarray) -> tuple[float, float]:
     """Sample mean and population std (divisor ``I``) of a clean array."""
     n = x.size
-    # A memoryview iterates Python floats: the same sum, without numpy scalars.
-    mean = math.fsum(memoryview(x)) / n
-    var = math.fsum(memoryview((x - mean) ** 2)) / n
+    try:
+        # A memoryview iterates Python floats: the same sum, without numpy scalars.
+        mean = math.fsum(memoryview(x)) / n
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            var = math.fsum(memoryview((x - mean) ** 2)) / n
+    except OverflowError:  # a partial sum past the float range
+        var = math.inf
+    if not math.isfinite(var):
+        raise InputError("standardizing the data overflows; rescale the data")
     if var <= 0.0:
         raise DegenerateDataError(
             "data has zero sample variance; cannot standardize"
@@ -197,7 +173,8 @@ def standardize(data) -> tuple[AffineTransform, np.ndarray]:
 
     Returns the transform that maps standardized values back to the
     original units, together with the standardized array.  Raises
-    :class:`DegenerateDataError` when the sample std is zero.
+    :class:`DegenerateDataError` when the sample std is zero and
+    :class:`InputError` when the mean or variance overflows.
     """
     x = _as_clean_array(data)
     mean, scale = _mean_std(x)
@@ -250,20 +227,21 @@ class Sample:
         """Mean and population std of :attr:`z`: 0 and 1 up to rounding."""
         return _mean_std(self.z)
 
-    def moments(self, max_order: int) -> MomentSequence:
+    def moments(self, max_order: int) -> np.ndarray:
         """Raw moments of :attr:`z` up to ``max_order``, as :func:`sample_moments`.
 
         A request at or below the highest order computed so far is a
-        prefix of that sequence; a higher one computes a new sequence.
+        read-only view of that array's prefix; a higher one computes a new
+        array.
         """
         if max_order < 0:
             raise InputError(f"max_order must be >= 0, got {max_order}")
-        if self._moments is None or self._moments.max_order < max_order:
+        if self._moments is None or self._moments.size <= max_order:
             self._moments = sample_moments(self.z, max_order)
-        return MomentSequence(self._moments.values[: max_order + 1])
+        return self._moments[: max_order + 1]
 
 
-def standardized_mixture(mix: GaussianMixture) -> tuple[AffineTransform, GaussianMixture]:
+def _standardized_mixture(mix: GaussianMixture) -> tuple[AffineTransform, GaussianMixture]:
     """Affinely rescale a mixture to mean 0, variance 1.
 
     If ``X`` follows the mixture then ``(X - shift)/scale`` follows the

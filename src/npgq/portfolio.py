@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import _standard_normal_rule
 from .errors import InputError, NpgqError, NumericalError, UnboundedError
-from .moments import GaussianMixture, standardized_mixture
+from .moments import GaussianMixture, _standardized_mixture
 from .quadrature import DiscreteDistribution, _gauss_rule, _lanczos
 
 __all__ = [
@@ -252,7 +252,7 @@ def _mixture_jacobi(mix: GaussianMixture, n: int) -> tuple[np.ndarray, np.ndarra
 
 def _mixture_rule(mix: GaussianMixture) -> DiscreteDistribution:
     """The quadrature rule :func:`theoretical_portfolio` solves on."""
-    transform, std_mix = standardized_mixture(mix)
+    transform, std_mix = _standardized_mixture(mix)
     nodes, weights = _gauss_rule(*_mixture_jacobi(std_mix, _THETA_STAR_NODES), 1.0)
     return DiscreteDistribution(
         nodes=tuple(transform.to_original(nodes)), weights=tuple(weights)

@@ -9,12 +9,14 @@ vectorized portfolio engine replaced, kept as its step-for-step reference;
 ``maxent_dual`` exposes np-me's tilting dual for finite-difference checks.
 
 The moment route is the reference for the library's Lanczos route:
-``gaussian_moments`` and ``mixture_moments`` give raw moments,
+``gaussian_moments`` and ``mixture_moments`` give raw moments as a
+validated :class:`MomentSequence`,
 ``jacobi_from_moments`` reads a Jacobi matrix off the Cholesky factor of
 their Hankel matrix, and ``golub_welsch`` takes its Gaussian rule.
 ``mp_data_rules`` and ``mp_mixture_rule`` run the same route in mpmath.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from npgq import (
     DiscreteDistribution,
     GaussianMixture,
     InputError,
-    MomentSequence,
     NotPositiveDefiniteError,
     NumericalError,
     PortfolioSolution,
@@ -38,6 +39,39 @@ from npgq.quadrature import _gauss_rule
 # which for standardized moments spans ten orders of magnitude by k = 11,
 # and a global floor would reject the well-conditioned leading rows.)
 _PIVOT_RTOL = 1e-12
+
+
+@dataclass(frozen=True)
+class MomentSequence:
+    """Raw moments ``m_0..m_K`` of a (possibly unnormalized) measure.
+
+    ``values[k]`` is the k-th raw moment; ``values[0]`` is the total mass,
+    which must be positive (and is exactly 1 for probability data).  Any
+    iterable of numbers is accepted, e.g. a :func:`npgq.sample_moments`
+    array, and held as a tuple of floats.
+    """
+
+    values: tuple[float, ...]
+
+    def __post_init__(self):
+        vals = tuple(float(v) for v in self.values)
+        if len(vals) == 0:
+            raise InputError("moment sequence must contain at least m_0")
+        if not all(math.isfinite(v) for v in vals):
+            raise InputError("moment sequence contains non-finite entries")
+        if vals[0] <= 0.0:
+            raise InputError(f"m_0 must be positive, got {vals[0]}")
+        object.__setattr__(self, "values", vals)
+
+    @property
+    def max_order(self) -> int:
+        return len(self.values) - 1
+
+    def __getitem__(self, k: int) -> float:
+        return self.values[k]
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 def gaussian_moments(mean, std, max_order):

@@ -18,9 +18,10 @@ import numpy as np
 from npgq import (
     DegenerateDataError,
     InputError,
-    MomentSequence,
     NumericalError,
 )
+
+from _oracles import MomentSequence
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,14 @@ from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
 from _oracles import reference_solve_portfolio
 
 
+# Standardizing these overflows the float range: a partial sum of the mean
+# past 1.8e308, and squared deviations past it.
+OVERFLOWING_COLUMNS = {
+    "float-max": [1e308, 1.7e308, -1e308],
+    "1e200": [1e200, -1.5e200, 2e200],
+}
+
+
 def write_csv(path, header, columns):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -129,6 +137,13 @@ class TestDiscretize:
         src = write_csv(tmp_path / "in.csv", ["x"], [np.random.default_rng(2).standard_normal(50).tolist()])
         assert main(["discretize", src, "--column", "x", "--n", "2", "--method", "np-me"]) == 2
         assert capsys.readouterr().err == "error: node count must be >= 3, got 2\n"
+
+    @pytest.mark.parametrize("method", ["np-gq", "gauss-hermite", "np-me"])
+    @pytest.mark.parametrize("column", OVERFLOWING_COLUMNS.values(), ids=OVERFLOWING_COLUMNS.keys())
+    def test_standardization_overflow_exits_2(self, tmp_path, capsys, column, method):
+        src = write_csv(tmp_path / "in.csv", ["x"], [column])
+        assert main(["discretize", src, "--column", "x", "--n", "3", "--method", method]) == 2
+        assert capsys.readouterr().err == "error: standardizing the data overflows; rescale the data\n"
 
     def test_gauss_hermite_forty_nodes(self, tmp_path, capsys):
         data = np.random.default_rng(4).standard_normal(2000)
@@ -423,6 +438,19 @@ class TestPlotdata:
         hist = [r for r in rows if r[0] == "histogram"]
         assert len(hist) == 2
         assert float(hist[0][3]) == pytest.approx(float(hist[1][3]), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            ([1.0, 1.0000000000000002, 1.0], "the data range is too narrow for 30 finite-sized histogram bins"),
+            (OVERFLOWING_COLUMNS["float-max"], "standardizing the data overflows; rescale the data"),
+        ],
+        ids=["tiny-range", "float-max"],
+    )
+    def test_unbinnable_column_exits_2(self, tmp_path, capsys, column, message):
+        src = write_csv(tmp_path / "d.csv", ["x"], [column])
+        assert main(["plotdata", src, "--column", "x"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_histogram_integrates_to_one(self, tmp_path):
         rng = np.random.default_rng(10)

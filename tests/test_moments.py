@@ -10,14 +10,19 @@ from npgq import (
     DegenerateDataError,
     GaussianMixture,
     InputError,
-    MomentSequence,
     sample_moments,
     standardize,
-    standardized_mixture,
 )
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
+from npgq.moments import _standardized_mixture
 
-from _oracles import gaussian_moments, jacobi_from_moments, mixture_moments, naive_moments
+from _oracles import (
+    MomentSequence,
+    gaussian_moments,
+    jacobi_from_moments,
+    mixture_moments,
+    naive_moments,
+)
 
 
 class TestMomentSequence:
@@ -43,17 +48,25 @@ class TestMomentSequence:
         # leading block of the 5x5 Hankel matrix of orders 0..8.
         rng = np.random.default_rng(11)
         _, z = standardize(rng.standard_normal(400))
-        ms = sample_moments(z, 8)
+        ms = MomentSequence(sample_moments(z, 8))
         diag, offdiag = jacobi_from_moments(ms, 4)
         assert (diag.size, offdiag.size) == (4, 3)
 
 
 class TestSampleMoments:
     def test_constant_data(self):
-        assert sample_moments([1.0, 1.0, 1.0], 4).values == (1.0, 1.0, 1.0, 1.0, 1.0)
+        assert sample_moments([1.0, 1.0, 1.0], 4).tolist() == [1.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_symmetric_two_point(self):
-        assert sample_moments([-1.0, 1.0], 4).values == (1.0, 0.0, 1.0, 0.0, 1.0)
+        assert sample_moments([-1.0, 1.0], 4).tolist() == [1.0, 0.0, 1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 9])
+    def test_read_only_float_array(self, k):
+        m = sample_moments([0.5, -2.0, 3.0], k)
+        assert isinstance(m, np.ndarray) and m.dtype == np.float64 and m.shape == (k + 1,)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0] = 2.0
 
     def test_matches_one_pass_oracle_on_mixture_draws(self):
         data = sample_mixture(DEFAULT_MIXTURE, 1000, replication_rng(123, 1000, 0))
@@ -191,7 +204,7 @@ class TestMixtureMoments:
         mix = GaussianMixture(proportions=(0.25, 0.75), means=(-1.0, 2.0), stds=(0.0, 0.0))
         data = [-1.0] * 1 + [2.0] * 3
         np.testing.assert_allclose(
-            mixture_moments(mix, 6).values, sample_moments(data, 6).values, rtol=1e-14
+            mixture_moments(mix, 6).values, sample_moments(data, 6), rtol=1e-14
         )
 
     def test_default_mixture_against_monte_carlo_oracle(self):
@@ -214,7 +227,7 @@ class TestMixtureMoments:
 
 class TestStandardizedMixture:
     def test_produces_zero_mean_unit_variance(self):
-        transform, std_mix = standardized_mixture(DEFAULT_MIXTURE)
+        transform, std_mix = _standardized_mixture(DEFAULT_MIXTURE)
         assert std_mix.mean() == pytest.approx(0.0, abs=1e-14)
         assert std_mix.variance() == pytest.approx(1.0, rel=1e-13)
         assert transform.shift == pytest.approx(DEFAULT_MIXTURE.mean())
@@ -222,4 +235,4 @@ class TestStandardizedMixture:
     def test_degenerate_mixture_rejected(self):
         point = GaussianMixture(proportions=(1.0,), means=(0.5,), stds=(0.0,))
         with pytest.raises(DegenerateDataError):
-            standardized_mixture(point)
+            _standardized_mixture(point)

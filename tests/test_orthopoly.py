@@ -6,13 +6,12 @@ import pytest
 from npgq import (
     DegenerateDataError,
     InputError,
-    MomentSequence,
     NumericalError,
 )
 from npgq.portfolio import _mixture_jacobi
 from npgq.quadrature import _gauss_rule
 
-from _oracles import gaussian_moments, mixture_moments, random_mixture
+from _oracles import MomentSequence, gaussian_moments, mixture_moments, random_mixture
 from _orthopoly import (
     MomentFunctional,
     MonicPolynomial,

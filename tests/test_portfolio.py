@@ -15,11 +15,11 @@ from npgq import (
     PortfolioSolution,
     UnboundedError,
     solve_portfolio,
-    standardized_mixture,
     solve_portfolios,
     theoretical_portfolio,
 )
 from npgq.experiments import DEFAULT_MIXTURE, DEFAULT_RISK_FREE
+from npgq.moments import _standardized_mixture
 from npgq.portfolio import _BISECT_RTOL, _mixture_rule
 
 from _oracles import (
@@ -173,7 +173,7 @@ class TestTheoreticalPortfolio:
 
     def test_default_mixture_rule_against_mpmath_moment_route(self):
         # The 80-digit moment route on the same standardized mixture.
-        transform, std_mix = standardized_mixture(DEFAULT_MIXTURE)
+        transform, std_mix = _standardized_mixture(DEFAULT_MIXTURE)
         nodes, weights = mp_mixture_rule(std_mix, 11)
         rule = _mixture_rule(DEFAULT_MIXTURE)
         np.testing.assert_allclose(transform.to_standardized(rule.nodes), nodes, rtol=0, atol=1e-13)

@@ -52,7 +52,10 @@ def test_data_route_plumbing_is_not_public():
 def test_only_the_pipeline_is_public():
     # Test-only wrappers, second routes and single-use plumbing are gone;
     # the tests keep their own copies in _oracles where they need them.
+    # Moments are plain float arrays, and the mixture's standardization is
+    # private to the theta* rule.
     removed = {
+        "moments": ("MomentSequence", "standardized_mixture"),
         "baselines": ("maxent_grid", "maxent_dual"),
         "quadrature": ("tridiagonal_eigen", "JacobiMatrix"),
         "portfolio": ("state_returns", "crra_objective"),
@@ -67,3 +70,4 @@ def test_only_the_pipeline_is_public():
     ]
     assert left == []
     assert "nodes" not in inspect.signature(npgq.theoretical_portfolio).parameters
+

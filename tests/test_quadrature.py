@@ -9,7 +9,6 @@ from npgq import (
     DegenerateDataError,
     DiscreteDistribution,
     InputError,
-    MomentSequence,
     NotPositiveDefiniteError,
     discretize_data,
     expectation,
@@ -20,6 +19,7 @@ from npgq.experiments import replication_rng, sample_mixture
 from npgq.quadrature import _gauss_rule, _lanczos
 
 from _oracles import (
+    MomentSequence,
     gaussian_moments,
     golub_welsch,
     jacobi_from_moments,

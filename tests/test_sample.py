@@ -56,7 +56,9 @@ class TestSampleMoments:
         for sequence in (orders, sorted(orders), sorted(orders, reverse=True)):
             sample = Sample(data)
             for k in sequence:
-                assert sample.moments(k).values == sample_moments(z, k).values
+                m = sample.moments(k)
+                assert not m.flags.writeable
+                assert m.tolist() == sample_moments(z, k).tolist()
 
     def test_lower_orders_reuse_the_longest_sequence(self, monkeypatch):
         orders = []
@@ -156,6 +158,17 @@ class TestSampleErrors:
             sample.moments(2)
         with pytest.raises(InputError):
             KernelDensity.fit(sample)
+
+    @pytest.mark.parametrize(
+        "data", [[1e308, 1.7e308, -1e308], [1e200, -1.5e200, 2e200]], ids=["float-max", "1e200"]
+    )
+    def test_standardization_overflow(self, data):
+        sample = Sample(data)
+        with np.errstate(all="raise"):  # no numpy warning escapes either
+            for fn in DISCRETIZERS.values():
+                for target in (sample, data):
+                    with pytest.raises(InputError, match="overflows; rescale the data"):
+                        fn(target, 3)
 
     def test_empty_data(self):
         with pytest.raises(InputError):
