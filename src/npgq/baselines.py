@@ -6,7 +6,7 @@ The Gauss-Hermite baseline is what one would use under a (log)normality
 assumption; the maximum-entropy baseline ("np-me") tilts a kernel density
 estimate on a fixed grid until low-order sample moments match.  Every
 data-taking function here also accepts a :class:`~npgq.moments.Sample`,
-whose standardization, fit and moments are then computed only once.
+whose standardization and moments are then computed only once.
 """
 from __future__ import annotations
 
@@ -111,9 +111,9 @@ def kde_pdf(kd: KernelDensity, x):
     return float(vals[0]) if scalar else vals
 
 
-def _even_grid(mean: float, std: float, n: int) -> np.ndarray:
-    half_span = math.sqrt(2.0 * (n - 1)) * std
-    return np.linspace(mean - half_span, mean + half_span, n)
+def _even_grid(n: int) -> np.ndarray:
+    half_span = math.sqrt(2.0 * (n - 1))
+    return np.linspace(-half_span, half_span, n)
 
 
 def _dual_terms(nodes, prior, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -204,21 +204,21 @@ def _solve_dual(nodes, prior, targets) -> tuple[np.ndarray, np.ndarray, int]:
 def maxent_solve(data, n: int) -> MaxEntSolution:
     """Tilt a kernel-density prior on an even grid to match sample moments.
 
-    Works in standardized units throughout: the grid and prior come from
-    the standardized data, four moments are matched when the grid has at
-    least five points (two otherwise), and nodes are mapped back to data
-    units at the end.  If four moments are unattainable on the grid the
-    solver retries with two and flags the downgrade.  The grid needs at
-    least three points: a two-point grid sits at +-sqrt(2) standardized
-    units, where every tilt has second moment 2, not the data's 1.
+    Works in standardized units, where the data has mean 0 and std 1
+    exactly: the grid is ``linspace(-h, h, N)`` with ``h = sqrt(2(N-1))``
+    and the prior is the standardized data's kernel density with
+    Silverman's bandwidth ``1.06 * I^(-1/5)``.  Four moments are matched
+    when N >= 5 (two otherwise); if four are unattainable the solver
+    retries with two and flags the downgrade.  Nodes are mapped back to
+    data units.  N must be at least 3: at N = 2 the grid is +-sqrt(2),
+    where every tilt has second moment 2, not the data's 1.
     """
     if n < 3:
         raise InputError(f"node count must be >= 3, got {n}")
     sample = Sample.of(data)
     transform, z = sample.transform, sample.z
-    mean, std = sample.z_fit
-    grid = _even_grid(mean, std, n)
-    prior = kde_pdf(KernelDensity(data=z, bandwidth=_silverman(std, z.size)), grid)
+    grid = _even_grid(n)
+    prior = kde_pdf(KernelDensity(data=z, bandwidth=_silverman(1.0, z.size)), grid)
     prior = prior / prior.sum()
     n_match = 4 if n >= 5 else 2
     # Order 4 whatever N: one pass over the data serves every node count.

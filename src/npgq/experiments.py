@@ -8,8 +8,8 @@ share against the share computed from the true mixture.
 
 Each replication's sample is wrapped in one :class:`~npgq.moments.Sample`
 that every method and node count shares, so the data is standardized once;
-np-gq builds its rules from the standardized data and np-me's moment
-targets (order 2 or 4) come from one moment pass.  The study works in
+np-gq builds its rules from the standardized data and np-me reads its
+moment targets from one order-4 moment pass.  The study works in
 blocks of replications that span every sample size: a block builds all its
 rules, then solves all their portfolio problems in one call of
 :func:`~npgq.portfolio.solve_portfolios`.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from multiprocessing import Pool
@@ -306,10 +307,10 @@ def _grid_tasks(cfg: ExperimentConfig, jobs: int):
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Full grid of cells; failures are excluded per cell, never fatal.
 
-    ``jobs`` > 1 distributes replication blocks over a pool of worker
-    processes under the default start method; results are reassembled in
-    replication order, so serial and parallel runs produce identical
-    reports.
+    ``jobs`` > 1 distributes replication blocks over a pool of at most
+    ``os.cpu_count()`` worker processes under the default start method;
+    results are reassembled in replication order, so serial and parallel
+    runs produce identical reports.
     """
     if jobs < 1:
         raise InputError("jobs must be >= 1")
@@ -318,7 +319,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     if jobs == 1:
         blocks = [_replication_block(*task) for task in tasks]
     else:
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=min(jobs, os.cpu_count() or 1)) as pool:
             blocks = pool.starmap(_replication_block, tasks, chunksize=1)
     # Blocks come back in task order, which is replication order.
     thetas = np.concatenate(blocks)

@@ -10,12 +10,12 @@ moments: the quadrature takes its Jacobi matrices by Lanczos
 (:mod:`npgq.quadrature`).
 
 :class:`Sample` holds one data set's derived statistics (the validated
-array, its standardization, the MLE fit of the standardized values and
-the standardized moments up to the highest order asked for so far),
-computed on first use and shared by every discretizer handed the same
-``Sample``.  Moments of order ``k`` are a prefix of those of any higher
-order, so a lower-order request costs no pass over the data; np-me asks
-for order 4 whatever its node count, so one pass serves every N.
+array, its standardization and the standardized moments up to the
+highest order asked for so far), computed on first use and shared by
+every discretizer handed the same ``Sample``.  Moments of order ``k``
+are a prefix of those of any higher order, so a lower-order request
+costs no pass over the data; np-me asks for order 4 whatever its node
+count, so one pass serves every N.
 """
 from __future__ import annotations
 
@@ -221,11 +221,6 @@ class Sample:
     def z(self) -> np.ndarray:
         """The standardized data (read-only), as :func:`standardize`."""
         return self._standardized[1]
-
-    @cached_property
-    def z_fit(self) -> tuple[float, float]:
-        """Mean and population std of :attr:`z`: 0 and 1 up to rounding."""
-        return _mean_std(self.z)
 
     def moments(self, max_order: int) -> np.ndarray:
         """Raw moments of :attr:`z` up to ``max_order``, as :func:`sample_moments`.

@@ -112,14 +112,17 @@ def _gauss_rule(diag, offdiag, mass: float) -> tuple[np.ndarray, np.ndarray]:
 
     The nodes are the eigenvalues, ascending; the weights are ``mass``
     times the squared first components of the unit eigenvectors.
-    Non-convergence of the symmetric-tridiagonal solver (unreachable for
-    positive off-diagonals) surfaces as :class:`NumericalError`.
+    An outer weight underflowing to 0 (large N) or the eigensolver not
+    converging (unreachable for positive off-diagonals) raises :class:`NumericalError`.
     """
     try:
         nodes, vecs = eigh_tridiagonal(diag, offdiag)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return nodes, mass * vecs[0, :] ** 2
+    weights = mass * vecs[0, :] ** 2
+    if not np.all(weights > 0.0):
+        raise NumericalError(f"a weight of the {nodes.size}-node rule underflows to 0 -- reduce N")
+    return nodes, weights
 
 
 def discretize_data(data, n: int) -> DiscreteDistribution:

@@ -8,6 +8,7 @@ from npgq import (
     DegenerateDataError,
     InputError,
     KernelDensity,
+    NumericalError,
     Sample,
     fit_gaussian_mle,
     gauss_hermite_discretize,
@@ -82,6 +83,14 @@ class TestGaussHermite:
         np.testing.assert_allclose((np.asarray(dist.nodes) - mean) / std, nodes, rtol=0, atol=1e-13)
         np.testing.assert_allclose(dist.weights, weights / math.sqrt(2.0 * math.pi), rtol=0, atol=1e-13)
 
+    def test_underflowing_weights_are_a_numerical_error(self):
+        # From N = 147 the outermost weights underflow to 0: a numerical
+        # limit of the rule, not bad input.
+        data = np.linspace(-1.0, 1.0, 11)
+        assert len(gauss_hermite_discretize(data, 146)) == 146
+        with pytest.raises(NumericalError, match="147-node rule .* reduce N"):
+            gauss_hermite_discretize(data, 147)
+
 
 class TestKernelDensity:
     def test_single_point_at_origin(self):
@@ -141,10 +150,21 @@ class TestMaxentGrid:
 
     def test_two_point_endpoints(self):
         # A 2-point grid fixes the second moment at 2 std^2, so maxent_solve
-        # cannot match a variance on it; check the grid of its standardized
-        # fit directly.
-        grid = _even_grid(*Sample([-1.0, 1.0]).z_fit, 2)
+        # cannot match a variance on it; check the standardized grid directly.
+        grid = _even_grid(2)
         np.testing.assert_allclose(grid, [-math.sqrt(2.0), math.sqrt(2.0)], rtol=1e-12)
+
+    @pytest.mark.parametrize("size", [100, 1000])
+    def test_grid_is_exact_in_standardized_units(self, size):
+        # The standardized data has mean 0 and std 1 by definition, so the
+        # grid is linspace(-h, h, N) mapped back, bit for bit, with no
+        # re-estimate of the standardized mean and std.
+        for m in range(20):
+            sample = Sample(sample_mixture(DEFAULT_MIXTURE, size, replication_rng(1, size, m)))
+            for n in (3, 5, 7, 9):
+                half = math.sqrt(2.0 * (n - 1))
+                expected = sample.transform.to_original(np.linspace(-half, half, n))
+                assert maxent_solve(sample, n).nodes == tuple(expected)
 
     def test_midpoint_is_mean(self):
         rng = np.random.default_rng(9)

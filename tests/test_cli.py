@@ -155,6 +155,16 @@ class TestDiscretize:
         _, rows = read_csv(out)
         assert len(rows) == 40
 
+    def test_gauss_hermite_underflowing_weights_exit_3(self, tmp_path, capsys):
+        # At N = 200 the outermost weights underflow: a numerical limit.
+        data = np.random.default_rng(4).standard_normal(200)
+        src = write_csv(tmp_path / "in.csv", ["x"], [data.tolist()])
+        assert main(["discretize", src, "--column", "x", "--n", "200", "--method",
+                     "gauss-hermite"]) == 3
+        assert capsys.readouterr().err == (
+            "error: a weight of the 200-node rule underflows to 0 -- reduce N\n"
+        )
+
     def test_non_utf8_input_exits_2(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         src.write_bytes(b"x\n1.0\n\xff\xfe2.0\n")

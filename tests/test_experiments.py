@@ -143,6 +143,29 @@ class TestRunExperiment:
         parallel = run_experiment(SMALL_CFG, jobs=2)
         assert serial.to_csv() == parallel.to_csv()
 
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # A fake pool records its size and runs the blocks serially, so no
+        # process is started whatever ``jobs`` asks for.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, func, tasks, chunksize=1):
+                return [func(*task) for task in tasks]
+
+        monkeypatch.setattr(experiments, "Pool", SerialPool)
+        report = run_experiment(SMALL_CFG, jobs=100_000)
+        assert sizes == [min(100_000, os.cpu_count() or 1)]
+        assert report.to_csv() == run_experiment(SMALL_CFG, jobs=1).to_csv()
+
     def test_spawned_workers_match_serial(self):
         # Under "spawn" each worker re-imports npgq and receives its task by
         # pickling; the report must not depend on the start method.
@@ -315,12 +338,17 @@ class TestSharedSampleStudy:
             assert np.array_equal(study[:, s], _fresh_theta_hats(REFERENCE_CFG, t), equal_nan=True)
 
     def test_one_standardization_and_moment_pass_per_sample(self, monkeypatch):
-        calls = {"standardize": 0, "orders": {}}
-        standardize, sample_moments = moments.standardize, moments.sample_moments
+        calls = {"standardize": 0, "mean_std": 0, "orders": {}}
+        standardize, mean_std = moments.standardize, moments._mean_std
+        sample_moments = moments.sample_moments
 
         def counting_standardize(data):
             calls["standardize"] += 1
             return standardize(data)
+
+        def counting_mean_std(x):
+            calls["mean_std"] += 1
+            return mean_std(x)
 
         def counting_moments(data, max_order):
             # Keyed by the standardized sample it is asked of.
@@ -329,10 +357,14 @@ class TestSharedSampleStudy:
             return sample_moments(data, max_order)
 
         monkeypatch.setattr(moments, "standardize", counting_standardize)
+        monkeypatch.setattr(moments, "_mean_std", counting_mean_std)
         monkeypatch.setattr(moments, "sample_moments", counting_moments)
         run_experiment(REFERENCE_CFG, jobs=1)
         samples = REFERENCE_CFG.replications * len(REFERENCE_CFG.sample_sizes)
         assert calls["standardize"] == samples
+        # np-me's grid and bandwidth use the exact standardized mean 0 and
+        # std 1, so the mean and std passes run once, inside standardize.
+        assert calls["mean_std"] == samples
         # Only np-me reads moments, order 4 at every N; np-gq reads none.
         assert len(calls["orders"]) == samples
         assert all(orders == [4] for orders in calls["orders"].values())

@@ -81,7 +81,6 @@ class TestSampleMoments:
         assert sample.transform == transform
         assert np.array_equal(sample.z, z)
         assert not sample.z.flags.writeable
-        assert sample.z_fit == fit_gaussian_mle(z)
 
     def test_of_returns_the_same_sample(self):
         sample = Sample([1.0, 2.0, 4.0])
