@@ -39,7 +39,6 @@ from .baselines import (
     maxent_solve,
 )
 from .portfolio import (
-    PortfolioProblem,
     PortfolioSolution,
     solve_portfolio,
     solve_portfolios,

@@ -32,6 +32,10 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# Grid points times data points per kde_pdf block: each temporary stays
+# at 8 MB, and np-me's grids (at most 9 points on 100 000) are one block.
+_KDE_BLOCK = 2**20
+
 # Damped-Newton settings for the tilting dual.
 _NEWTON_MAX_ITER = 200
 _NEWTON_GRAD_TOL = 1e-10
@@ -106,8 +110,13 @@ def kde_pdf(kd: KernelDensity, x):
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
-    z = (pts[:, None] - kd.data[None, :]) / kd.bandwidth
-    vals = np.exp(-0.5 * z * z).sum(axis=1) / (kd.data.size * kd.bandwidth * _SQRT_2PI)
+    # Blocks of whole grid rows, each row summed as one contiguous run.
+    rows = max(1, _KDE_BLOCK // kd.data.size)
+    sums = np.empty(pts.size)
+    for i in range(0, pts.size, rows):
+        z = (pts[i : i + rows, None] - kd.data[None, :]) / kd.bandwidth
+        sums[i : i + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+    vals = sums / (kd.data.size * kd.bandwidth * _SQRT_2PI)
     return float(vals[0]) if scalar else vals
 
 

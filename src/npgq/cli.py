@@ -33,7 +33,7 @@ from .experiments import (
     _DISCRETIZERS,
 )
 from .moments import AffineTransform, Sample, sample_moments
-from .portfolio import PortfolioProblem, solve_portfolios
+from .portfolio import solve_portfolios
 from .quadrature import DiscreteDistribution
 
 __all__ = ["main", "entry"]
@@ -175,19 +175,10 @@ def cmd_portfolio(args) -> int:
     dist_np = _DISCRETIZERS[args.method](log_excess, args.n)
     dist_g = _DISCRETIZERS["gauss-hermite"](log_excess, args.n)
     gammas = _gamma_grid(args.gamma)
-    # Two problems per gamma (np rule, Gaussian rule), all solved in one
-    # call; a gamma the problem rejects is an error in both slots.
-    problems = []
-    for gamma in gammas:
-        try:
-            problems += [PortfolioProblem(dist=d, risk_free=risk_free, gamma=gamma)
-                         for d in (dist_np, dist_g)]
-        except NpgqError as exc:
-            problems += [exc, exc]
-    solved = iter(solve_portfolios(p for p in problems if not isinstance(p, NpgqError)))
-    results = [p if isinstance(p, NpgqError) else next(solved) for p in problems]
+    # A gamma the solver rejects is an error in both rows' column.
+    rows_np, rows_g = solve_portfolios((dist_np, dist_g), risk_free, gammas)
     out_rows = []
-    for gamma, sol_np, sol_g in zip(gammas, results[::2], results[1::2]):
+    for gamma, sol_np, sol_g in zip(gammas, rows_np, rows_g):
         row = [_NUM(gamma)]
         failure = next((r for r in (sol_np, sol_g) if isinstance(r, NpgqError)), None)
         if failure is not None:

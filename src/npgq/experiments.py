@@ -11,14 +11,15 @@ that every method and node count shares, so the data is standardized once;
 np-gq builds its rules from the standardized data and np-me reads its
 moment targets from one order-4 moment pass.  The study works in
 blocks of replications that span every sample size: a block builds all its
-rules, then solves all their portfolio problems in one call of
-:func:`~npgq.portfolio.solve_portfolios`.
+rules, then solves them at every configured risk aversion in one call of
+:func:`~npgq.portfolio.solve_portfolios`, which returns one row of shares
+per rule.  The true optimal shares are one such call on the mixture's rule.
 
 Reproducibility: every replication draws from its own counter-based
 substream keyed by (seed, sample size, replication index), and sampling
-is inverse-CDF on uniforms, and a problem's share does not depend on the
-other problems solved with it, so reports are bit-identical across runs
-and across serial/parallel execution on one platform.
+is inverse-CDF on uniforms, and a share does not depend on the other
+rules and risk aversions solved with it, so reports are bit-identical
+across runs and across serial/parallel execution on one platform.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from scipy.special import ndtri
 from .baselines import gauss_hermite_discretize, maxent_discretize
 from .errors import InputError, NpgqError
 from .moments import GaussianMixture, Sample
-from .portfolio import PortfolioProblem, _mixture_rule, solve_portfolios
+from .portfolio import _mixture_rule, solve_portfolios
 from .quadrature import discretize_data
 
 __all__ = [
@@ -101,8 +102,11 @@ class ExperimentConfig:
             raise InputError("sample sizes must be >= 2")
         if any(n < 1 for n in self.node_counts):
             raise InputError("node counts must be >= 1")
-        if any(g <= 0 for g in self.gammas):
-            raise InputError("risk aversions must be positive")
+        if not (math.isfinite(self.risk_free) and self.risk_free > 0.0):
+            raise InputError(f"risk-free rate must be positive, got {self.risk_free}")
+        bad = [g for g in self.gammas if not (math.isfinite(g) and g > 0.0)]
+        if bad:
+            raise InputError(f"risk aversions must be finite and positive, got {bad}")
         unknown = [m for m in self.methods if m not in _DISCRETIZERS]
         if unknown:
             raise InputError(
@@ -231,41 +235,33 @@ def _replication_block(cfg: ExperimentConfig, start: int, stop: int) -> np.ndarr
     """theta-hat array of shape (stop-start, sample sizes, methods, node counts, gammas).
 
     Every rule of the block is built first, one shared sample per
-    (replication, T); then one call solves all their portfolio problems.
+    (replication, T); then one call solves them at every risk aversion.
     A failed discretization or solve leaves NaN.
     """
     shape = (stop - start, len(cfg.sample_sizes), len(cfg.methods),
              len(cfg.node_counts), len(cfg.gammas))
     out = np.full(shape, np.nan)
-    problems, slots = [], []
+    dists, slots = [], []
     for i, m in enumerate(range(start, stop)):
         for s, t in enumerate(cfg.sample_sizes):
             sample = Sample(sample_mixture(cfg.mixture, t, replication_rng(cfg.seed, t, m)))
             for j, method in enumerate(cfg.methods):
                 for k, n in enumerate(cfg.node_counts):
                     try:
-                        dist = _DISCRETIZERS[method](sample, n)
+                        dists.append(_DISCRETIZERS[method](sample, n))
                     except NpgqError:
                         continue
-                    for g, gamma in enumerate(cfg.gammas):
-                        problems.append(
-                            PortfolioProblem(dist=dist, risk_free=cfg.risk_free, gamma=gamma)
-                        )
-                        slots.append((i, s, j, k, g))
-    for slot, solution in zip(slots, solve_portfolios(problems)):
-        if not isinstance(solution, NpgqError):
-            out[slot] = solution.theta
+                    slots.append((i, s, j, k))
+    for slot, row in zip(slots, solve_portfolios(dists, cfg.risk_free, cfg.gammas)):
+        out[slot] = [math.nan if isinstance(r, NpgqError) else r.theta for r in row]
     return out
 
 
 def _theta_star_table(cfg: ExperimentConfig) -> dict[float, float]:
     try:
-        dist = _mixture_rule(cfg.mixture)
-        problems = [
-            PortfolioProblem(dist=dist, risk_free=cfg.risk_free, gamma=g) for g in cfg.gammas
-        ]
+        (row,) = solve_portfolios([_mixture_rule(cfg.mixture)], cfg.risk_free, cfg.gammas)
         table = {}
-        for gamma, solution in zip(cfg.gammas, solve_portfolios(problems)):
+        for gamma, solution in zip(cfg.gammas, row):
             if isinstance(solution, NpgqError):
                 raise solution
             table[gamma] = solution.theta

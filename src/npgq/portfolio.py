@@ -7,12 +7,14 @@ condition is strictly decreasing on the feasible set, so the optimum is
 the unique root of a monotone function and bisection is exact and
 deterministic.
 
-One vectorized bracketed bisection solves every problem a caller has at
-once (:func:`solve_portfolios`; :func:`solve_portfolio` is a call with one
-problem).  The problems are stacked as a (nodes x problems) array, shorter
-rules padded with zero-weight nodes, and each problem's first-order
-terms are summed in node order, so a problem's share is the same whatever
-else shares the call.
+Every caller has a grid: some discretized rules, some risk aversions,
+one risk-free rate.  :func:`solve_portfolios` solves the whole grid in
+one vectorized bracketed bisection and returns one row per rule and one
+column per risk aversion; :func:`solve_portfolio` is its one-by-one case.
+The (rule, risk aversion) pairs are stacked as a (nodes x pairs) array,
+shorter rules padded with zero-weight nodes, and each pair's first-order
+terms are summed in node order, so a share is the same whatever else
+shares the call.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from .moments import GaussianMixture, _standardized_mixture
 from .quadrature import DiscreteDistribution, _gauss_rule, _lanczos
 
 __all__ = [
-    "PortfolioProblem",
     "PortfolioSolution",
     "solve_portfolio",
     "solve_portfolios",
@@ -41,21 +42,6 @@ _BOUNDARY_MARGIN = 1e-12
 # mixture, eleven agree with a 2 x 200-node component-wise Gauss-Hermite
 # integration to 1.1e-12 (relative) at gamma 2, 4 and 6.
 _THETA_STAR_NODES = 11
-
-
-@dataclass(frozen=True)
-class PortfolioProblem:
-    """Discrete log-excess-return distribution plus preferences."""
-
-    dist: DiscreteDistribution
-    risk_free: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.risk_free) and self.risk_free > 0.0):
-            raise InputError(f"risk-free rate must be positive, got {self.risk_free}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise InputError(f"risk aversion must be positive, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +60,7 @@ class PortfolioSolution:
     foc_scale: float = 0.0
 
 
-def solve_portfolio(problem: PortfolioProblem) -> PortfolioSolution:
+def solve_portfolio(dist: DiscreteDistribution, risk_free: float, gamma: float) -> PortfolioSolution:
     """Unique root of the first-order condition by bracketed bisection.
 
     The feasible interval keeps every state's portfolio return positive;
@@ -83,59 +69,69 @@ def solve_portfolio(problem: PortfolioProblem) -> PortfolioSolution:
     problem has no finite optimum (:class:`UnboundedError`); if all are
     zero the objective is flat and the zero share is returned with the
     degenerate flag set.  :class:`NumericalError` reports a condition that
-    finds no bracket or overflows at the optimum.  This is
-    :func:`solve_portfolios` on one problem.
+    finds no bracket or overflows at the optimum, and :class:`InputError`
+    a rate or risk aversion that is not finite and positive.  This is
+    :func:`solve_portfolios` on one rule and one risk aversion.
     """
-    (result,) = solve_portfolios([problem])
+    ((result,),) = solve_portfolios([dist], risk_free, [gamma])
     if isinstance(result, NpgqError):
         raise result
     return result
 
 
-def solve_portfolios(problems) -> list[PortfolioSolution | NpgqError]:
-    """Solve many problems in one vectorized bisection.
+def solve_portfolios(dists, risk_free: float, gammas) -> list[list[PortfolioSolution | NpgqError]]:
+    """Solve every (rule, risk aversion) pair at one rate in one vectorized bisection.
 
-    Returns, in order, what :func:`solve_portfolio` returns for each
-    problem, or the :class:`NpgqError` it raises, as a value.  A problem's
-    share does not depend on the other problems in the call.
+    Row i, column j is what ``solve_portfolio(dists[i], risk_free,
+    gammas[j])`` returns, or the :class:`NpgqError` it raises, as a value:
+    a risk aversion that is not finite and positive is an
+    :class:`InputError` in its own column.  A bad rate raises.  A share
+    does not depend on the other rules or risk aversions in the call.
     """
-    problems = list(problems)
-    if not problems:
+    if not (math.isfinite(risk_free) and risk_free > 0.0):
+        raise InputError(f"risk-free rate must be positive, got {risk_free}")
+    dists, gammas = list(dists), list(gammas)
+    if not dists:
         return []
-    sizes = np.array([len(p.dist.nodes) for p in problems])
-    # (nodes x problems); shorter rules are padded with zero-weight nodes
-    # at zero log excess return, whose excess return is exactly zero.
+    sizes = np.array([len(d.nodes) for d in dists])
+    # (nodes x rules); shorter rules are padded with zero-weight nodes at
+    # zero log excess return, whose excess return is exactly zero.
     real = np.arange(sizes.max())[:, None] < sizes
     nodes, weights = np.zeros(real.shape), np.zeros(real.shape)
-    nodes.T[real.T] = [x for p in problems for x in p.dist.nodes]
-    weights.T[real.T] = [w for p in problems for w in p.dist.weights]
-    rf = np.array([p.risk_free for p in problems])
-    gamma = np.array([p.gamma for p in problems])
-    excess = rf * np.exp(nodes) - rf
+    nodes.T[real.T] = [x for d in dists for x in d.nodes]
+    weights.T[real.T] = [w for d in dists for w in d.weights]
+    excess = risk_free * np.exp(nodes) - risk_free
     d_min, d_max = excess.min(axis=0), excess.max(axis=0)
-    degenerate = np.maximum(np.abs(d_min), np.abs(d_max)) <= 1e-14 * rf
+    degenerate = np.maximum(np.abs(d_min), np.abs(d_max)) <= 1e-14 * risk_free
     unbounded = ~degenerate & ((d_min >= 0.0) | (d_max <= 0.0))
-    live = np.flatnonzero(~(degenerate | unbounded))
+    good = [math.isfinite(g) and g > 0.0 for g in gammas]
+    # One column per (live rule, good gamma), rule-major.
+    pairs = [(i, j) for i in np.flatnonzero(~(degenerate | unbounded)) for j in np.flatnonzero(good)]
+    rules = [i for i, _ in pairs]
     theta, residual, scale, failed = _bisect_stack(
-        excess[:, live], weights[:, live], rf[live], gamma[live]
+        excess[:, rules], weights[:, rules], np.full(len(pairs), float(risk_free)),
+        np.array([gammas[j] for _, j in pairs], dtype=float),
     )
-    out: list = [PortfolioSolution(theta=0.0, degenerate=True)] * len(problems)
-    for j in np.flatnonzero(unbounded):
-        out[j] = UnboundedError(
-            "all state returns lie on one side of the risk-free rate; "
-            "expected utility has no interior maximum"
-        )
-    for i, j in enumerate(live):
-        if failed[i]:
-            out[j] = NumericalError("failed to bracket the first-order condition root")
-        elif not math.isfinite(scale[i]):
-            out[j] = NumericalError("first-order condition overflows at the optimum")
+    out: list = [[PortfolioSolution(theta=0.0, degenerate=True) if ok
+                  else InputError(f"risk aversion must be positive, got {g}")
+                  for g, ok in zip(gammas, good)] for _ in dists]
+    for i in np.flatnonzero(unbounded):
+        for j in np.flatnonzero(good):
+            out[i][j] = UnboundedError(
+                "all state returns lie on one side of the risk-free rate; "
+                "expected utility has no interior maximum"
+            )
+    for c, (i, j) in enumerate(pairs):
+        if failed[c]:
+            out[i][j] = NumericalError("failed to bracket the first-order condition root")
+        elif not math.isfinite(scale[c]):
+            out[i][j] = NumericalError("first-order condition overflows at the optimum")
         else:
-            out[j] = PortfolioSolution(
-                theta=float(theta[i]),
+            out[i][j] = PortfolioSolution(
+                theta=float(theta[c]),
                 degenerate=False,
-                foc_residual=float(residual[i]),
-                foc_scale=float(scale[i]),
+                foc_residual=float(residual[c]),
+                foc_scale=float(scale[c]),
             )
     return out
 
@@ -230,8 +226,7 @@ def theoretical_portfolio(mix: GaussianMixture, risk_free: float, gamma: float) 
     resulting discrete problem is solved exactly.  A mixture supported on
     fewer than 11 points is recovered exactly with its own support size.
     """
-    dist = _mixture_rule(mix)
-    return solve_portfolio(PortfolioProblem(dist=dist, risk_free=risk_free, gamma=gamma)).theta
+    return solve_portfolio(_mixture_rule(mix), risk_free, gamma).theta
 
 
 def _mixture_jacobi(mix: GaussianMixture, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -86,8 +86,10 @@ def _lanczos(x: np.ndarray, start, n: int) -> tuple[np.ndarray, np.ndarray]:
     with full reorthogonalization (twice, against every earlier vector):
     row k of ``q`` holds the k-th orthonormal polynomial at the points
     times ``start``.  Breakdown after k < N steps means the measure has
-    only k support points; the k-step matrix is returned.
+    only k support points; the k-step matrix is returned.  A measure on
+    T points has at most T, so at most ``min(N, T)`` steps are run.
     """
+    n = min(n, x.size)
     q = np.empty((n, x.size))
     q[0] = start
     floor = _BREAKDOWN_RTOL * float(np.max(np.abs(x)))

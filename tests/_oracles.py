@@ -173,15 +173,14 @@ def state_returns(dist, risk_free):
     return risk_free * np.exp(np.asarray(dist.nodes, dtype=float))
 
 
-def crra_objective(problem, theta):
+def crra_objective(dist, rf, gamma, theta):
     """Expected CRRA utility of gross portfolio return at risky share theta.
 
     Log utility is the exact limit at unit risk aversion.  Raises
     :class:`InputError` when some state's portfolio return is not positive.
     """
-    rf, gamma = problem.risk_free, problem.gamma
-    weights = problem.dist.weights
-    wealth = [rf + theta * d for d in (state_returns(problem.dist, rf) - rf).tolist()]
+    weights = dist.weights
+    wealth = [rf + theta * d for d in (state_returns(dist, rf) - rf).tolist()]
     if min(wealth) <= 0.0:
         raise InputError(
             f"risky share {theta} is infeasible: some state's portfolio return is <= 0"
@@ -253,13 +252,14 @@ def golden_section_theta(dist, risk_free, gamma, grid_points=20001, tol=1e-9):
     return 0.5 * (a + b)
 
 
-def reference_solve_portfolio(problem):
+def reference_solve_portfolio(dist, rf, gamma):
     """Scalar bracketed bisection: one exactly summed (``math.fsum``)
     first-order condition per step, otherwise the steps of
     :func:`npgq.solve_portfolio`."""
-    rf, gamma = problem.risk_free, problem.gamma
-    weights = problem.dist.weights
-    excess = tuple(float(r - rf) for r in state_returns(problem.dist, rf))
+    weights = dist.weights
+    excess = tuple(float(r - rf) for r in state_returns(dist, rf))
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise InputError(f"risk aversion must be positive, got {gamma}")
     d_min, d_max = min(excess), max(excess)
     if max(abs(d_min), abs(d_max)) <= 1e-14 * rf:
         return PortfolioSolution(theta=0.0, degenerate=True)

@@ -13,7 +13,6 @@ import pytest
 
 from npgq import (
     DiscreteDistribution,
-    PortfolioProblem,
     discretize_data,
     gauss_hermite_discretize,
     maxent_solve,
@@ -291,7 +290,7 @@ def test_criterion_9_portfolio_solver(announce):
     dist = DiscreteDistribution(
         nodes=(math.log(0.9), math.log(1.2)), weights=(0.5, 0.5)
     )
-    sol = solve_portfolio(PortfolioProblem(dist=dist, risk_free=1.0, gamma=1.0))
+    sol = solve_portfolio(dist, 1.0, 1.0)
     two_state_err = abs(sol.theta - hand_root)
     grid_confirm = abs(golden_section_theta(dist, 1.0, 1.0, tol=1e-9) - hand_root)
 
@@ -300,9 +299,7 @@ def test_criterion_9_portfolio_solver(announce):
     for _ in range(20):
         problem_dist, risk_free = random_portfolio_problem(rng)
         gamma = float(rng.choice([1.0, 2.0, 4.0, 6.0]))
-        theta = solve_portfolio(
-            PortfolioProblem(dist=problem_dist, risk_free=risk_free, gamma=gamma)
-        ).theta
+        theta = solve_portfolio(problem_dist, risk_free, gamma).theta
         oracle = golden_section_theta(problem_dist, risk_free, gamma, tol=1e-7)
         worst_random = max(worst_random, abs(theta - oracle))
     elapsed = time.perf_counter() - start
@@ -330,12 +327,8 @@ def test_criterion_10_pipeline_property(announce):
         dist_g = gauss_hermite_discretize(log_excess, 5)
         errors = []
         for g in gammas:
-            theta_np = solve_portfolio(
-                PortfolioProblem(dist=dist_np, risk_free=DEFAULT_RISK_FREE, gamma=g)
-            ).theta
-            theta_g = solve_portfolio(
-                PortfolioProblem(dist=dist_g, risk_free=DEFAULT_RISK_FREE, gamma=g)
-            ).theta
+            theta_np = solve_portfolio(dist_np, DEFAULT_RISK_FREE, g).theta
+            theta_g = solve_portfolio(dist_g, DEFAULT_RISK_FREE, g).theta
             errors.append(theta_g / theta_np - 1.0)
         return errors
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,22 @@ class TestKernelDensity:
     def test_rejects_bad_data(self, data):
         with pytest.raises(InputError):
             KernelDensity(data=data, bandwidth=1.0)
+
+    def test_grid_blocks_bound_memory_and_keep_every_bit(self):
+        # 512 grid points on 50 000 data points: one (512 x T) temporary
+        # alone would be 205 MB.
+        kd = KernelDensity(data=np.random.default_rng(8).standard_normal(50_000), bandwidth=0.1)
+        grid = np.linspace(-5.0, 5.0, 512)
+        tracemalloc.start()
+        try:
+            vals = kde_pdf(kd, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        # Each grid point's row is summed alone, whatever block it is in.
+        rows = [kde_pdf(kd, grid[i : i + 1])[0] for i in range(0, 512, 37)]
+        assert np.array_equal(vals[::37], rows)
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(3)

@@ -8,7 +8,6 @@ import pytest
 import npgq.cli as cli
 from npgq import (
     NpgqError,
-    PortfolioProblem,
     discretize_data,
     gauss_hermite_discretize,
     maxent_discretize,
@@ -132,6 +131,12 @@ class TestDiscretize:
         assert capsys.readouterr().err == (
             "error: data has zero sample variance; cannot standardize\n"
         )
+
+    def test_node_count_past_the_data_size_exits_3(self, tmp_path, capsys):
+        src = write_csv(tmp_path / "x.csv", ["x"], [[0.5, 1.5, 2.0, 4.0]])
+        assert main(["discretize", src, "--column", "x", "--n", str(10**12)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: Lanczos broke down at step 4; the data supports at most 4 nodes -- reduce N\n"
 
     def test_np_me_below_three_nodes_exits_2(self, tmp_path, capsys):
         src = write_csv(tmp_path / "in.csv", ["x"], [np.random.default_rng(2).standard_normal(50).tolist()])
@@ -325,7 +330,7 @@ class TestPortfolio:
         for gamma in gammas:
             try:
                 theta_np, theta_g = (
-                    reference_solve_portfolio(PortfolioProblem(d, risk_free, gamma)).theta
+                    reference_solve_portfolio(d, risk_free, gamma).theta
                     for d in dists
                 )
             except NpgqError as exc:
@@ -420,6 +425,14 @@ class TestExperimentCommand:
             assert main(["experiment", *argv, "--smoke", "--output", str(tmp_path / "x")]) == 2
             assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("line", ["gammas = 2, nan", "gammas = inf", "risk_free = 0"])
+    def test_bad_rate_or_gamma_exits_2_before_any_output(self, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        assert main(["experiment", "--config", str(cfg), "--output", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
 
     def test_unwritable_output_exits_2_before_the_study(self, tmp_path, capsys, monkeypatch):
         def study_must_not_run(*args, **kwargs):

@@ -15,7 +15,6 @@ from npgq import (
     GaussianMixture,
     InputError,
     NpgqError,
-    PortfolioProblem,
     discretize_data,
     gauss_hermite_discretize,
     maxent_discretize,
@@ -84,7 +83,7 @@ class TestRunCell:
         # the share computed from the empirical distribution directly.
         # (The weights are sample frequencies, so bias/MAE against the
         # population optimum still carry sampling noise.)
-        from npgq import DiscreteDistribution, PortfolioProblem, solve_portfolio
+        from npgq import DiscreteDistribution, solve_portfolio
         from npgq.quadrature import discretize_data
 
         cfg = ExperimentConfig(
@@ -104,13 +103,9 @@ class TestRunCell:
             empirical = DiscreteDistribution(
                 nodes=tuple(atoms), weights=tuple(counts / counts.sum())
             )
-            direct = solve_portfolio(
-                PortfolioProblem(dist=empirical, risk_free=cfg.risk_free, gamma=2.0)
-            ).theta
+            direct = solve_portfolio(empirical, cfg.risk_free, 2.0).theta
             fitted = discretize_data(data, 2)
-            via_quadrature = solve_portfolio(
-                PortfolioProblem(dist=fitted, risk_free=cfg.risk_free, gamma=2.0)
-            ).theta
+            via_quadrature = solve_portfolio(fitted, cfg.risk_free, 2.0).theta
             assert via_quadrature == pytest.approx(direct, abs=1e-8)
             direct_errors.append(direct / theta_star - 1.0)
         cell = _single_cell(cfg, "np-gq", 80, 2, 2.0)
@@ -242,6 +237,16 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             ExperimentConfig(gammas=(0.0,))
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -2.0])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        with pytest.raises(InputError, match="risk aversions must be finite and positive"):
+            ExperimentConfig(gammas=(2.0, gamma))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+    def test_risk_free_must_be_finite_and_positive(self, rate):
+        with pytest.raises(InputError, match="risk-free rate must be positive"):
+            ExperimentConfig(risk_free=rate)
+
     def test_negative_seed_rejected(self):
         # SeedSequence rejects it too, but only in the middle of a run.
         with pytest.raises(InputError):
@@ -313,9 +318,7 @@ def _fresh_theta_hats(cfg, sample_size):
                     continue
                 for g, gamma in enumerate(cfg.gammas):
                     try:
-                        out[m, j, k, g] = solve_portfolio(
-                            PortfolioProblem(dist=dist, risk_free=cfg.risk_free, gamma=gamma)
-                        ).theta
+                        out[m, j, k, g] = solve_portfolio(dist, cfg.risk_free, gamma).theta
                     except NpgqError:
                         pass
     return out

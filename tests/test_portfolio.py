@@ -11,7 +11,6 @@ from npgq import (
     InputError,
     NpgqError,
     NumericalError,
-    PortfolioProblem,
     PortfolioSolution,
     UnboundedError,
     solve_portfolio,
@@ -35,9 +34,9 @@ from _oracles import (
 
 
 def two_state_problem(returns, weights, risk_free, gamma):
+    """``(dist, risk_free, gamma)``: the arguments of :func:`solve_portfolio`."""
     nodes = tuple(math.log(r / risk_free) for r in returns)
-    dist = DiscreteDistribution(nodes=nodes, weights=weights)
-    return PortfolioProblem(dist=dist, risk_free=risk_free, gamma=gamma)
+    return DiscreteDistribution(nodes=nodes, weights=weights), risk_free, gamma
 
 
 class TestStateReturns:
@@ -62,21 +61,21 @@ class TestStateReturns:
 class TestCrraObjective:
     def test_all_risk_free_gamma_two(self):
         p = two_state_problem((0.9, 1.2), (0.5, 0.5), 1.0, 2.0)
-        assert crra_objective(p, 0.0) == pytest.approx(-1.0, rel=1e-14)
+        assert crra_objective(*p, 0.0) == pytest.approx(-1.0, rel=1e-14)
 
     def test_all_risk_free_log_utility(self):
         p = two_state_problem((0.9, 1.2), (0.5, 0.5), 1.07, 1.0)
-        assert crra_objective(p, 0.0) == pytest.approx(math.log(1.07), rel=1e-14)
+        assert crra_objective(*p, 0.0) == pytest.approx(math.log(1.07), rel=1e-14)
 
     def test_two_state_half_share(self):
         p = two_state_problem((0.9, 1.2), (0.5, 0.5), 1.0, 1.0)
         expected = 0.5 * (math.log(0.95) + math.log(1.10))
-        assert crra_objective(p, 0.5) == pytest.approx(expected, rel=1e-14)
+        assert crra_objective(*p, 0.5) == pytest.approx(expected, rel=1e-14)
 
     def test_infeasible_share_rejected(self):
         p = two_state_problem((0.9, 1.2), (0.5, 0.5), 1.0, 2.0)
         with pytest.raises(InputError):
-            crra_objective(p, 11.0)  # worst state return 1 - 1.1 < 0
+            crra_objective(*p, 11.0)  # worst state return 1 - 1.1 < 0
 
 
 class TestSolvePortfolio:
@@ -87,36 +86,36 @@ class TestSolvePortfolio:
         p = two_state_problem((0.9, 1.2), (0.5, 0.5), 1.0, 1.0)
         hand_root = -(0.5 * (-0.1) + 0.5 * 0.2) / ((-0.1) * 0.2)
         assert hand_root == pytest.approx(2.5, rel=1e-15)
-        sol = solve_portfolio(p)
+        sol = solve_portfolio(*p)
         assert sol.theta == pytest.approx(hand_root, abs=1e-9)
-        oracle = golden_section_theta(p.dist, 1.0, 1.0)
+        oracle = golden_section_theta(p[0], 1.0, 1.0)
         assert sol.theta == pytest.approx(oracle, abs=1e-6)
 
     def test_first_order_condition_satisfied(self):
         p = two_state_problem((0.85, 1.25), (0.4, 0.6), 1.01, 3.0)
-        sol = solve_portfolio(p)
+        sol = solve_portfolio(*p)
         assert abs(sol.foc_residual) <= 1e-9 * max(sol.foc_scale, 1e-300)
 
     def test_degenerate_all_states_risk_free(self):
         dist = DiscreteDistribution(nodes=(0.0,), weights=(1.0,))
-        sol = solve_portfolio(PortfolioProblem(dist=dist, risk_free=1.02, gamma=2.0))
+        sol = solve_portfolio(dist, 1.02, 2.0)
         assert sol.theta == 0.0
         assert sol.degenerate
 
     def test_unbounded_when_all_states_beat_risk_free(self):
         dist = DiscreteDistribution(nodes=(0.01, 0.3), weights=(0.5, 0.5))
         with pytest.raises(UnboundedError):
-            solve_portfolio(PortfolioProblem(dist=dist, risk_free=1.0, gamma=2.0))
+            solve_portfolio(dist, 1.0, 2.0)
         dist = DiscreteDistribution(nodes=(-0.3, -0.01), weights=(0.5, 0.5))
         with pytest.raises(UnboundedError):
-            solve_portfolio(PortfolioProblem(dist=dist, risk_free=1.0, gamma=2.0))
+            solve_portfolio(dist, 1.0, 2.0)
 
     def test_matches_grid_search_oracle(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
             dist, risk_free = random_portfolio_problem(rng)
             gamma = float(rng.choice([1.0, 2.0, 3.5, 5.0, 8.0]))
-            sol = solve_portfolio(PortfolioProblem(dist=dist, risk_free=risk_free, gamma=gamma))
+            sol = solve_portfolio(dist, risk_free, gamma)
             oracle = golden_section_theta(dist, risk_free, gamma, tol=1e-7)
             assert sol.theta == pytest.approx(oracle, abs=1e-6)
             assert abs(sol.foc_residual) <= 1e-9 * max(sol.foc_scale, 1e-300)
@@ -125,25 +124,13 @@ class TestSolvePortfolio:
         nodes = (-0.2, 0.05, 0.3)
         weights = (0.2, 0.5, 0.3)
         scaled = tuple(7.0 * w for w in weights)
-        base = solve_portfolio(
-            PortfolioProblem(
-                dist=DiscreteDistribution(nodes=nodes, weights=weights),
-                risk_free=1.0045,
-                gamma=4.0,
-            )
-        )
-        big = solve_portfolio(
-            PortfolioProblem(
-                dist=DiscreteDistribution(nodes=nodes, weights=scaled),
-                risk_free=1.0045,
-                gamma=4.0,
-            )
-        )
+        base = solve_portfolio(DiscreteDistribution(nodes=nodes, weights=weights), 1.0045, 4.0)
+        big = solve_portfolio(DiscreteDistribution(nodes=nodes, weights=scaled), 1.0045, 4.0)
         assert big.theta == pytest.approx(base.theta, abs=1e-11)
 
     def test_negative_share_when_premium_negative(self):
         dist = DiscreteDistribution(nodes=(-0.3, 0.05), weights=(0.5, 0.5))
-        sol = solve_portfolio(PortfolioProblem(dist=dist, risk_free=1.0, gamma=2.0))
+        sol = solve_portfolio(dist, 1.0, 2.0)
         assert sol.theta < 0.0
         oracle = golden_section_theta(dist, 1.0, 2.0)
         assert sol.theta == pytest.approx(oracle, abs=1e-6)
@@ -154,9 +141,7 @@ class TestTheoreticalPortfolio:
         mix = GaussianMixture(proportions=(0.3, 0.7), means=(-0.2, 0.1), stds=(0.0, 0.0))
         via_quadrature = theoretical_portfolio(mix, 1.0045, 3.0)
         dist = DiscreteDistribution(nodes=(-0.2, 0.1), weights=(0.3, 0.7))
-        direct = solve_portfolio(
-            PortfolioProblem(dist=dist, risk_free=1.0045, gamma=3.0)
-        ).theta
+        direct = solve_portfolio(dist, 1.0045, 3.0).theta
         assert via_quadrature == pytest.approx(direct, abs=1e-9)
 
     def test_single_component_equals_gauss_hermite_solve(self):
@@ -166,9 +151,7 @@ class TestTheoreticalPortfolio:
         dist = DiscreteDistribution(
             nodes=tuple(0.06 + 0.2 * x for x in base.nodes), weights=base.weights
         )
-        direct = solve_portfolio(
-            PortfolioProblem(dist=dist, risk_free=1.0045, gamma=2.0)
-        ).theta
+        direct = solve_portfolio(dist, 1.0045, 2.0).theta
         assert via_mixture == pytest.approx(direct, abs=1e-9)
 
     def test_default_mixture_rule_against_mpmath_moment_route(self):
@@ -206,7 +189,8 @@ class TestTheoreticalPortfolio:
 
 
 def assert_matches_reference(problem, result):
-    """``result`` is what the scalar reference bisection gives for ``problem``.
+    """``result`` is what the scalar reference bisection gives for
+    ``problem``, a ``(dist, risk_free, gamma)`` tuple.
 
     A theta may move only where a first-order condition sign flips at
     rounding level (sequential sum against ``math.fsum``), which bounds
@@ -214,7 +198,7 @@ def assert_matches_reference(problem, result):
     reference as a bare ``OverflowError`` is a ``NumericalError`` now.
     """
     try:
-        expected = reference_solve_portfolio(problem)
+        expected = reference_solve_portfolio(*problem)
     except OverflowError:
         assert isinstance(result, NumericalError)
         assert str(result) == "first-order condition overflows at the optimum"
@@ -230,7 +214,7 @@ def assert_matches_reference(problem, result):
 
 def _outcome(problem):
     try:
-        return solve_portfolio(problem)
+        return solve_portfolio(*problem)
     except NpgqError as exc:
         return exc
 
@@ -239,11 +223,11 @@ def _cancelling_problem(gamma):
     """Two states whose first-order terms cancel exactly at theta = 0."""
     nodes = (-0.3, 0.2)
     d = [float(r) - 1.0 for r in state_returns(DiscreteDistribution(nodes, (1.0, 1.0)), 1.0)]
-    return PortfolioProblem(DiscreteDistribution(nodes, (d[1], -d[0])), 1.0, gamma)
+    return DiscreteDistribution(nodes, (d[1], -d[0])), 1.0, gamma
 
 
 def _two_state(nodes, weights, risk_free, gamma):
-    return PortfolioProblem(DiscreteDistribution(nodes, weights), risk_free, gamma)
+    return DiscreteDistribution(nodes, weights), risk_free, gamma
 
 
 EDGE_PROBLEMS = {
@@ -261,58 +245,74 @@ EDGE_PROBLEMS = {
     "overflow-everywhere": _two_state((-0.5, 0.3), (0.3, 0.7), 1e-31, 10.0),
 }
 
+RATES = st.one_of(st.floats(0.5, 2.0), st.sampled_from([1e-300, 1e-150, 1e-31, 1e-25, 1e20]))
+# Bad risk aversions are InputError values in their own column.
+GAMMAS = st.one_of(st.just(1.0), st.floats(1.0, 10.0), st.sampled_from([0.0, -2.0, math.nan, math.inf]))
+
+
+def assert_grid_matches_reference(dists, risk_free, gammas, grid):
+    """One row per rule and one column per gamma, each the reference's."""
+    assert len(grid) == len(dists)
+    for dist, row in zip(dists, grid):
+        assert len(row) == len(gammas)
+        for gamma, result in zip(gammas, row):
+            assert_matches_reference((dist, risk_free, gamma), result)
+
 
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("name", sorted(EDGE_PROBLEMS))
     def test_edge_case(self, name):
-        problem = EDGE_PROBLEMS[name]
-        assert_matches_reference(problem, _outcome(problem))
+        dist, risk_free, gamma = EDGE_PROBLEMS[name]
+        ((result,),) = solve_portfolios([dist], risk_free, [gamma])
+        assert_matches_reference(EDGE_PROBLEMS[name], result)
 
     def test_edge_cases_exercise_their_branch(self):
         assert _outcome(EDGE_PROBLEMS["degenerate"]).degenerate
         assert _outcome(EDGE_PROBLEMS["f0-zero"]).theta == 0.0
         for name in ("overflow-at-limit-log", "overflow-at-limit"):
-            problem = EDGE_PROBLEMS[name]
-            rf = problem.risk_free
-            d_min = float(state_returns(problem.dist, rf)[0]) - rf
+            dist, rf, gamma = EDGE_PROBLEMS[name]
+            d_min = float(state_returns(dist, rf)[0]) - rf
             upper = -rf / d_min
             limit = upper - min(1e-12 * max(1.0, upper), 0.5 * upper)
             with pytest.raises(OverflowError):
-                (rf + limit * d_min) ** -problem.gamma
+                (rf + limit * d_min) ** -gamma
             # The bracket reaches the limit: the optimum lies past 2.
-            assert _outcome(problem).theta > 2.0
+            assert _outcome(EDGE_PROBLEMS[name]).theta > 2.0
         with pytest.raises(NumericalError, match="overflows at the optimum"):
-            solve_portfolio(EDGE_PROBLEMS["overflow-everywhere"])
+            solve_portfolio(*EDGE_PROBLEMS["overflow-everywhere"])
 
     @given(
         st.lists(
             st.tuples(
                 st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=9, unique=True),
                 st.lists(st.floats(0.01, 5.0), min_size=9, max_size=9),
-                st.one_of(st.floats(0.5, 2.0), st.sampled_from([1e-300, 1e-150, 1e-31, 1e-25, 1e20])),
-                st.one_of(st.just(1.0), st.floats(1.0, 10.0)),
             ),
             min_size=1,
-            max_size=6,
-        )
+            max_size=4,
+        ),
+        RATES,
+        st.lists(GAMMAS, min_size=1, max_size=4),
     )
     @settings(max_examples=150, deadline=None)
-    def test_random_batches(self, specs):
-        problems = [
-            _two_state(tuple(sorted(nodes)), tuple(weights[: len(nodes)]), risk_free, gamma)
-            for nodes, weights, risk_free, gamma in specs
+    def test_random_batches(self, rules, risk_free, gammas):
+        dists = [
+            DiscreteDistribution(tuple(sorted(nodes)), tuple(weights[: len(nodes)]))
+            for nodes, weights in rules
         ]
-        for problem, result in zip(problems, solve_portfolios(problems)):
-            assert_matches_reference(problem, result)
+        grid = solve_portfolios(dists, risk_free, gammas)
+        assert_grid_matches_reference(dists, risk_free, gammas, grid)
+
+    @pytest.mark.parametrize("risk_free", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_rate_raises(self, risk_free):
+        dist = DiscreteDistribution((-0.2, 0.1), (0.5, 0.5))
+        with pytest.raises(InputError, match="risk-free rate must be positive"):
+            solve_portfolios([dist], risk_free, [2.0])
+        with pytest.raises(InputError, match="risk-free rate must be positive"):
+            solve_portfolio(dist, risk_free, 2.0)
 
 
-def _random_problems(rng, count):
-    problems = []
-    for _ in range(count):
-        dist, risk_free = random_portfolio_problem(rng, max_states=9)
-        gamma = float(rng.choice([1.0, 2.0, 4.0, 6.0, 8.5]))
-        problems.append(PortfolioProblem(dist=dist, risk_free=risk_free, gamma=gamma))
-    return problems
+def _random_rules(rng, count):
+    return [random_portfolio_problem(rng, max_states=9)[0] for _ in range(count)]
 
 
 class TestBatchInvariance:
@@ -320,26 +320,42 @@ class TestBatchInvariance:
         # A sign differs from the exactly rounded sum's only at rounding
         # level, so nearly every share is the reference's bit for bit; a
         # change of the steps (bracket, midpoints, stop rule) moves them all.
-        problems = _random_problems(np.random.default_rng(7), 200)
-        thetas = [r.theta for r in solve_portfolios(problems)]
-        same = sum(t == reference_solve_portfolio(p).theta for p, t in zip(problems, thetas))
+        rng = np.random.default_rng(7)
+        gammas = [1.0, 2.0, 4.0, 6.0, 8.5]
+        same = 0
+        for rate in (0.98, 1.0045, 1.05, 1.02):
+            dists = _random_rules(rng, 10)
+            grid = solve_portfolios(dists, rate, gammas)
+            same += sum(
+                result.theta == reference_solve_portfolio(dist, rate, gamma).theta
+                for dist, row in zip(dists, grid)
+                for gamma, result in zip(gammas, row)
+            )
         assert same >= 195
 
     def test_alone_equals_inside_a_shuffled_mixed_batch(self):
+        # Per rate, one grid of random rules (and the edge problems at that
+        # rate) by risk aversions, its rows and columns shuffled.
         rng = np.random.default_rng(5)
-        problems = _random_problems(rng, 60) + list(EDGE_PROBLEMS.values())
-        alone = [_outcome(p) for p in problems]
-        order = rng.permutation(len(problems))
-        batch = solve_portfolios([problems[i] for i in order])
-        for i, result in zip(order, batch):
-            if isinstance(alone[i], NpgqError):
-                assert type(result) is type(alone[i]) and str(result) == str(alone[i])
-            else:
-                assert result == alone[i]
+        edge_rates = {rf for _, rf, _ in EDGE_PROBLEMS.values()}
+        for rate in sorted(edge_rates | {1.0045}):
+            dists = _random_rules(rng, 12) + [d for d, rf, _ in EDGE_PROBLEMS.values() if rf == rate]
+            gammas = [1.0, 2.0, 3.0, 4.0, 10.0, 0.0]
+            rows, cols = rng.permutation(len(dists)), rng.permutation(len(gammas))
+            grid = solve_portfolios([dists[i] for i in rows], rate, [gammas[j] for j in cols])
+            for i, row in zip(rows, grid):
+                for j, result in zip(cols, row):
+                    alone = _outcome((dists[i], rate, gammas[j]))
+                    if isinstance(alone, NpgqError):
+                        assert type(result) is type(alone) and str(result) == str(alone)
+                    else:
+                        assert result == alone
 
     def test_empty_batch(self):
-        assert solve_portfolios([]) == []
+        dist = DiscreteDistribution((-0.2, 0.1), (0.5, 0.5))
+        assert solve_portfolios([], 1.0045, [2.0]) == []
+        assert solve_portfolios([dist], 1.0045, []) == [[]]
 
     def test_one_problem_is_solve_portfolio(self):
-        problem = _two_state((-0.2, 0.05, 0.3), (0.2, 0.5, 0.3), 1.0045, 4.0)
-        assert solve_portfolios([problem]) == [solve_portfolio(problem)]
+        dist, rf, gamma = _two_state((-0.2, 0.05, 0.3), (0.2, 0.5, 0.3), 1.0045, 4.0)
+        assert solve_portfolios([dist], rf, [gamma]) == [[solve_portfolio(dist, rf, gamma)]]

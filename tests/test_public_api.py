@@ -58,7 +58,7 @@ def test_only_the_pipeline_is_public():
         "moments": ("MomentSequence", "standardized_mixture"),
         "baselines": ("maxent_grid", "maxent_dual"),
         "quadrature": ("tridiagonal_eigen", "JacobiMatrix"),
-        "portfolio": ("state_returns", "crra_objective"),
+        "portfolio": ("state_returns", "crra_objective", "PortfolioProblem"),
         "experiments": ("format_config",),
     }
     left = [

@@ -279,6 +279,17 @@ class TestDiscretizeData:
         np.testing.assert_allclose(nodes, [-1.0, 2.0], rtol=1e-14)
         np.testing.assert_allclose(weights, [0.25, 0.75], rtol=1e-14)
 
+    def test_node_count_past_the_data_size_is_the_support_error(self):
+        # A measure on T points has at most T support points, so Lanczos
+        # runs at most T steps: N far past T is the support error, not a
+        # (N x T) allocation, and N <= T keeps its bits.
+        x = np.array([-1.3, -0.2, 0.4, 0.9, 2.1])
+        full = _lanczos(x, 1.0 / math.sqrt(x.size), x.size)
+        huge = _lanczos(x, 1.0 / math.sqrt(x.size), 10**12)
+        assert all(np.array_equal(a, b) for a, b in zip(full, huge))
+        with pytest.raises(NotPositiveDefiniteError, match="supports at most 5 nodes"):
+            discretize_data(x, 10**12)
+
     def test_lanczos_weighted_start_vector(self):
         # The same measure as one point per atom, its mass in the start vector.
         diag, offdiag = _lanczos(np.array([-1.0, 2.0]), np.sqrt([0.25, 0.75]), 2)
