@@ -30,7 +30,6 @@ from .quadrature import (
     expectation,
 )
 from .baselines import (
-    KernelDensity,
     MaxEntSolution,
     fit_gaussian_mle,
     gauss_hermite_discretize,

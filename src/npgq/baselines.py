@@ -4,9 +4,12 @@ maximum-entropy moment matching on an even grid with a kernel-density prior.
 Both serve as comparison points for the moment-fed quadrature method.
 The Gauss-Hermite baseline is what one would use under a (log)normality
 assumption; the maximum-entropy baseline ("np-me") tilts a kernel density
-estimate on a fixed grid until low-order sample moments match.  Every
-data-taking function here also accepts a :class:`~npgq.moments.Sample`,
-whose standardization and moments are then computed only once.
+estimate on a fixed grid until low-order sample moments match.  np-me
+reads those moments, m1..m4, from the first three Lanczos steps of the
+sample's Jacobi matrix, the same state np-gq builds its rules from.
+Every data-taking function here also accepts a
+:class:`~npgq.moments.Sample`, whose standardization and Lanczos state
+are then computed only once.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from .moments import Sample, _as_clean_array
 from .quadrature import DiscreteDistribution, _gauss_rule
 
 __all__ = [
-    "KernelDensity",
     "MaxEntSolution",
     "fit_gaussian_mle",
     "gauss_hermite_discretize",
@@ -76,48 +78,37 @@ def gauss_hermite_discretize(data, n: int) -> DiscreteDistribution:
     return DiscreteDistribution(nodes=nodes, weights=base.weights)
 
 
-@dataclass(frozen=True, eq=False)
-class KernelDensity:
-    """Gaussian-kernel density estimate with a fixed bandwidth.
-
-    ``data`` is held as a read-only float array; instances compare by
-    identity.
-    """
-
-    data: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self):
-        x = _as_clean_array(self.data).copy()
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0.0):
-            raise InputError(f"bandwidth must be positive, got {self.bandwidth}")
-        x.setflags(write=False)
-        object.__setattr__(self, "data", x)
-
-    @classmethod
-    def fit(cls, data) -> "KernelDensity":
-        """Bandwidth by Silverman's rule, h = 1.06 * std * I^(-1/5)."""
-        sample = Sample.of(data)
-        return cls(data=sample.x, bandwidth=_silverman(sample.transform.scale, sample.x.size))
-
-
 def _silverman(std: float, size: int) -> float:
     return 1.06 * std * size ** (-0.2)
 
 
-def kde_pdf(kd: KernelDensity, x):
-    """Kernel density value(s): ``(1/(I h)) sum_i phi((x - x_i)/h)``."""
+def kde_pdf(data, bandwidth: float, x):
+    """Gaussian-kernel density value(s) ``(1/(I h)) sum_i phi((x - x_i)/h)``
+    of nonempty, finite data, at a positive bandwidth ``h``."""
+    data = _as_clean_array(data)
+    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
+        raise InputError(f"bandwidth must be positive, got {bandwidth}")
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
     # Blocks of whole grid rows, each row summed as one contiguous run.
-    rows = max(1, _KDE_BLOCK // kd.data.size)
+    rows = max(1, _KDE_BLOCK // data.size)
     sums = np.empty(pts.size)
     for i in range(0, pts.size, rows):
-        z = (pts[i : i + rows, None] - kd.data[None, :]) / kd.bandwidth
+        z = (pts[i : i + rows, None] - data[None, :]) / bandwidth
         sums[i : i + rows] = np.exp(-0.5 * z * z).sum(axis=1)
-    vals = sums / (kd.data.size * kd.bandwidth * _SQRT_2PI)
+    vals = sums / (data.size * bandwidth * _SQRT_2PI)
     return float(vals[0]) if scalar else vals
+
+
+def _jacobi_moments(diag, offdiag) -> list[float]:
+    """Moments m1..m4, ``e0' J^k e0``, of the measure whose Jacobi matrix
+    ``J`` begins ``diag``, ``offdiag``; an entry cut by a breakdown is 0."""
+    a0, a1 = (diag.tolist() + [0.0])[:2]
+    b1, b2 = (offdiag.tolist() + [0.0, 0.0])[:2]
+    # J e0 = (a0, b1) and J^2 e0 = v; m_{i+j} = (J^i e0) . (J^j e0).
+    v = (a0 * a0 + b1 * b1, b1 * (a0 + a1), b1 * b2)
+    return [a0, v[0], a0 * v[0] + b1 * v[1], v[0] * v[0] + v[1] * v[1] + v[2] * v[2]]
 
 
 def _even_grid(n: int) -> np.ndarray:
@@ -217,7 +208,8 @@ def maxent_solve(data, n: int) -> MaxEntSolution:
     exactly: the grid is ``linspace(-h, h, N)`` with ``h = sqrt(2(N-1))``
     and the prior is the standardized data's kernel density with
     Silverman's bandwidth ``1.06 * I^(-1/5)``.  Four moments are matched
-    when N >= 5 (two otherwise); if four are unattainable the solver
+    when N >= 5 (two otherwise), read from the sample's three-step Jacobi
+    matrix whatever N; if four are unattainable the solver
     retries with two and flags the downgrade.  Nodes are mapped back to
     data units.  N must be at least 3: at N = 2 the grid is +-sqrt(2),
     where every tilt has second moment 2, not the data's 1.
@@ -227,11 +219,10 @@ def maxent_solve(data, n: int) -> MaxEntSolution:
     sample = Sample.of(data)
     transform, z = sample.transform, sample.z
     grid = _even_grid(n)
-    prior = kde_pdf(KernelDensity(data=z, bandwidth=_silverman(1.0, z.size)), grid)
+    prior = kde_pdf(z, _silverman(1.0, z.size), grid)
     prior = prior / prior.sum()
     n_match = 4 if n >= 5 else 2
-    # Order 4 whatever N: one pass over the data serves every node count.
-    targets = sample.moments(4)[1 : n_match + 1]
+    targets = _jacobi_moments(*sample.jacobi(3))[:n_match]
     downgraded = False
     try:
         lam, weights, iterations = _solve_dual(grid, prior, targets)

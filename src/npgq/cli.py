@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .baselines import KernelDensity, fit_gaussian_mle, kde_pdf, maxent_solve
+from .baselines import _silverman, fit_gaussian_mle, kde_pdf, maxent_solve
 from .errors import DegenerateDataError, InputError, NpgqError
 from .experiments import (
     ExperimentConfig,
@@ -222,18 +222,18 @@ def cmd_plotdata(args) -> int:
         raise InputError("bins must be >= 1")
     # The fits validate and standardize the data first, so its range is finite.
     sample = Sample(data)
-    kd = KernelDensity.fit(sample)
     mean, std = fit_gaussian_mle(sample)
+    bandwidth = _silverman(std, data.size)
     try:
         heights, edges = np.histogram(data, bins=args.bins, density=True)
     except ValueError:  # numpy: "Too many bins for data range"
         raise InputError(
             f"the data range is too narrow for {args.bins} finite-sized histogram bins"
         ) from None
-    lo = data.min() - 3.0 * kd.bandwidth
-    hi = data.max() + 3.0 * kd.bandwidth
+    lo = data.min() - 3.0 * bandwidth
+    hi = data.max() + 3.0 * bandwidth
     grid = np.linspace(lo, hi, 512)
-    kde_vals = kde_pdf(kd, grid)
+    kde_vals = kde_pdf(data, bandwidth, grid)
     gauss_vals = np.exp(-0.5 * ((grid - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi))
     out = [
         ["histogram", _NUM(a), _NUM(b), _NUM(h)]

@@ -7,9 +7,10 @@ reports the relative bias and mean absolute error of the resulting risky
 share against the share computed from the true mixture.
 
 Each replication's sample is wrapped in one :class:`~npgq.moments.Sample`
-that every method and node count shares, so the data is standardized once;
-np-gq builds its rules from the standardized data and np-me reads its
-moment targets from one order-4 moment pass.  The study works in
+that every method and node count shares, so the data is standardized once
+and Lanczos runs once, to the largest N: np-gq takes each rule from a
+prefix of that Jacobi matrix and np-me its moment targets from the first
+three steps, with no separate moment pass.  The study works in
 blocks of replications that span every sample size: a block builds all its
 rules, then solves them at every configured risk aversion in one call of
 :func:`~npgq.portfolio.solve_portfolios`, which returns one row of shares

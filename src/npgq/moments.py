@@ -1,21 +1,15 @@
-"""Raw sample moments, standardization, and Gaussian mixtures.
+"""Samples, their Jacobi matrices, standardization, and Gaussian mixtures.
 
-The np-me baseline and ``npgq discretize --verify`` read raw moments
-``m_k = E[X^k]`` as a read-only float array ``[m_0, ..., m_K]``.
-Sample moments use the population divisor ``1/I`` and exactly rounded
-summation.  Data is standardized (mean 0, std 1) before any rule is
-built; Gaussian quadrature commutes with affine maps, so nodes are
-mapped back afterwards at no cost in accuracy.  No rule is built from
-moments: the quadrature takes its Jacobi matrices by Lanczos
-(:mod:`npgq.quadrature`).
-
-:class:`Sample` holds one data set's derived statistics (the validated
-array, its standardization and the standardized moments up to the
-highest order asked for so far), computed on first use and shared by
-every discretizer handed the same ``Sample``.  Moments of order ``k``
-are a prefix of those of any higher order, so a lower-order request
-costs no pass over the data; np-me asks for order 4 whatever its node
-count, so one pass serves every N.
+Data is standardized (mean 0, std 1, population divisor ``1/I``, exactly
+rounded sums) before any rule is built; Gaussian quadrature commutes with
+affine maps, so nodes are mapped back afterwards at no cost in accuracy.
+A :class:`Sample` keeps, on first use, its data's standardization and the
+Lanczos state of its empirical measure (:class:`_Lanczos`), shared by
+every discretizer handed the same ``Sample``.  k Lanczos steps fix the
+first 2k moments, so np-gq's rules and np-me's moment targets read one
+Jacobi matrix; a shorter request is a prefix of it, a longer one extends
+it.  :func:`sample_moments` (exactly rounded raw moments) is the
+independent reference ``npgq discretize --verify`` checks against.
 """
 from __future__ import annotations
 
@@ -26,6 +20,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDataError, InputError
+
+# Lanczos breakdown floor: an off-diagonal entry at or below this fraction
+# of max|x| (the norm of diag(x)) is rounding noise, meaning the measure's
+# Krylov space, and so its support, is exhausted.
+_BREAKDOWN_RTOL = 1e-12
 
 __all__ = [
     "AffineTransform",
@@ -182,6 +181,51 @@ def standardize(data) -> tuple[AffineTransform, np.ndarray]:
     return transform, (x - mean) / scale
 
 
+class _Lanczos:
+    """Jacobi matrix of the discrete measure with point ``x[i]`` of mass
+    ``start[i]**2``, extended step by step as longer prefixes are asked for.
+
+    ``start`` is the unit start vector, or one scalar for equal masses
+    (``1/sqrt(T)`` for an empirical measure).  Lanczos on ``diag(x)``,
+    with full reorthogonalization (twice, against every earlier vector):
+    row k of ``q`` holds the k-th orthonormal polynomial at the points
+    times ``start``.  A step is the same arithmetic whatever the requests
+    before it, so every prefix equals a fresh run bit for bit.
+    """
+
+    def __init__(self, x: np.ndarray, start):
+        self._x, self._support = x, x.size  # a measure on T points has at most T
+        self._floor = _BREAKDOWN_RTOL * float(np.max(np.abs(x)))
+        self._q = np.full((1, x.size), start)
+        self._diag, self._offdiag = [], []
+        self._w = None  # x * q[k] for the last row k, not yet orthogonalized
+
+    def jacobi(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(diag, offdiag)`` after ``min(n, T)`` steps (``n >= 1``), or after
+        k steps when the measure has only k support points (breakdown)."""
+        if n < 1:
+            raise InputError(f"Jacobi matrix order must be >= 1, got {n}")
+        n = min(n, self._support)
+        if self._q.shape[0] < n:  # room for n rows, as a fresh n-step run has
+            self._q, rows = np.empty((n, self._x.size)), self._q
+            self._q[: rows.shape[0]] = rows
+        while len(self._diag) < n:
+            k = len(self._diag)
+            if k:  # finish the previous step: its residual becomes row k
+                w = self._w
+                for _ in range(2):
+                    w -= self._q[:k].T @ (self._q[:k] @ w)
+                b = float(np.linalg.norm(w))
+                if b <= self._floor:
+                    self._support = n = k
+                    break
+                self._offdiag.append(b)
+                self._q[k] = w / b
+            self._w = self._x * self._q[k]
+            self._diag.append(self._q[k] @ self._w)
+        return np.array(self._diag[:n]), np.array(self._offdiag[: n - 1])
+
+
 class Sample:
     """One data set and the statistics every discretizer derives from it.
 
@@ -194,7 +238,6 @@ class Sample:
 
     def __init__(self, data):
         self._data = data
-        self._moments = None
 
     @classmethod
     def of(cls, data) -> "Sample":
@@ -222,18 +265,14 @@ class Sample:
         """The standardized data (read-only), as :func:`standardize`."""
         return self._standardized[1]
 
-    def moments(self, max_order: int) -> np.ndarray:
-        """Raw moments of :attr:`z` up to ``max_order``, as :func:`sample_moments`.
+    @cached_property
+    def _lanczos(self) -> _Lanczos:
+        return _Lanczos(self.z, 1.0 / math.sqrt(self.z.size))
 
-        A request at or below the highest order computed so far is a
-        read-only view of that array's prefix; a higher one computes a new
-        array.
-        """
-        if max_order < 0:
-            raise InputError(f"max_order must be >= 0, got {max_order}")
-        if self._moments is None or self._moments.size <= max_order:
-            self._moments = sample_moments(self.z, max_order)
-        return self._moments[: max_order + 1]
+    def jacobi(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Jacobi matrix ``(diag, offdiag)`` of the empirical measure of
+        :attr:`z` after ``min(n, T)`` steps, or fewer at a breakdown."""
+        return self._lanczos.jacobi(n)
 
 
 def _standardized_mixture(mix: GaussianMixture) -> tuple[AffineTransform, GaussianMixture]:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .baselines import _standard_normal_rule
 from .errors import InputError, NpgqError, NumericalError, UnboundedError
-from .moments import GaussianMixture, _standardized_mixture
-from .quadrature import DiscreteDistribution, _gauss_rule, _lanczos
+from .moments import GaussianMixture, _Lanczos, _standardized_mixture
+from .quadrature import DiscreteDistribution, _gauss_rule
 
 __all__ = [
     "PortfolioSolution",
@@ -242,7 +242,7 @@ def _mixture_jacobi(mix: GaussianMixture, n: int) -> tuple[np.ndarray, np.ndarra
     x, w = np.asarray(base.nodes), np.asarray(base.weights)
     points = np.concatenate([m + s * x for m, s in zip(mix.means, mix.stds)])
     mass = np.concatenate([p * w for p in mix.proportions])
-    return _lanczos(points, np.sqrt(mass / mass.sum()), n)
+    return _Lanczos(points, np.sqrt(mass / mass.sum())).jacobi(n)
 
 
 def _mixture_rule(mix: GaussianMixture) -> DiscreteDistribution:

@@ -8,15 +8,16 @@ up to degree ``2N - 1`` exactly, so it depends only on the first ``2N``
 moments of the measure.
 
 One route to the Jacobi matrix: Lanczos on a discrete measure
-(:func:`_lanczos`), which works on the points themselves and never forms
-their ill-conditioned high-order moments.  :func:`discretize_data` runs
-it on the empirical measure of the standardized data of a
-:class:`~npgq.moments.Sample`, so the rule matches the first ``2N - 1``
-sample moments; the true optimal share's rule runs it on the component
-Gauss-Hermite nodes of a Gaussian mixture.  Lanczos breaks down after k
-steps when the measure has only k support points: that is the node limit
-for that measure.  The Gauss-Hermite baseline needs no Lanczos, since
-the standard normal's Jacobi matrix is known exactly.
+(:class:`~npgq.moments._Lanczos`), which works on the points themselves
+and never forms their ill-conditioned high-order moments.
+:func:`discretize_data` takes the leading N steps of the Lanczos state a
+:class:`~npgq.moments.Sample` keeps for its standardized data, so the
+rule matches the first ``2N - 1`` sample moments and every node count
+shares one Lanczos run; the true optimal share's rule runs Lanczos on the
+component Gauss-Hermite nodes of a Gaussian mixture.  Lanczos breaks down
+after k steps when the measure has only k support points: that is the
+node limit for that measure.  The Gauss-Hermite baseline needs no
+Lanczos, since the standard normal's Jacobi matrix is known exactly.
 
 :func:`expectation` integrates a scalar function against a rule.
 """
@@ -42,12 +43,6 @@ __all__ = [
     "discretize_data",
     "expectation",
 ]
-
-# Lanczos breakdown floor: an off-diagonal entry at or below this fraction
-# of max|x| (the norm of diag(x)) is rounding noise, meaning the measure's
-# Krylov space, and so its support, is exhausted.
-_BREAKDOWN_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
@@ -75,38 +70,6 @@ class DiscreteDistribution:
 
     def moment(self, order: int) -> float:
         return math.fsum(w * x**order for x, w in zip(self.nodes, self.weights))
-
-
-def _lanczos(x: np.ndarray, start, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi matrix ``(diag, offdiag)`` of the discrete measure with point
-    ``x[i]`` of mass ``start[i]**2``, for at most N steps.
-
-    ``start`` is the unit start vector, or one scalar for equal masses
-    (``1/sqrt(T)`` for an empirical measure).  Lanczos on ``diag(x)``,
-    with full reorthogonalization (twice, against every earlier vector):
-    row k of ``q`` holds the k-th orthonormal polynomial at the points
-    times ``start``.  Breakdown after k < N steps means the measure has
-    only k support points; the k-step matrix is returned.  A measure on
-    T points has at most T, so at most ``min(N, T)`` steps are run.
-    """
-    n = min(n, x.size)
-    q = np.empty((n, x.size))
-    q[0] = start
-    floor = _BREAKDOWN_RTOL * float(np.max(np.abs(x)))
-    diag, offdiag = np.empty(n), np.empty(n - 1)
-    for k in range(n):
-        w = x * q[k]
-        diag[k] = q[k] @ w
-        if k == n - 1:
-            break
-        for _ in range(2):
-            w -= q[: k + 1].T @ (q[: k + 1] @ w)
-        b = float(np.linalg.norm(w))
-        if b <= floor:
-            return diag[: k + 1], offdiag[:k]
-        offdiag[k] = b
-        q[k + 1] = w / b
-    return diag, offdiag
 
 
 def _gauss_rule(diag, offdiag, mass: float) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +104,7 @@ def discretize_data(data, n: int) -> DiscreteDistribution:
         Observations; need at least N distinct values, otherwise
         :class:`NotPositiveDefiniteError` says how many nodes the data
         supports.  A :class:`~npgq.moments.Sample` reuses its
-        standardization across calls.
+        standardization and Lanczos state across calls.
     n : int
         Number of nodes.
     """
@@ -158,7 +121,13 @@ def discretize_data(data, n: int) -> DiscreteDistribution:
         raise DegenerateDataError(
             "data is constant; only a single node is representable -- reduce N to 1"
         )
-    diag, offdiag = _lanczos(sample.z, 1.0 / math.sqrt(sample.z.size), n)
+    if n > sample.z.size:  # d distinct values bound the support, with no Lanczos step
+        d = np.unique(sample.z).size
+        raise NotPositiveDefiniteError(
+            f"the data has {d} distinct values, so it supports at most {d} nodes -- reduce N",
+            pivot=d + 1,
+        )
+    diag, offdiag = sample.jacobi(n)
     if diag.size < n:
         raise NotPositiveDefiniteError(
             f"Lanczos broke down at step {diag.size}; the data supports at "

@@ -7,6 +7,8 @@ tests.  ``reference_solve_portfolio`` is the scalar bracketed bisection the
 vectorized portfolio engine replaced, kept as its step-for-step reference;
 ``crra_objective`` is the expected utility it maximizes, and
 ``maxent_dual`` exposes np-me's tilting dual for finite-difference checks.
+``one_shot_lanczos`` is the fixed-length Lanczos run the incremental
+Lanczos state replaced, kept as its bit-for-bit reference.
 
 The moment route is the reference for the library's Lanczos route:
 ``gaussian_moments`` and ``mixture_moments`` give raw moments as a
@@ -30,6 +32,7 @@ from npgq import (
     UnboundedError,
 )
 from npgq.baselines import _dual, _dual_terms
+from npgq.moments import _BREAKDOWN_RTOL
 from npgq.portfolio import _BISECT_RTOL, _BOUNDARY_MARGIN
 from npgq.quadrature import _gauss_rule
 
@@ -164,6 +167,32 @@ def golub_welsch(m, n):
     """
     nodes, weights = _gauss_rule(*jacobi_from_moments(m, n), m.values[0])
     return DiscreteDistribution(nodes=tuple(nodes), weights=tuple(weights))
+
+
+def one_shot_lanczos(x, start, n):
+    """Jacobi matrix ``(diag, offdiag)`` of the measure with mass
+    ``start[i]**2`` at ``x[i]``: at most ``min(n, T)`` Lanczos steps in one
+    run, with full reorthogonalization (twice) and the library's relative
+    breakdown floor.  The last step's residual is never formed.
+    """
+    n = min(n, x.size)
+    q = np.empty((n, x.size))
+    q[0] = start
+    floor = _BREAKDOWN_RTOL * float(np.max(np.abs(x)))
+    diag, offdiag = np.empty(n), np.empty(n - 1)
+    for k in range(n):
+        w = x * q[k]
+        diag[k] = q[k] @ w
+        if k == n - 1:
+            break
+        for _ in range(2):
+            w -= q[: k + 1].T @ (q[: k + 1] @ w)
+        b = float(np.linalg.norm(w))
+        if b <= floor:
+            return diag[: k + 1], offdiag[:k]
+        offdiag[k] = b
+        q[k + 1] = w / b
+    return diag, offdiag
 
 
 def state_returns(dist, risk_free):

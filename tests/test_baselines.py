@@ -8,7 +8,6 @@ from numpy.polynomial.hermite_e import hermegauss
 from npgq import (
     DegenerateDataError,
     InputError,
-    KernelDensity,
     NumericalError,
     Sample,
     fit_gaussian_mle,
@@ -19,12 +18,17 @@ from npgq import (
     sample_moments,
     standardize,
 )
-from npgq.baselines import _even_grid, _solve_dual
+from npgq.baselines import _even_grid, _silverman, _solve_dual
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
 
 from _oracles import maxent_dual
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def silverman(data):
+    """Silverman's bandwidth of the data, as ``npgq plotdata`` takes it."""
+    return _silverman(fit_gaussian_mle(data)[1], len(data))
 
 
 class TestGaussianMle:
@@ -95,64 +99,65 @@ class TestGaussHermite:
 
 class TestKernelDensity:
     def test_single_point_at_origin(self):
-        kd = KernelDensity(data=(0.0,), bandwidth=1.0)
-        assert kde_pdf(kd, 0.0) == pytest.approx(PHI0)
+        assert kde_pdf((0.0,), 1.0, 0.0) == pytest.approx(PHI0)
 
     def test_symmetric_data_symmetric_density(self):
-        kd = KernelDensity.fit([-2.0, -1.0, 1.0, 2.0])
+        data = [-2.0, -1.0, 1.0, 2.0]
+        h = silverman(data)
         for x in (0.3, 1.1, 2.7):
-            assert kde_pdf(kd, x) == pytest.approx(kde_pdf(kd, -x), rel=1e-12)
+            assert kde_pdf(data, h, x) == pytest.approx(kde_pdf(data, h, -x), rel=1e-12)
 
     def test_tail_bound_by_nearest_kernel(self):
         data = [-1.0, 0.0, 1.0]
-        kd = KernelDensity.fit(data)
+        h = silverman(data)
         x = 8.0
         nearest = min(abs(x - xi) for xi in data)
-        bound = math.exp(-0.5 * (nearest / kd.bandwidth) ** 2) * PHI0 / kd.bandwidth
-        assert kde_pdf(kd, x) <= bound
+        bound = math.exp(-0.5 * (nearest / h) ** 2) * PHI0 / h
+        assert kde_pdf(data, h, x) <= bound
 
     def test_silverman_bandwidth(self):
         rng = np.random.default_rng(2)
         data = rng.standard_normal(500) * 1.7
-        kd = KernelDensity.fit(data)
         _, std = fit_gaussian_mle(data)
-        assert kd.bandwidth == pytest.approx(1.06 * std * 500 ** (-0.2), rel=1e-12)
+        assert silverman(data) == pytest.approx(1.06 * std * 500 ** (-0.2), rel=1e-12)
 
-    def test_holds_a_read_only_array(self):
-        kd = KernelDensity(data=[[1.0, 2.0], [4.0, 8.0]], bandwidth=0.5)
-        assert isinstance(kd.data, np.ndarray) and kd.data.dtype == np.float64
-        assert kd.data.tolist() == [1.0, 2.0, 4.0, 8.0]
-        assert not kd.data.flags.writeable
-        assert kd == kd
-        assert kd != KernelDensity(data=[1.0, 2.0, 4.0, 8.0], bandwidth=0.5)
+    def test_reads_data_of_any_shape_without_writing_it(self):
+        data = np.array([[1.0, 2.0], [4.0, 8.0]])
+        data.setflags(write=False)
+        grid = np.linspace(0.0, 9.0, 7)
+        assert np.array_equal(kde_pdf(data, 0.5, grid), kde_pdf([1.0, 2.0, 4.0, 8.0], 0.5, grid))
 
     @pytest.mark.parametrize("data", [[], [1.0, math.nan], [math.inf]])
     def test_rejects_bad_data(self, data):
         with pytest.raises(InputError):
-            KernelDensity(data=data, bandwidth=1.0)
+            kde_pdf(data, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_bandwidth(self, bandwidth):
+        with pytest.raises(InputError, match="bandwidth must be positive"):
+            kde_pdf([1.0, 2.0], bandwidth, 0.0)
 
     def test_grid_blocks_bound_memory_and_keep_every_bit(self):
         # 512 grid points on 50 000 data points: one (512 x T) temporary
         # alone would be 205 MB.
-        kd = KernelDensity(data=np.random.default_rng(8).standard_normal(50_000), bandwidth=0.1)
+        data = np.random.default_rng(8).standard_normal(50_000)
         grid = np.linspace(-5.0, 5.0, 512)
         tracemalloc.start()
         try:
-            vals = kde_pdf(kd, grid)
+            vals = kde_pdf(data, 0.1, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64e6
         # Each grid point's row is summed alone, whatever block it is in.
-        rows = [kde_pdf(kd, grid[i : i + 1])[0] for i in range(0, 512, 37)]
+        rows = [kde_pdf(data, 0.1, grid[i : i + 1])[0] for i in range(0, 512, 37)]
         assert np.array_equal(vals[::37], rows)
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal(50)
-        kd = KernelDensity.fit(data)
         grid = np.linspace(data.min() - 8, data.max() + 8, 20001)
-        total = np.trapezoid(kde_pdf(kd, grid), grid)
+        total = np.trapezoid(kde_pdf(data, silverman(data), grid), grid)
         assert total == pytest.approx(1.0, abs=1e-6)
 
 

@@ -136,7 +136,7 @@ class TestDiscretize:
         src = write_csv(tmp_path / "x.csv", ["x"], [[0.5, 1.5, 2.0, 4.0]])
         assert main(["discretize", src, "--column", "x", "--n", str(10**12)]) == 3
         err = capsys.readouterr().err
-        assert err == "error: Lanczos broke down at step 4; the data supports at most 4 nodes -- reduce N\n"
+        assert err == "error: the data has 4 distinct values, so it supports at most 4 nodes -- reduce N\n"
 
     def test_np_me_below_three_nodes_exits_2(self, tmp_path, capsys):
         src = write_csv(tmp_path / "in.csv", ["x"], [np.random.default_rng(2).standard_normal(50).tolist()])

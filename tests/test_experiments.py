@@ -341,9 +341,11 @@ class TestSharedSampleStudy:
             assert np.array_equal(study[:, s], _fresh_theta_hats(REFERENCE_CFG, t), equal_nan=True)
 
     def test_one_standardization_and_moment_pass_per_sample(self, monkeypatch):
-        calls = {"standardize": 0, "mean_std": 0, "orders": {}}
+        # The one pass of moments is the sample's Lanczos state: np-gq and
+        # np-me both read it, and exactly rounded moments are never taken.
+        calls = {"standardize": 0, "mean_std": 0, "sample_moments": 0, "lanczos": []}
         standardize, mean_std = moments.standardize, moments._mean_std
-        sample_moments = moments.sample_moments
+        sample_moments, lanczos = moments.sample_moments, moments._Lanczos
 
         def counting_standardize(data):
             calls["standardize"] += 1
@@ -354,20 +356,23 @@ class TestSharedSampleStudy:
             return mean_std(x)
 
         def counting_moments(data, max_order):
-            # Keyed by the standardized sample it is asked of.
-            key = np.asarray(data).tobytes()
-            calls["orders"].setdefault(key, []).append(max_order)
+            calls["sample_moments"] += 1
             return sample_moments(data, max_order)
+
+        def counting_lanczos(x, start):
+            calls["lanczos"].append(x.tobytes())
+            return lanczos(x, start)
 
         monkeypatch.setattr(moments, "standardize", counting_standardize)
         monkeypatch.setattr(moments, "_mean_std", counting_mean_std)
         monkeypatch.setattr(moments, "sample_moments", counting_moments)
+        monkeypatch.setattr(moments, "_Lanczos", counting_lanczos)
         run_experiment(REFERENCE_CFG, jobs=1)
         samples = REFERENCE_CFG.replications * len(REFERENCE_CFG.sample_sizes)
         assert calls["standardize"] == samples
         # np-me's grid and bandwidth use the exact standardized mean 0 and
         # std 1, so the mean and std passes run once, inside standardize.
         assert calls["mean_std"] == samples
-        # Only np-me reads moments, order 4 at every N; np-gq reads none.
-        assert len(calls["orders"]) == samples
-        assert all(orders == [4] for orders in calls["orders"].values())
+        assert calls["sample_moments"] == 0
+        # One Lanczos state per standardized sample, shared by every N.
+        assert len(calls["lanczos"]) == len(set(calls["lanczos"])) == samples

@@ -52,11 +52,11 @@ def test_data_route_plumbing_is_not_public():
 def test_only_the_pipeline_is_public():
     # Test-only wrappers, second routes and single-use plumbing are gone;
     # the tests keep their own copies in _oracles where they need them.
-    # Moments are plain float arrays, and the mixture's standardization is
-    # private to the theta* rule.
+    # Moments are plain float arrays, the mixture's standardization is
+    # private to the theta* rule, and the kernel density is one function.
     removed = {
         "moments": ("MomentSequence", "standardized_mixture"),
-        "baselines": ("maxent_grid", "maxent_dual"),
+        "baselines": ("maxent_grid", "maxent_dual", "KernelDensity"),
         "quadrature": ("tridiagonal_eigen", "JacobiMatrix"),
         "portfolio": ("state_returns", "crra_objective", "PortfolioProblem"),
         "experiments": ("format_config",),
@@ -70,4 +70,7 @@ def test_only_the_pipeline_is_public():
     ]
     assert left == []
     assert "nodes" not in inspect.signature(npgq.theoretical_portfolio).parameters
+    # The Jacobi matrix is a sample's one statistic: np-me reads its moment
+    # targets from it, and exactly rounded moments are only the reference.
+    assert not hasattr(npgq.Sample, "moments")
 

@@ -16,7 +16,8 @@ from npgq import (
 )
 from npgq.baselines import _standard_normal_rule
 from npgq.experiments import replication_rng, sample_mixture
-from npgq.quadrature import _gauss_rule, _lanczos
+from npgq.moments import _Lanczos
+from npgq.quadrature import _gauss_rule
 
 from _oracles import (
     MomentSequence,
@@ -273,7 +274,7 @@ class TestDiscretizeData:
     def test_lanczos_breakdown_returns_the_smaller_matrix(self):
         # Two support points with masses 1/4 and 3/4: two steps, then breakdown.
         x = np.array([-1.0, 2.0, 2.0, 2.0])
-        diag, offdiag = _lanczos(x, 0.5, 5)
+        diag, offdiag = _Lanczos(x, 0.5).jacobi(5)
         assert (diag.size, offdiag.size) == (2, 1)
         nodes, weights = _gauss_rule(diag, offdiag, 1.0)
         np.testing.assert_allclose(nodes, [-1.0, 2.0], rtol=1e-14)
@@ -284,15 +285,15 @@ class TestDiscretizeData:
         # runs at most T steps: N far past T is the support error, not a
         # (N x T) allocation, and N <= T keeps its bits.
         x = np.array([-1.3, -0.2, 0.4, 0.9, 2.1])
-        full = _lanczos(x, 1.0 / math.sqrt(x.size), x.size)
-        huge = _lanczos(x, 1.0 / math.sqrt(x.size), 10**12)
+        full = _Lanczos(x, 1.0 / math.sqrt(x.size)).jacobi(x.size)
+        huge = _Lanczos(x, 1.0 / math.sqrt(x.size)).jacobi(10**12)
         assert all(np.array_equal(a, b) for a, b in zip(full, huge))
         with pytest.raises(NotPositiveDefiniteError, match="supports at most 5 nodes"):
             discretize_data(x, 10**12)
 
     def test_lanczos_weighted_start_vector(self):
         # The same measure as one point per atom, its mass in the start vector.
-        diag, offdiag = _lanczos(np.array([-1.0, 2.0]), np.sqrt([0.25, 0.75]), 2)
+        diag, offdiag = _Lanczos(np.array([-1.0, 2.0]), np.sqrt([0.25, 0.75])).jacobi(2)
         nodes, weights = _gauss_rule(diag, offdiag, 1.0)
         np.testing.assert_allclose(nodes, [-1.0, 2.0], rtol=1e-14)
         np.testing.assert_allclose(weights, [0.25, 0.75], rtol=1e-14)

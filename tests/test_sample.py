@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import npgq.moments as moments
 from npgq import (
     DegenerateDataError,
     InputError,
-    KernelDensity,
     NotPositiveDefiniteError,
     NpgqError,
     Sample,
@@ -22,7 +20,10 @@ from npgq import (
     sample_moments,
     standardize,
 )
+from npgq.baselines import _jacobi_moments
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
+
+from _oracles import one_shot_lanczos
 
 DISCRETIZERS = {
     "np-gq": discretize_data,
@@ -44,35 +45,72 @@ def mixture_data(size, index=0):
 
 
 class TestSampleMoments:
+    """The sample's statistics: its standardization, and the Jacobi matrix
+    that fixes its moments."""
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         size=st.integers(2, 300),
-        orders=st.lists(st.integers(0, 18), min_size=1, max_size=12),
+        atoms=st.one_of(st.none(), st.integers(2, 12)),
+        requests=st.lists(st.integers(1, 320), min_size=1, max_size=8),
     )
     @settings(max_examples=60, deadline=None)
-    def test_any_request_order_matches_fresh_moments(self, seed, size, orders):
-        data = np.random.default_rng(seed).standard_normal(size) * 3.0 + 1.5
-        _, z = standardize(data)
-        for sequence in (orders, sorted(orders), sorted(orders, reverse=True)):
+    def test_any_request_order_matches_one_shot_lanczos(self, seed, size, atoms, requests):
+        # Requests past T, and past the k < N distinct values of tied data,
+        # get the block a one-shot run returns: capped at T, or at breakdown.
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal(size) * 3.0 + 1.5
+        if atoms is not None:
+            data = rng.choice(np.arange(atoms) * 0.7 - 1.0, size)
+        try:
+            _, z = standardize(data)
+        except DegenerateDataError:
+            return  # a single drawn atom
+        for sequence in (requests, sorted(requests), sorted(requests, reverse=True)):
             sample = Sample(data)
-            for k in sequence:
-                m = sample.moments(k)
-                assert not m.flags.writeable
-                assert m.tolist() == sample_moments(z, k).tolist()
+            for n in sequence:
+                got = sample.jacobi(n)
+                want = one_shot_lanczos(z, 1.0 / math.sqrt(z.size), n)
+                assert [a.tolist() for a in got] == [a.tolist() for a in want], n
 
-    def test_lower_orders_reuse_the_longest_sequence(self, monkeypatch):
-        orders = []
-        original = moments.sample_moments
+    def test_shorter_requests_reuse_the_lanczos_state(self, monkeypatch):
+        # Each Lanczos step past the first takes one norm, of its residual.
+        norms = []
+        norm = np.linalg.norm
 
-        def counting(z, max_order):
-            orders.append(max_order)
-            return original(z, max_order)
+        def counting(v):
+            norms.append(v.size)
+            return norm(v)
 
-        monkeypatch.setattr(moments, "sample_moments", counting)
+        monkeypatch.setattr(np.linalg, "norm", counting)
         sample = Sample(mixture_data(500))
-        for k in (4, 10, 2, 0, 14, 6, 14):
-            sample.moments(k)
-        assert orders == [4, 10, 14]
+        for n, steps in ((4, 4), (9, 9), (2, 9), (1, 9), (14, 14), (6, 14), (14, 14)):
+            assert sample.jacobi(n)[0].size == n
+            assert norms == [500] * (steps - 1), n
+
+    def test_jacobi_moments_match_the_exact_sums(self):
+        # m1..m4 from the three-step matrix against exactly rounded sums,
+        # on heavy tails, skew, a large offset, 2- and 3-point data, T = 2,
+        # an outlier and symmetric data.
+        rng = np.random.default_rng(6)
+        half = rng.standard_normal(500)
+        cases = [
+            rng.standard_t(3, 10_000),
+            rng.standard_t(2.1, 100_000),
+            rng.lognormal(0.0, 2.0, 10_000),
+            1e8 + rng.standard_normal(2000),
+            np.repeat([0.0, 1.0], [3, 7]),
+            np.repeat([-1.0, 0.5, 4.0], [2, 5, 3]),
+            np.array([0.3, 1.7]),
+            np.append(rng.standard_normal(999), 1e4),
+            np.concatenate([half, -half]),
+        ]
+        for data in cases:
+            sample = Sample(data)
+            got = _jacobi_moments(*sample.jacobi(3))
+            want = sample_moments(sample.z, 4)[1:]
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (data.size, got, want)
 
     def test_standardization_matches_standardize(self):
         data = mixture_data(400)
@@ -88,8 +126,10 @@ class TestSampleMoments:
         assert isinstance(Sample.of([1.0, 2.0]), Sample)
 
     def test_negative_order_rejected(self):
-        with pytest.raises(InputError):
-            Sample([1.0, 2.0]).moments(-1)
+        # The order of a Jacobi matrix is its size: at least 1.
+        for n in (0, -1):
+            with pytest.raises(InputError, match="must be >= 1"):
+                Sample([1.0, 2.0]).jacobi(n)
 
 
 class TestSharedSampleMatchesFreshCalls:
@@ -119,9 +159,8 @@ class TestSharedSampleMatchesFreshCalls:
         for n in (3, 5, 9):
             assert maxent_solve(sample, n) == maxent_solve(data.copy(), n)
         assert fit_gaussian_mle(sample) == fit_gaussian_mle(data.copy())
-        shared, fresh = KernelDensity.fit(sample), KernelDensity.fit(data.copy())
-        assert shared.bandwidth == fresh.bandwidth
-        assert np.array_equal(shared.data, fresh.data)
+        fresh = Sample(data.copy()).jacobi(9)
+        assert all(np.array_equal(a, b) for a, b in zip(sample.jacobi(9), fresh))
 
 
 class TestSampleErrors:
@@ -154,9 +193,7 @@ class TestSampleErrors:
             with pytest.raises(InputError):
                 fn(sample, 3)
         with pytest.raises(InputError):
-            sample.moments(2)
-        with pytest.raises(InputError):
-            KernelDensity.fit(sample)
+            sample.jacobi(2)
 
     @pytest.mark.parametrize(
         "data", [[1e308, 1.7e308, -1e308], [1e200, -1.5e200, 2e200]], ids=["float-max", "1e200"]
