@@ -1,15 +1,19 @@
 """Samples, their Jacobi matrices, standardization, and Gaussian mixtures.
 
-Data is standardized (mean 0, std 1, population divisor ``1/I``, exactly
-rounded sums) before any rule is built; Gaussian quadrature commutes with
-affine maps, so nodes are mapped back afterwards at no cost in accuracy.
-A :class:`Sample` keeps, on first use, its data's standardization and the
-Lanczos state of its empirical measure (:class:`_Lanczos`), shared by
-every discretizer handed the same ``Sample``.  k Lanczos steps fix the
-first 2k moments, so np-gq's rules and np-me's moment targets read one
-Jacobi matrix; a shorter request is a prefix of it, a longer one extends
-it.  :func:`sample_moments` (exactly rounded raw moments) is the
-independent reference ``npgq discretize --verify`` checks against.
+Data is standardized (mean 0, std 1, population divisor ``1/I``) before
+any rule is built; Gaussian quadrature commutes with affine maps, so
+nodes are mapped back afterwards at no cost in accuracy.  The mean and
+variance are exactly rounded sums, taken by :func:`_exact_sum`: integer
+mantissa halves summed per binary exponent over cache-sized blocks of
+the data (a superaccumulator), which gives ``math.fsum``'s value bit for
+bit.  A :class:`Sample` keeps, on first use, its data's standardization
+and the Lanczos state of its empirical measure (:class:`_Lanczos`),
+shared by every discretizer handed the same ``Sample``.  k Lanczos steps
+fix the first 2k moments, so np-gq's rules and np-me's moment targets
+read one Jacobi matrix; a shorter request is a prefix of it, a longer
+one extends it.  :func:`sample_moments` (raw moments summed by
+``math.fsum``) is the independent reference ``npgq discretize --verify``
+checks against.
 """
 from __future__ import annotations
 
@@ -25,6 +29,14 @@ from .errors import DegenerateDataError, InputError
 # of max|x| (the norm of diag(x)) is rounding noise, meaning the measure's
 # Krylov space, and so its support, is exhausted.
 _BREAKDOWN_RTOL = 1e-12
+
+# Values per block of a pass over the data: a block and the temporaries
+# built from it stay in cache, where a full-size temporary of a large
+# sample is a fresh allocation per pass.
+_BLOCK = 2**13
+# frexp exponents of nonzero doubles run from -1073 to 1024.
+_EXP_BIAS = 1073
+_EXP_BINS = _EXP_BIAS + 1025
 
 __all__ = [
     "AffineTransform",
@@ -148,15 +160,59 @@ def sample_moments(data, max_order: int) -> np.ndarray:
     return moments
 
 
+def _blocks(x: np.ndarray):
+    return (x[i : i + _BLOCK] for i in range(0, x.size, _BLOCK))
+
+
+def _exact_sum(blocks) -> float:
+    """Exactly rounded sum of the finite values in ``blocks``, arrays of at
+    most :data:`_BLOCK` float64 values: the value ``math.fsum`` gives, bit
+    for bit.  Raises :class:`OverflowError` when the sum is past the float
+    range.
+
+    Each value is ``m * 2**e`` with ``0.5 <= |m| < 1`` (``np.frexp``), and
+    ``m * 2**27`` splits into an integer below 2**27 and a fraction on the
+    2**-26 grid.  ``np.bincount`` sums each part per exponent ``e``; a sum
+    of at most 2**13 such terms needs fewer than 53 bits, so it is exact,
+    and the block totals are kept as integers (``hi``, and ``lo`` in units
+    of 2**-26; int64 holds them for any array below 2**36 values).  The
+    per-exponent totals are then added as one Python integer and divided
+    by a power of two once, which rounds correctly.
+    """
+    hi = np.zeros(_EXP_BINS, np.int64)
+    lo = np.zeros(_EXP_BINS, np.int64)
+    for block in blocks:
+        part, e = np.frexp(block)
+        part *= 2.0**27
+        whole = np.trunc(part)
+        part -= whole
+        e = np.add(e, _EXP_BIAS, dtype=np.intp)
+        hi += np.bincount(e, whole, _EXP_BINS).astype(np.int64)
+        lo += (np.bincount(e, part, _EXP_BINS) * 2.0**26).astype(np.int64)
+    # Bucket j holds (hi * 2**26 + lo) * 2**(j - _EXP_BIAS - 53).
+    live = np.flatnonzero((hi | lo) != 0)  # nonzero is faster on a bool array
+    total = sum(
+        ((h << 26) + l) << j
+        for j, h, l in zip(live.tolist(), hi[live].tolist(), lo[live].tolist())
+    )
+    return total / (1 << (_EXP_BIAS + 53))
+
+
 def _mean_std(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean and population std (divisor ``I``) of a clean array."""
+    """Sample mean and population std (divisor ``I``) of a clean array.
+
+    Both sums are exactly rounded (:func:`_exact_sum`); the squared
+    deviations are formed one block at a time.
+    """
     n = x.size
     try:
-        # A memoryview iterates Python floats: the same sum, without numpy scalars.
-        mean = math.fsum(memoryview(x)) / n
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            var = math.fsum(memoryview((x - mean) ** 2)) / n
-    except OverflowError:  # a partial sum past the float range
+        mean = _exact_sum(_blocks(x)) / n
+        # Every squared deviation is finite when the widest one is.
+        widest = max(float(x.max()) - mean, mean - float(x.min()))
+        if math.isinf(widest * widest):
+            raise OverflowError
+        var = _exact_sum((b - mean) ** 2 for b in _blocks(x)) / n
+    except OverflowError:  # a sum or a square past the float range
         var = math.inf
     if not math.isfinite(var):
         raise InputError("standardizing the data overflows; rescale the data")
@@ -176,9 +232,8 @@ def standardize(data) -> tuple[AffineTransform, np.ndarray]:
     :class:`InputError` when the mean or variance overflows.
     """
     x = _as_clean_array(data)
-    mean, scale = _mean_std(x)
-    transform = AffineTransform(shift=mean, scale=scale)
-    return transform, (x - mean) / scale
+    transform = AffineTransform(*_mean_std(x))
+    return transform, transform.to_standardized(x)
 
 
 class _Lanczos:
@@ -250,20 +305,16 @@ class Sample:
         return _as_clean_array(self._data)
 
     @cached_property
-    def _standardized(self) -> tuple[AffineTransform, np.ndarray]:
-        transform, z = standardize(self.x)
-        z.setflags(write=False)
-        return transform, z
-
-    @property
     def transform(self) -> AffineTransform:
         """Map from standardized to original units, as :func:`standardize`."""
-        return self._standardized[0]
+        return AffineTransform(*_mean_std(self.x))
 
-    @property
+    @cached_property
     def z(self) -> np.ndarray:
         """The standardized data (read-only), as :func:`standardize`."""
-        return self._standardized[1]
+        z = self.transform.to_standardized(self.x)
+        z.setflags(write=False)
+        return z
 
     @cached_property
     def _lanczos(self) -> _Lanczos:

@@ -8,7 +8,9 @@ vectorized portfolio engine replaced, kept as its step-for-step reference;
 ``crra_objective`` is the expected utility it maximizes, and
 ``maxent_dual`` exposes np-me's tilting dual for finite-difference checks.
 ``one_shot_lanczos`` is the fixed-length Lanczos run the incremental
-Lanczos state replaced, kept as its bit-for-bit reference.
+Lanczos state replaced, kept as its bit-for-bit reference, and
+``fsum_mean_std`` the two ``math.fsum`` passes the blocked exact sum of
+the standardization replaced.
 
 The moment route is the reference for the library's Lanczos route:
 ``gaussian_moments`` and ``mixture_moments`` give raw moments as a
@@ -236,6 +238,12 @@ def naive_moments(data, max_order):
             sums[k] += p
             p *= x
     return [s / n for s in sums]
+
+
+def fsum_mean_std(x):
+    """Mean and population std of a float array by two ``math.fsum`` passes."""
+    mean = math.fsum(x) / x.size
+    return mean, math.sqrt(math.fsum((x - mean) ** 2) / x.size)
 
 
 def golden_section_theta(dist, risk_free, gamma, grid_points=20001, tol=1e-9):

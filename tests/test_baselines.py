@@ -18,7 +18,8 @@ from npgq import (
     sample_moments,
     standardize,
 )
-from npgq.baselines import _even_grid, _silverman, _solve_dual
+from npgq.baselines import _SQRT_2PI, _even_grid, _silverman, _solve_dual
+from npgq.moments import _BLOCK
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
 
 from _oracles import maxent_dual
@@ -152,6 +153,27 @@ class TestKernelDensity:
         # Each grid point's row is summed alone, whatever block it is in.
         rows = [kde_pdf(data, 0.1, grid[i : i + 1])[0] for i in range(0, 512, 37)]
         assert np.array_equal(vals[::37], rows)
+
+    @pytest.mark.parametrize("size", [_BLOCK // 9, _BLOCK + 1, 100_000])
+    def test_np_me_prior_keeps_every_bit(self, size):
+        # Each grid point's value is its own contiguous sum over the data.
+        _, z = standardize(sample_mixture(DEFAULT_MIXTURE, size, np.random.default_rng(size)))
+        h, grid = _silverman(1.0, size), _even_grid(9)
+        want = [np.exp(-0.5 * u * u).sum() / (size * h * _SQRT_2PI) for u in ((x - z) / h for x in grid)]
+        assert [v.hex() for v in kde_pdf(z, h, grid)] == [v.hex() for v in want]
+
+    def test_np_me_prior_memory_is_bounded_by_the_data(self):
+        # np-me's largest grid on 100 000 points: one (9 x T) temporary
+        # alone is 7.2 MB.
+        z = np.random.default_rng(9).standard_normal(100_000)
+        h, grid = _silverman(1.0, z.size), _even_grid(9)
+        tracemalloc.start()
+        try:
+            kde_pdf(z, h, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(3)

@@ -343,13 +343,9 @@ class TestSharedSampleStudy:
     def test_one_standardization_and_moment_pass_per_sample(self, monkeypatch):
         # The one pass of moments is the sample's Lanczos state: np-gq and
         # np-me both read it, and exactly rounded moments are never taken.
-        calls = {"standardize": 0, "mean_std": 0, "sample_moments": 0, "lanczos": []}
-        standardize, mean_std = moments.standardize, moments._mean_std
+        calls = {"mean_std": 0, "sample_moments": 0, "lanczos": []}
+        mean_std = moments._mean_std
         sample_moments, lanczos = moments.sample_moments, moments._Lanczos
-
-        def counting_standardize(data):
-            calls["standardize"] += 1
-            return standardize(data)
 
         def counting_mean_std(x):
             calls["mean_std"] += 1
@@ -363,15 +359,14 @@ class TestSharedSampleStudy:
             calls["lanczos"].append(x.tobytes())
             return lanczos(x, start)
 
-        monkeypatch.setattr(moments, "standardize", counting_standardize)
         monkeypatch.setattr(moments, "_mean_std", counting_mean_std)
         monkeypatch.setattr(moments, "sample_moments", counting_moments)
         monkeypatch.setattr(moments, "_Lanczos", counting_lanczos)
         run_experiment(REFERENCE_CFG, jobs=1)
         samples = REFERENCE_CFG.replications * len(REFERENCE_CFG.sample_sizes)
-        assert calls["standardize"] == samples
         # np-me's grid and bandwidth use the exact standardized mean 0 and
-        # std 1, so the mean and std passes run once, inside standardize.
+        # std 1, so the mean and std passes run once per sample: they are
+        # the sample's transform, which its z is built from.
         assert calls["mean_std"] == samples
         assert calls["sample_moments"] == 0
         # One Lanczos state per standardized sample, shared by every N.

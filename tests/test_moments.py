@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from npgq import (
     sample_moments,
     standardize,
 )
-from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
-from npgq.moments import _standardized_mixture
+from npgq.experiments import DEFAULT_MIXTURE, ExperimentConfig, replication_rng, sample_mixture
+from npgq.moments import _BLOCK, _blocks, _exact_sum, _mean_std, _standardized_mixture
 
 from _oracles import (
     MomentSequence,
+    fsum_mean_std,
     gaussian_moments,
     jacobi_from_moments,
     mixture_moments,
@@ -106,6 +108,75 @@ class TestSampleMoments:
         scaled = sample_moments([c * x for x in data], 6)
         for k in range(7):
             assert scaled[k] == pytest.approx(c**k * base[k], rel=1e-10, abs=1e-10)
+
+
+# Arrays whose exact sums are hard to round: each family, given a generator
+# and a size, returns float64 values.
+_ADVERSARIAL = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "exponents-300..300": lambda rng, n: rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n),
+    "cancel-1e16": lambda rng, n: 1e16 * rng.choice([-1.0, 1.0], n) + rng.standard_normal(n),
+    "subnormal": lambda rng, n: rng.integers(-(2**52), 2**52, n) * 5e-324,
+    "offset-1e8": lambda rng, n: 1e8 + rng.standard_normal(n),
+    "near-1.7e308": lambda rng, n: 1.7e308 * (1.0 - 1e-3 * rng.random(n)) * np.resize([1.0, -1.0], n),
+    "zeros-and-5e-324": lambda rng, n: rng.choice([0.0, -0.0, 5e-324, -5e-324], n),
+}
+
+
+class TestExactSum:
+    """The blocked superaccumulator gives ``math.fsum``'s value bit for bit."""
+
+    @staticmethod
+    def assert_fsum_bits(values):
+        try:
+            want = math.fsum(values)
+        except OverflowError:  # fsum's partials left the float range
+            return
+        got = _exact_sum(_blocks(np.asarray(values, dtype=float)))
+        assert got.hex() == want.hex()
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60))
+    @settings(max_examples=400, deadline=None)
+    def test_any_finite_floats(self, values):
+        self.assert_fsum_bits(values)
+
+    @pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("family", sorted(_ADVERSARIAL))
+    def test_adversarial_families(self, family, size):
+        values = _ADVERSARIAL[family](np.random.default_rng([size, len(family)]), size)
+        self.assert_fsum_bits(values)
+
+    def test_sums_past_the_float_range_overflow(self):
+        with pytest.raises(OverflowError):
+            _exact_sum(_blocks(np.array([1.7e308, 1.7e308])))
+        assert _exact_sum(_blocks(np.array([1.7e308, 1.7e308, -1.7e308]))) == 1.7e308
+
+
+class TestMeanStd:
+    @pytest.mark.parametrize("size", [100, 1000, 10000])
+    def test_study_samples_match_fsum(self, size):
+        seed = ExperimentConfig().seed
+        for m in range(20):
+            x = sample_mixture(DEFAULT_MIXTURE, size, replication_rng(seed, size, m))
+            got, want = _mean_std(x), fsum_mean_std(x)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_large_draws_match_fsum(self, seed):
+        x = sample_mixture(DEFAULT_MIXTURE, 100_000, np.random.default_rng(seed))
+        got, want = _mean_std(x), fsum_mean_std(x)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_memory_is_bounded_by_the_block(self):
+        # A full-size (x - mean) ** 2 on a million points alone is 8 MB.
+        x = np.random.default_rng(4).standard_normal(1_000_000)
+        tracemalloc.start()
+        try:
+            _mean_std(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
 
 
 class TestStandardize:
