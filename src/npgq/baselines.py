@@ -10,6 +10,12 @@ sample's Jacobi matrix, the same state np-gq builds its rules from.
 Every data-taking function here also accepts a
 :class:`~npgq.moments.Sample`, whose standardization and Lanczos state
 are then computed only once.
+
+np-me's tilting duals are solved many at a time, in one stacked damped
+Newton (:func:`_solve_duals`), and :func:`maxent_solve` is its
+one-problem case, the way :func:`~npgq.portfolio.solve_portfolio` is
+that of :func:`~npgq.portfolio.solve_portfolios`.  The Monte Carlo study
+stacks every np-me problem of a block of replications.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InfeasibleError, InputError, NumericalError
+from .errors import InfeasibleError, InputError, NpgqError, NumericalError
 from .moments import _BLOCK, Sample, _as_clean_array
 from .quadrature import DiscreteDistribution, _gauss_rule
 
@@ -38,6 +44,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _NEWTON_MAX_ITER = 200
 _NEWTON_GRAD_TOL = 1e-10
 _LAMBDA_DIVERGENCE = 1e6
+# Moments a tilt matches at most: the width of the stacked duals.
+_MOMENTS = 4
 
 
 def fit_gaussian_mle(data) -> tuple[float, float]:
@@ -121,23 +129,6 @@ def _even_grid(n: int) -> np.ndarray:
     return np.linspace(-half_span, half_span, n)
 
 
-def _dual_terms(nodes, prior, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Centered monomials ``T(x_n) - tbar`` on the grid (L x N) and the log prior."""
-    targets = np.asarray(targets, dtype=float)
-    powers = np.vander(np.asarray(nodes, dtype=float), targets.size + 1, increasing=True).T[1:]
-    return powers - targets[:, None], np.log(np.asarray(prior, dtype=float))
-
-
-def _dual(lam: np.ndarray, feat: np.ndarray, log_prior: np.ndarray):
-    """Dual value, gradient and tilted weights at ``lam``."""
-    logits = log_prior + lam @ feat
-    top = float(np.max(logits))
-    expo = np.exp(logits - top)
-    total = float(expo.sum())
-    w = expo / total
-    return top + math.log(total), feat @ w, w
-
-
 @dataclass(frozen=True)
 class MaxEntSolution:
     """Result of the grid tilting problem.
@@ -160,50 +151,235 @@ class MaxEntSolution:
         return DiscreteDistribution(nodes=self.nodes, weights=self.weights)
 
 
-def _solve_dual(nodes, prior, targets) -> tuple[np.ndarray, np.ndarray, int]:
-    """Damped Newton on the tilting dual from lam = 0.
+def _maxent_problems(sample: Sample, node_counts) -> list:
+    """np-me's tilting problem on one sample at each node count, as
+    ``(transform, grid, prior, targets)`` in standardized units, or the
+    :class:`NpgqError` that N or the sample raises.
 
-    Returns (lam, tilted weights, iterations).  Divergence of the iterates
-    signals unattainable targets and raises :class:`InfeasibleError`;
-    failure to converge within the cap raises :class:`NumericalError`.
+    The kernel density is evaluated in one call, at the distinct points
+    of all the grids; each value is its own sum over the data, so a prior
+    does not depend on the other grids.
     """
-    feat, log_prior = _dual_terms(nodes, prior, targets)
-    lam = np.zeros(feat.shape[0])
-    value, grad, w = _dual(lam, feat, log_prior)
-    for iteration in range(_NEWTON_MAX_ITER):
-        if float(np.linalg.norm(grad)) <= _NEWTON_GRAD_TOL:
-            return lam, w, iteration
-        hess = (feat * w) @ feat.T - np.outer(grad, grad)
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        slope = float(grad @ step)
-        if slope >= 0.0:  # not a descent direction; fall back to gradient
-            step = -grad
-            slope = -float(grad @ grad)
+    out = [InputError(f"node count must be >= 3, got {n}") if n < 3 else None for n in node_counts]
+    ns = tuple(n for n in node_counts if n >= 3)
+    if not ns:
+        return out
+    try:
+        transform, z = sample.transform, sample.z
+    except NpgqError as exc:
+        return [exc if o is None else o for o in out]
+    moments = _jacobi_moments(*sample.jacobi(3))
+    grids = [_even_grid(n) for n in ns]
+    points, where = np.unique(np.concatenate(grids), return_inverse=True)
+    density = kde_pdf(z, _silverman(1.0, z.size), points)[where]
+    problems = iter(
+        (transform, grid, prior / prior.sum(), moments[: 4 if grid.size >= 5 else 2])
+        for grid, prior in zip(grids, np.split(density, np.cumsum(ns[:-1])))
+    )
+    return [next(problems) if o is None else o for o in out]
+
+
+def _maxent_solutions(problems) -> list[MaxEntSolution | NpgqError]:
+    """Solve np-me tilting problems, from :func:`_maxent_problems`, in one
+    stacked damped Newton (:func:`_solve_duals`), and map each grid back
+    to data units.  Failures are values: an :class:`NpgqError` entry
+    passes through, and a problem that cannot be solved gets its error.
+    """
+    out = list(problems)
+    live = [i for i, p in enumerate(problems) if not isinstance(p, NpgqError)]
+    for i, result in zip(live, _solve_duals([problems[i][1:] for i in live])):
+        if isinstance(result, NpgqError):
+            out[i] = result
+            continue
+        transform, grid, prior, _ = problems[i]
+        lam, weights, iterations, downgraded = result
+        out[i] = MaxEntSolution(
+            nodes=tuple(transform.to_original(grid)),
+            prior=tuple(prior),
+            lam=lam,
+            weights=weights,
+            n_matched=len(lam),
+            downgraded=downgraded,
+            iterations=iterations,
+        )
+    return out
+
+
+def _sum0(a: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in index order: the same grouping whatever
+    the other axes hold."""
+    return np.add.accumulate(a, axis=0)[-1]
+
+
+def _stack(grids, priors, targets) -> np.ndarray:
+    """Tilting problems as one (grid points x terms x problems) array.
+
+    Per point: the log prior, the centered monomials ``f_k = x^k - tbar_k``
+    (``x^k`` by repeated multiplication, as ``np.vander`` takes it), and
+    the products ``f_i f_j``, row-major.  A moment past the targets has
+    ``f_k = 0`` and ``f_k f_k = 1``, so its Hessian row is the total weight
+    on the diagonal.  A grid is padded to the longest with points of log
+    prior -inf and all-zero terms.
+    """
+    sizes = np.array([g.size for g in grids])
+    real = np.arange(sizes.max())[:, None] < sizes
+    used = np.arange(_MOMENTS)[:, None] < [len(t) for t in targets]
+    data = np.zeros((real.shape[0], 1 + _MOMENTS + _MOMENTS**2, real.shape[1]))
+    data[:, 0] = -np.inf
+    with np.errstate(divide="ignore"):  # a prior value that underflowed to 0
+        data[:, 0].T[real.T] = np.log(np.concatenate(priors))
+    feat = data[:, 1 : 1 + _MOMENTS]
+    feat.transpose(2, 0, 1)[real.T] = np.concatenate(grids)[:, None]
+    np.multiply.accumulate(feat, axis=1, out=feat)
+    tbar = np.zeros(used.shape)
+    tbar.T[used.T] = np.concatenate(targets)
+    feat -= tbar
+    feat *= used & real[:, None]
+    data[:, 1 + _MOMENTS :] = (feat[:, :, None] * feat[:, None]).reshape(feat.shape[0], -1, feat.shape[2])
+    data[:, 1 + _MOMENTS :: _MOMENTS + 1] += ~used & real[:, None]
+    return data
+
+
+def _values(lam, feat, log_prior):
+    """Dual value and tilted weights of each stacked problem at ``lam``."""
+    logits = np.add.accumulate(feat * lam, axis=1)[:, -1] + log_prior
+    top = logits.max(axis=0)
+    expo = np.exp(logits - top)
+    total = _sum0(expo)
+    return top + np.log(total), expo / total
+
+
+def _newton_steps(hess, grad, n_match) -> np.ndarray:
+    """Solve each Hessian system on its own.  A stacked solve raises as a
+    whole, so after a singular one every column is solved alone, and a
+    singular column takes the least-squares step on its matched moments."""
+    hess, rhs = hess.transpose(2, 0, 1), -grad.T
+    try:
+        return np.linalg.solve(hess, rhs[:, :, None])[:, :, 0].T
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(rhs)
+        for c, (h, g, k) in enumerate(zip(hess, rhs, n_match)):
+            try:
+                steps[c] = np.linalg.solve(h, g)
+            except np.linalg.LinAlgError:
+                steps[c, :k] = np.linalg.lstsq(h[:k, :k], g[:k], rcond=None)[0]
+        return steps.T
+
+
+def _solve_duals(problems) -> list:
+    """Damped Newton on the tilting dual of every ``(grid, prior, targets)``
+    problem at once, from lam = 0, in standardized units.
+
+    Returns ``(lam, tilted weights, iterations, downgraded)`` per problem,
+    or an error value.  Divergence of the iterates signals unattainable
+    targets (:class:`InfeasibleError`); a stalled line search or no
+    convergence within the cap is a :class:`NumericalError`.  A problem
+    with more than two targets that fails starts again from lam = 0 with
+    its first two, and ``downgraded`` says so; if that fails too, its
+    error is the result.
+
+    One column per problem (:func:`_stack`).  Every sum runs in index
+    order, so padding adds exact zeros; each Hessian is solved on its own,
+    and each column keeps its own line search, iteration count and stop.
+    So a problem's result does not depend on what shares the stack.
+    """
+    if not problems:
+        return []
+    grids, priors, targets = zip(*problems)
+    sizes = [g.size for g in grids]
+    n_match = np.array([len(t) for t in targets])
+    data, retry = _stack(grids, priors, targets), None
+    out: list = [None] * len(problems)
+    cols = np.arange(len(problems))
+    start = np.zeros(cols.size, dtype=int)  # the iteration each column's attempt began
+    lam = np.zeros((_MOMENTS, cols.size))
+    log_prior, feat, terms = data[:, 0], data[:, 1 : 1 + _MOMENTS], data[:, 1:]
+    value, w = _values(lam, feat, log_prior)
+    stalled, diverged = None, np.zeros(cols.size, dtype=bool)
+    failed = diverged
+    for iteration in range(2 * _NEWTON_MAX_ITER + 1):
+        if iteration >= _NEWTON_MAX_ITER:
+            failed = failed | (iteration - start == _NEWTON_MAX_ITER)
+        n_failed = np.count_nonzero(failed)
+        if n_failed:
+            again = failed & (n_match[cols] > 2)
+            for c in (failed & ~again).nonzero()[0]:
+                if stalled is not None and stalled[c]:
+                    out[cols[c]] = NumericalError("tilting dual line search stalled")
+                elif diverged[c]:
+                    out[cols[c]] = InfeasibleError(
+                        "tilting dual diverged; moment targets are unattainable on the grid"
+                    )
+                else:
+                    out[cols[c]] = NumericalError(
+                        f"tilting dual did not converge within {_NEWTON_MAX_ITER} iterations"
+                    )
+            if np.count_nonzero(again):  # a fresh solve on the first two targets
+                if retry is None:
+                    retry = _stack(grids, priors, [t[:2] for t in targets])
+                n_match[cols[again]] = 2
+                start[again] = iteration
+                data[..., again] = retry[..., cols[again]]
+                lam[:, again] = 0.0
+                value[again], w[:, again] = _values(lam[:, again], feat[..., again], log_prior[:, again])
+                failed = failed & ~again
+        # Tilted means of the features and of their pair products.
+        sums = _sum0(terms * w[:, None])
+        grad = sums[:_MOMENTS]
+        stop = np.sqrt(_sum0(grad * grad)) <= _NEWTON_GRAD_TOL
+        if n_failed:
+            stop &= ~failed
+        for c in stop.nonzero()[0]:
+            p = cols[c]
+            out[p] = (tuple(lam[: n_match[p], c].tolist()), tuple(w[: sizes[p], c].tolist()),
+                      int(iteration - start[c]), bool(n_match[p] < len(targets[p])))
+        if n_failed:
+            stop |= failed
+        if np.count_nonzero(stop):
+            keep = ~stop
+            if not np.count_nonzero(keep):
+                return out
+            cols, start, lam, value, w, grad, sums, data = (
+                a[..., keep] for a in (cols, start, lam, value, w, grad, sums, data)
+            )
+            log_prior, feat, terms = data[:, 0], data[:, 1 : 1 + _MOMENTS], data[:, 1:]
+        hess = sums[_MOMENTS:].reshape(_MOMENTS, _MOMENTS, -1) - grad[:, None] * grad
+        step = _newton_steps(hess, grad, n_match[cols])
+        slope = _sum0(grad * step)
+        uphill = slope >= 0.0  # not a descent direction; fall back to the gradient
+        if np.count_nonzero(uphill):
+            step[:, uphill] = -grad[:, uphill]
+            slope[uphill] = -_sum0(grad[:, uphill] ** 2)
         # Sufficient decrease with a machine-precision allowance: near the
         # optimum the true decrease per step falls below the resolution of
         # the dual value, and without the slack the full Newton steps that
         # drive the gradient to zero would be rejected.
-        roundoff = 1e-15 * max(1.0, abs(value))
-        t = 1.0
-        for _ in range(60):
-            cand = lam + t * step
-            cand_value, cand_grad, cand_w = _dual(cand, feat, log_prior)
-            if cand_value <= value + 1e-4 * t * slope + roundoff:
-                break
-            t *= 0.5
+        roundoff = 1e-15 * np.maximum(1.0, np.abs(value))
+        cand = lam + step
+        c_value, c_w = _values(cand, feat, log_prior)
+        ok = c_value <= value + 1e-4 * slope + roundoff
+        if np.count_nonzero(ok) == ok.size:  # the full step in every column
+            lam, value, w, stalled = cand, c_value, c_w, None
+        else:  # halve each column's step until it decreases enough
+            stalled, t = np.ones(ok.size, dtype=bool), np.ones(ok.size)
+            for trial in range(1, 61):
+                np.copyto(lam, cand, where=ok)
+                np.copyto(value, c_value, where=ok)
+                np.copyto(w, c_w, where=ok)
+                stalled &= ~ok
+                if not np.count_nonzero(stalled) or trial == 60:
+                    break
+                t *= 0.5
+                cand = lam + t * step
+                c_value, c_w = _values(cand, feat, log_prior)
+                ok = stalled & (c_value <= value + 1e-4 * t * slope + roundoff)
+        diverged = np.sqrt(_sum0(lam * lam)) > _LAMBDA_DIVERGENCE
+        if stalled is None:
+            failed = diverged
         else:
-            raise NumericalError("tilting dual line search stalled")
-        lam, value, grad, w = cand, cand_value, cand_grad, cand_w
-        if float(np.linalg.norm(lam)) > _LAMBDA_DIVERGENCE:
-            raise InfeasibleError(
-                "tilting dual diverged; moment targets are unattainable on the grid"
-            )
-    raise NumericalError(
-        f"tilting dual did not converge within {_NEWTON_MAX_ITER} iterations"
-    )
+            diverged &= ~stalled
+            failed = diverged | stalled
+    return out
 
 
 def maxent_solve(data, n: int) -> MaxEntSolution:
@@ -217,36 +393,13 @@ def maxent_solve(data, n: int) -> MaxEntSolution:
     matrix whatever N; if four are unattainable the solver
     retries with two and flags the downgrade.  Nodes are mapped back to
     data units.  N must be at least 3: at N = 2 the grid is +-sqrt(2),
-    where every tilt has second moment 2, not the data's 1.
+    where every tilt has second moment 2, not the data's 1.  This is the
+    stacked solve of :func:`_maxent_solutions` on one problem.
     """
-    if n < 3:
-        raise InputError(f"node count must be >= 3, got {n}")
-    sample = Sample.of(data)
-    transform, z = sample.transform, sample.z
-    grid = _even_grid(n)
-    prior = kde_pdf(z, _silverman(1.0, z.size), grid)
-    prior = prior / prior.sum()
-    n_match = 4 if n >= 5 else 2
-    targets = _jacobi_moments(*sample.jacobi(3))[:n_match]
-    downgraded = False
-    try:
-        lam, weights, iterations = _solve_dual(grid, prior, targets)
-    except (InfeasibleError, NumericalError):
-        if n_match == 2:
-            raise
-        n_match = 2
-        downgraded = True
-        targets = targets[:2]
-        lam, weights, iterations = _solve_dual(grid, prior, targets)
-    return MaxEntSolution(
-        nodes=tuple(transform.to_original(grid)),
-        prior=tuple(prior),
-        lam=tuple(lam),
-        weights=tuple(weights),
-        n_matched=n_match,
-        downgraded=downgraded,
-        iterations=iterations,
-    )
+    (result,) = _maxent_solutions(_maxent_problems(Sample.of(data), [n]))
+    if isinstance(result, NpgqError):
+        raise result
+    return result
 
 
 def maxent_discretize(data, n: int) -> DiscreteDistribution:

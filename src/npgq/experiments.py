@@ -12,15 +12,17 @@ and Lanczos runs once, to the largest N: np-gq takes each rule from a
 prefix of that Jacobi matrix and np-me its moment targets from the first
 three steps, with no separate moment pass.  The study works in
 blocks of replications that span every sample size: a block builds all its
-rules, then solves them at every configured risk aversion in one call of
+rules, np-me's as one stacked solve of every tilting problem of the block,
+then solves them at every configured risk aversion in one call of
 :func:`~npgq.portfolio.solve_portfolios`, which returns one row of shares
 per rule.  The true optimal shares are one such call on the mixture's rule.
 
 Reproducibility: every replication draws from its own counter-based
 substream keyed by (seed, sample size, replication index), and sampling
-is inverse-CDF on uniforms, and a share does not depend on the other
-rules and risk aversions solved with it, so reports are bit-identical
-across runs and across serial/parallel execution on one platform.
+is inverse-CDF on uniforms, and neither an np-me rule nor a share
+depends on the other problems solved with it, so reports are
+bit-identical across runs and across serial/parallel execution (whose
+blocks differ) on one platform.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from multiprocessing import Pool
 import numpy as np
 from scipy.special import ndtri
 
-from .baselines import gauss_hermite_discretize, maxent_discretize
+from .baselines import _maxent_problems, _maxent_solutions, gauss_hermite_discretize, maxent_discretize
 from .errors import InputError, NpgqError
 from .moments import GaussianMixture, Sample
 from .portfolio import _mixture_rule, solve_portfolios
@@ -236,24 +238,34 @@ def _replication_block(cfg: ExperimentConfig, start: int, stop: int) -> np.ndarr
     """theta-hat array of shape (stop-start, sample sizes, methods, node counts, gammas).
 
     Every rule of the block is built first, one shared sample per
-    (replication, T); then one call solves them at every risk aversion.
-    A failed discretization or solve leaves NaN.
+    (replication, T): np-gq and gauss-hermite rule by rule, and np-me as
+    one stacked solve of all the block's tilting problems.  Then one call
+    solves every rule at every risk aversion.  A failed discretization or
+    solve leaves NaN.
     """
     shape = (stop - start, len(cfg.sample_sizes), len(cfg.methods),
              len(cfg.node_counts), len(cfg.gammas))
     out = np.full(shape, np.nan)
-    dists, slots = [], []
+    rules, slots, tilts, tilt_slots = [], [], [], []
     for i, m in enumerate(range(start, stop)):
         for s, t in enumerate(cfg.sample_sizes):
             sample = Sample(sample_mixture(cfg.mixture, t, replication_rng(cfg.seed, t, m)))
             for j, method in enumerate(cfg.methods):
+                if method == "np-me":
+                    tilts += _maxent_problems(sample, cfg.node_counts)
+                    tilt_slots += [(i, s, j, k) for k in range(len(cfg.node_counts))]
+                    continue
                 for k, n in enumerate(cfg.node_counts):
                     try:
-                        dists.append(_DISCRETIZERS[method](sample, n))
+                        rules.append(_DISCRETIZERS[method](sample, n))
                     except NpgqError:
                         continue
                     slots.append((i, s, j, k))
-    for slot, row in zip(slots, solve_portfolios(dists, cfg.risk_free, cfg.gammas)):
+    for slot, solution in zip(tilt_slots, _maxent_solutions(tilts)):
+        if not isinstance(solution, NpgqError):
+            rules.append(solution.distribution())
+            slots.append(slot)
+    for slot, row in zip(slots, solve_portfolios(rules, cfg.risk_free, cfg.gammas)):
         out[slot] = [math.nan if isinstance(r, NpgqError) else r.theta for r in row]
     return out
 

@@ -172,28 +172,33 @@ def _exact_sum(blocks) -> float:
 
     Each value is ``m * 2**e`` with ``0.5 <= |m| < 1`` (``np.frexp``), and
     ``m * 2**27`` splits into an integer below 2**27 and a fraction on the
-    2**-26 grid.  ``np.bincount`` sums each part per exponent ``e``; a sum
-    of at most 2**13 such terms needs fewer than 53 bits, so it is exact,
-    and the block totals are kept as integers (``hi``, and ``lo`` in units
-    of 2**-26; int64 holds them for any array below 2**36 values).  The
-    per-exponent totals are then added as one Python integer and divided
-    by a power of two once, which rounds correctly.
+    2**-26 grid.  ``np.bincount`` sums each part per exponent ``e``, over
+    the exponents the block holds only; a sum of at most 2**13 such terms
+    needs fewer than 53 bits, so it is exact, and the block totals are
+    kept as integers (``hi``, and ``lo`` in units of 2**-26; int64 holds
+    them for any array below 2**36 values).  The per-exponent totals are
+    then added as one Python integer and divided by a power of two once,
+    which rounds correctly.
     """
     hi = np.zeros(_EXP_BINS, np.int64)
     lo = np.zeros(_EXP_BINS, np.int64)
+    first, last = _EXP_BINS, 0
     for block in blocks:
         part, e = np.frexp(block)
         part *= 2.0**27
         whole = np.trunc(part)
         part -= whole
-        e = np.add(e, _EXP_BIAS, dtype=np.intp)
-        hi += np.bincount(e, whole, _EXP_BINS).astype(np.int64)
-        lo += (np.bincount(e, part, _EXP_BINS) * 2.0**26).astype(np.int64)
+        low = int(np.minimum.reduce(e))
+        e -= low
+        span = int(np.maximum.reduce(e)) + 1
+        bins = slice(low + _EXP_BIAS, low + _EXP_BIAS + span)
+        hi[bins] += np.bincount(e, whole, span).astype(np.int64)
+        lo[bins] += (np.bincount(e, part, span) * 2.0**26).astype(np.int64)
+        first, last = min(first, bins.start), max(last, bins.stop)
     # Bucket j holds (hi * 2**26 + lo) * 2**(j - _EXP_BIAS - 53).
-    live = np.flatnonzero((hi | lo) != 0)  # nonzero is faster on a bool array
     total = sum(
         ((h << 26) + l) << j
-        for j, h, l in zip(live.tolist(), hi[live].tolist(), lo[live].tolist())
+        for j, h, l in zip(range(first, last), hi[first:last].tolist(), lo[first:last].tolist())
     )
     return total / (1 << (_EXP_BIAS + 53))
 

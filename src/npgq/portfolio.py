@@ -198,18 +198,36 @@ def _bisect_stack(excess, weights, rf, gamma):
         lo = np.where(sign > 0.0, prev, -end)[cols]
         hi = np.where(sign > 0.0, end, -prev)[cols]
         args = excess[:, cols], wd[:, cols], rf[cols], neg_gamma[:, cols]
+        # No column can stop in its first `free` halvings, so they skip the
+        # stop test.  A column stops when hi - lo <= tol, its tolerance
+        # _BISECT_RTOL * max(-lo, hi, 1), or when the midpoint is an end.
+        # The bracket nests, so the tolerance never grows past its first
+        # value tol0.  A halving leaves hi - lo within half an ulp of
+        # max(-lo, hi) of half its width, so after k halvings the width is
+        # at least w0 / 2**k - 2 * eps * max(-lo, hi).  With
+        # k < floor(log2(w0 / tol0)) - 1, w0 / 2**k >= 4 * tol0, and since
+        # eps * max(-lo, hi) < tol0 / 4000, the width stays above 3 * tol0:
+        # neither the width test nor an end midpoint (which needs a width of
+        # a few ulps) can fire.  The halvings are the same arithmetic, so
+        # every column keeps its bits.
+        ratio = float(np.min((hi - lo) / (_BISECT_RTOL * np.maximum(np.maximum(-lo, hi), 1.0)),
+                             initial=math.inf))
+        free = int(math.log2(ratio)) - 1 if 4.0 <= ratio < math.inf else 0
         while cols.size:
             mid = 0.5 * (lo + hi)
-            # lo < hi, so max(|lo|, |hi|) == max(-lo, hi).
-            tol = _BISECT_RTOL * np.maximum(np.maximum(-lo, hi), 1.0)
-            stop = (hi - lo <= tol) | (mid <= lo) | (mid >= hi)
-            if np.count_nonzero(stop):
-                theta[cols[stop]] = mid[stop]
-                keep = ~stop
-                cols, lo, hi, mid = cols[keep], lo[keep], hi[keep], mid[keep]
-                args = tuple(a[..., keep] for a in args)
-                if not cols.size:
-                    break
+            if free:
+                free -= 1
+            else:
+                # lo < hi, so max(|lo|, |hi|) == max(-lo, hi).
+                tol = _BISECT_RTOL * np.maximum(np.maximum(-lo, hi), 1.0)
+                stop = (hi - lo <= tol) | (mid <= lo) | (mid >= hi)
+                if np.count_nonzero(stop):
+                    theta[cols[stop]] = mid[stop]
+                    keep = ~stop
+                    cols, lo, hi, mid = cols[keep], lo[keep], hi[keep], mid[keep]
+                    args = tuple(a[..., keep] for a in args)
+                    if not cols.size:
+                        break
             up = _foc(mid, *args) > 0.0
             np.copyto(lo, mid, where=up)
             np.copyto(hi, mid, where=~up)

@@ -33,7 +33,7 @@ from npgq import (
     PortfolioSolution,
     UnboundedError,
 )
-from npgq.baselines import _dual, _dual_terms
+from npgq.baselines import _MOMENTS, _stack, _values
 from npgq.moments import _BREAKDOWN_RTOL
 from npgq.portfolio import _BISECT_RTOL, _BOUNDARY_MARGIN
 from npgq.quadrature import _gauss_rule
@@ -223,9 +223,15 @@ def crra_objective(dist, rf, gamma, theta):
 
 
 def maxent_dual(lam, nodes, prior, targets):
-    """Value and gradient of np-me's tilting dual at ``lam``."""
-    value, grad, _ = _dual(np.asarray(lam, dtype=float), *_dual_terms(nodes, prior, targets))
-    return value, grad
+    """Value of np-me's tilting dual at ``lam``, as the stacked solver
+    evaluates it, and its gradient: the mismatch of the tilted moments."""
+    nodes, targets = np.asarray(nodes, dtype=float), np.asarray(targets, dtype=float)
+    stacked = np.zeros((_MOMENTS, 1))
+    stacked[: targets.size, 0] = lam
+    data = _stack([nodes], [np.asarray(prior, dtype=float)], [targets])
+    value, w = _values(stacked, data[:, 1 : 1 + _MOMENTS], data[:, 0])
+    feats = np.vander(nodes, targets.size + 1, increasing=True).T[1:] - targets[:, None]
+    return float(value[0]), feats @ w[:, 0]
 
 
 def naive_moments(data, max_order):

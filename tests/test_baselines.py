@@ -6,8 +6,10 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from npgq import (
+    AffineTransform,
     DegenerateDataError,
     InputError,
+    NpgqError,
     NumericalError,
     Sample,
     fit_gaussian_mle,
@@ -18,7 +20,14 @@ from npgq import (
     sample_moments,
     standardize,
 )
-from npgq.baselines import _SQRT_2PI, _even_grid, _silverman, _solve_dual
+from npgq.baselines import (
+    _SQRT_2PI,
+    _even_grid,
+    _maxent_problems,
+    _maxent_solutions,
+    _silverman,
+    _solve_duals,
+)
 from npgq.moments import _BLOCK
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
 
@@ -230,8 +239,8 @@ class TestMaxentDual:
         nodes = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         prior = np.full(5, 0.2)
         targets = np.array([prior @ nodes, prior @ nodes**2])
-        lam, weights, iterations = _solve_dual(nodes, prior, targets)
-        assert iterations == 0
+        ((lam, weights, iterations, downgraded),) = _solve_duals([(nodes, prior, targets)])
+        assert iterations == 0 and not downgraded
         np.testing.assert_array_equal(lam, [0.0, 0.0])
         np.testing.assert_allclose(weights, prior, rtol=1e-14)
 
@@ -319,3 +328,76 @@ class TestMaxentSolve:
         dist = maxent_discretize(data, 5)
         assert len(dist) == 5
         assert sum(dist.weights) == pytest.approx(1.0, abs=1e-12)
+
+
+def _outcome(result):
+    """A stacked solve's result for one problem, bit for bit."""
+    if isinstance(result, NpgqError):
+        return type(result).__name__, str(result)
+    return (
+        [w.hex() for w in result.weights],
+        [v.hex() for v in result.lam],
+        result.iterations,
+        result.downgraded,
+        result.n_matched,
+    )
+
+
+class TestStackedTilt:
+    """Every np-me problem of a stacked solve gets what it gets alone."""
+
+    def _problems(self):
+        problems = []
+        for m, t in enumerate((100, 100, 1000, 1000, 10_000)):
+            sample = Sample(sample_mixture(DEFAULT_MIXTURE, t, replication_rng(13, t, m)))
+            problems += _maxent_problems(sample, (2, 3, 4, 5, 7, 9, 12))
+        # A study sample whose four-moment tilt diverges, then downgrades.
+        downgrading = Sample(sample_mixture(DEFAULT_MIXTURE, 100, replication_rng(5, 100, 0)))
+        problems += _maxent_problems(downgrading, (5,))
+        unit, grid = AffineTransform(0.0, 1.0), _even_grid(5)
+        # A second moment of 10 is past the grid's reach (x^2 <= 8), so the
+        # two-target retry fails too.
+        problems.append((unit, grid, np.full(5, 0.2), [0.0, 10.0, 0.0, 150.0]))
+        # Mass on two points: every Hessian is singular, so each stacked
+        # solve falls back to one solve per column.
+        problems.append((unit, grid, np.array([0.5, 0.0, 0.0, 0.0, 0.5]), [0.0, 1.0]))
+        return problems
+
+    def test_shuffled_mixed_batch_matches_each_problem_alone(self):
+        problems = self._problems()
+        alone = [_outcome(_maxent_solutions([p])[0]) for p in problems]
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(problems))
+            batch = _maxent_solutions([problems[i] for i in order])
+            assert [_outcome(r) for r in batch] == [alone[i] for i in order]
+        # The cases the batch mixes: an input error passed through, a
+        # downgrade, a retry that fails too, and a singular Hessian.
+        assert alone[0][0] == "InputError"
+        assert alone[-3][3] is True and alone[-3][4] == 2
+        assert alone[-2][0] in ("InfeasibleError", "NumericalError")
+        assert alone[-1][0] in ("InfeasibleError", "NumericalError")
+        assert sum(o[3] is True for o in alone if len(o) == 5) > 1
+
+    @pytest.mark.parametrize("size", [100, 1000, 10_000])
+    def test_a_prior_does_not_depend_on_the_other_grids(self, size):
+        # One kernel-density call serves every grid of a sample.
+        sample = Sample(sample_mixture(DEFAULT_MIXTURE, size, replication_rng(14, size, 0)))
+        together = _maxent_problems(sample, (3, 5, 7, 9))
+        for n, problem in zip((3, 5, 7, 9), together):
+            (alone,) = _maxent_problems(sample, (n,))
+            assert [v.hex() for v in problem[2]] == [v.hex() for v in alone[2]]
+
+    def test_maxent_solve_is_the_batch_of_one(self):
+        sample = Sample(sample_mixture(DEFAULT_MIXTURE, 100, replication_rng(5, 100, 0)))
+        for n, problem in zip((3, 5, 9), _maxent_problems(sample, (3, 5, 9))):
+            assert _outcome(maxent_solve(sample, n)) == _outcome(_maxent_solutions([problem])[0])
+
+    def test_errors_are_values(self):
+        unit = AffineTransform(0.0, 1.0)
+        bad = (unit, _even_grid(5), np.full(5, 0.2), [0.0, 10.0, 0.0, 150.0])
+        good = (unit, _even_grid(5), np.full(5, 0.2), [0.0, 1.0])
+        degenerate = Sample([2.0, 2.0, 2.0])
+        results = _maxent_solutions([bad, good] + _maxent_problems(degenerate, (5,)))
+        assert isinstance(results[0], NpgqError)
+        assert results[1].n_matched == 2 and not results[1].downgraded
+        assert isinstance(results[2], DegenerateDataError)
