@@ -22,7 +22,6 @@ from .moments import (
     GaussianMixture,
     Sample,
     sample_moments,
-    standardize,
 )
 from .quadrature import (
     DiscreteDistribution,
@@ -31,7 +30,6 @@ from .quadrature import (
 )
 from .baselines import (
     MaxEntSolution,
-    fit_gaussian_mle,
     gauss_hermite_discretize,
     kde_pdf,
     maxent_discretize,

@@ -15,7 +15,8 @@ np-me's tilting duals are solved many at a time, in one stacked damped
 Newton (:func:`_solve_duals`), and :func:`maxent_solve` is its
 one-problem case, the way :func:`~npgq.portfolio.solve_portfolio` is
 that of :func:`~npgq.portfolio.solve_portfolios`.  The Monte Carlo study
-stacks every np-me problem of a block of replications.
+stacks every np-me problem of a block of replications; the four-moment
+problems that fail are solved again, on two moments, in a second stack.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .quadrature import DiscreteDistribution, _gauss_rule
 
 __all__ = [
     "MaxEntSolution",
-    "fit_gaussian_mle",
     "gauss_hermite_discretize",
     "kde_pdf",
     "maxent_solve",
@@ -48,18 +48,6 @@ _LAMBDA_DIVERGENCE = 1e6
 _MOMENTS = 4
 
 
-def fit_gaussian_mle(data) -> tuple[float, float]:
-    """Maximum-likelihood Gaussian fit: sample mean and population std.
-
-    The std uses divisor I (the MLE), consistent with the population
-    moment convention used everywhere else in the package: the fit is the
-    shift and scale of the data's standardization.  Raises
-    :class:`DegenerateDataError` for constant data.
-    """
-    transform = Sample.of(data).transform
-    return transform.shift, transform.scale
-
-
 @lru_cache(maxsize=32)
 def _standard_normal_rule(n: int) -> DiscreteDistribution:
     """N-point Gauss-Hermite rule of N(0, 1), from its exact Jacobi matrix:
@@ -71,14 +59,16 @@ def _standard_normal_rule(n: int) -> DiscreteDistribution:
 def gauss_hermite_discretize(data, n: int) -> DiscreteDistribution:
     """N-point Gauss-Hermite rule for the MLE Gaussian fit of the data.
 
-    The standard-normal rule scaled to ``N(mean, std^2)``: the Gaussian
-    rule of the fitted Gaussian.
+    The fit is the data's standardization: the sample mean and the
+    population std (divisor I).  The standard-normal rule scaled to
+    ``N(mean, std^2)`` is the Gaussian rule of the fitted Gaussian.
+    Raises :class:`DegenerateDataError` for constant data.
     """
     if n < 1:
         raise InputError(f"node count must be >= 1, got {n}")
-    mean, std = fit_gaussian_mle(data)
+    fit = Sample.of(data).transform
     base = _standard_normal_rule(n)
-    nodes = tuple(mean + std * x for x in base.nodes)
+    nodes = tuple(fit.shift + fit.scale * x for x in base.nodes)
     return DiscreteDistribution(nodes=nodes, weights=base.weights)
 
 
@@ -182,26 +172,34 @@ def _maxent_problems(sample: Sample, node_counts) -> list:
 def _maxent_solutions(problems) -> list[MaxEntSolution | NpgqError]:
     """Solve np-me tilting problems, from :func:`_maxent_problems`, in one
     stacked damped Newton (:func:`_solve_duals`), and map each grid back
-    to data units.  Failures are values: an :class:`NpgqError` entry
-    passes through, and a problem that cannot be solved gets its error.
+    to data units.  A four-target problem that fails is solved again, in
+    a second stack of all such problems, on its first two targets, and is
+    ``downgraded``.  Failures are values: an :class:`NpgqError` entry
+    passes through, a problem that cannot be solved gets its error, and a
+    tilt with a weight that underflows to 0 is a :class:`NumericalError`.
     """
     out = list(problems)
     live = [i for i, p in enumerate(problems) if not isinstance(p, NpgqError)]
-    for i, result in zip(live, _solve_duals([problems[i][1:] for i in live])):
+    results = dict(zip(live, _solve_duals([problems[i][1:] for i in live])))
+    again = [i for i in live if isinstance(results[i], NpgqError) and len(problems[i][3]) > 2]
+    results.update(zip(again, _solve_duals([(*problems[i][1:3], problems[i][3][:2]) for i in again])))
+    for i, result in results.items():
+        transform, grid, prior, _ = problems[i]
         if isinstance(result, NpgqError):
             out[i] = result
-            continue
-        transform, grid, prior, _ = problems[i]
-        lam, weights, iterations, downgraded = result
-        out[i] = MaxEntSolution(
-            nodes=tuple(transform.to_original(grid)),
-            prior=tuple(prior),
-            lam=lam,
-            weights=weights,
-            n_matched=len(lam),
-            downgraded=downgraded,
-            iterations=iterations,
-        )
+        elif min(result[1]) == 0.0:
+            out[i] = NumericalError(f"a weight of the {grid.size}-point np-me rule underflows to 0 -- reduce N")
+        else:
+            lam, weights, iterations = result
+            out[i] = MaxEntSolution(
+                nodes=tuple(transform.to_original(grid)),
+                prior=tuple(prior),
+                lam=lam,
+                weights=weights,
+                n_matched=len(lam),
+                downgraded=i in again,
+                iterations=iterations,
+            )
     return out
 
 
@@ -270,13 +268,10 @@ def _solve_duals(problems) -> list:
     """Damped Newton on the tilting dual of every ``(grid, prior, targets)``
     problem at once, from lam = 0, in standardized units.
 
-    Returns ``(lam, tilted weights, iterations, downgraded)`` per problem,
-    or an error value.  Divergence of the iterates signals unattainable
-    targets (:class:`InfeasibleError`); a stalled line search or no
-    convergence within the cap is a :class:`NumericalError`.  A problem
-    with more than two targets that fails starts again from lam = 0 with
-    its first two, and ``downgraded`` says so; if that fails too, its
-    error is the result.
+    Returns ``(lam, tilted weights, iterations)`` per problem, or an error
+    value.  Divergence of the iterates signals unattainable targets
+    (:class:`InfeasibleError`); a stalled line search or no convergence
+    within the cap is a :class:`NumericalError`.
 
     One column per problem (:func:`_stack`).  Every sum runs in index
     order, so padding adds exact zeros; each Hessian is solved on its own,
@@ -288,41 +283,29 @@ def _solve_duals(problems) -> list:
     grids, priors, targets = zip(*problems)
     sizes = [g.size for g in grids]
     n_match = np.array([len(t) for t in targets])
-    data, retry = _stack(grids, priors, targets), None
+    data = _stack(grids, priors, targets)
     out: list = [None] * len(problems)
     cols = np.arange(len(problems))
-    start = np.zeros(cols.size, dtype=int)  # the iteration each column's attempt began
     lam = np.zeros((_MOMENTS, cols.size))
     log_prior, feat, terms = data[:, 0], data[:, 1 : 1 + _MOMENTS], data[:, 1:]
     value, w = _values(lam, feat, log_prior)
     stalled, diverged = None, np.zeros(cols.size, dtype=bool)
     failed = diverged
-    for iteration in range(2 * _NEWTON_MAX_ITER + 1):
-        if iteration >= _NEWTON_MAX_ITER:
-            failed = failed | (iteration - start == _NEWTON_MAX_ITER)
+    for iteration in range(_NEWTON_MAX_ITER + 1):
+        if iteration == _NEWTON_MAX_ITER:
+            failed = np.ones(cols.size, dtype=bool)
         n_failed = np.count_nonzero(failed)
-        if n_failed:
-            again = failed & (n_match[cols] > 2)
-            for c in (failed & ~again).nonzero()[0]:
-                if stalled is not None and stalled[c]:
-                    out[cols[c]] = NumericalError("tilting dual line search stalled")
-                elif diverged[c]:
-                    out[cols[c]] = InfeasibleError(
-                        "tilting dual diverged; moment targets are unattainable on the grid"
-                    )
-                else:
-                    out[cols[c]] = NumericalError(
-                        f"tilting dual did not converge within {_NEWTON_MAX_ITER} iterations"
-                    )
-            if np.count_nonzero(again):  # a fresh solve on the first two targets
-                if retry is None:
-                    retry = _stack(grids, priors, [t[:2] for t in targets])
-                n_match[cols[again]] = 2
-                start[again] = iteration
-                data[..., again] = retry[..., cols[again]]
-                lam[:, again] = 0.0
-                value[again], w[:, again] = _values(lam[:, again], feat[..., again], log_prior[:, again])
-                failed = failed & ~again
+        for c in failed.nonzero()[0]:
+            if stalled is not None and stalled[c]:
+                out[cols[c]] = NumericalError("tilting dual line search stalled")
+            elif diverged[c]:
+                out[cols[c]] = InfeasibleError(
+                    "tilting dual diverged; moment targets are unattainable on the grid"
+                )
+            else:
+                out[cols[c]] = NumericalError(
+                    f"tilting dual did not converge within {_NEWTON_MAX_ITER} iterations"
+                )
         # Tilted means of the features and of their pair products.
         sums = _sum0(terms * w[:, None])
         grad = sums[:_MOMENTS]
@@ -331,16 +314,15 @@ def _solve_duals(problems) -> list:
             stop &= ~failed
         for c in stop.nonzero()[0]:
             p = cols[c]
-            out[p] = (tuple(lam[: n_match[p], c].tolist()), tuple(w[: sizes[p], c].tolist()),
-                      int(iteration - start[c]), bool(n_match[p] < len(targets[p])))
+            out[p] = (tuple(lam[: n_match[p], c].tolist()), tuple(w[: sizes[p], c].tolist()), iteration)
         if n_failed:
             stop |= failed
         if np.count_nonzero(stop):
             keep = ~stop
             if not np.count_nonzero(keep):
                 return out
-            cols, start, lam, value, w, grad, sums, data = (
-                a[..., keep] for a in (cols, start, lam, value, w, grad, sums, data)
+            cols, lam, value, w, grad, sums, data = (
+                a[..., keep] for a in (cols, lam, value, w, grad, sums, data)
             )
             log_prior, feat, terms = data[:, 0], data[:, 1 : 1 + _MOMENTS], data[:, 1:]
         hess = sums[_MOMENTS:].reshape(_MOMENTS, _MOMENTS, -1) - grad[:, None] * grad

@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .baselines import _silverman, fit_gaussian_mle, kde_pdf, maxent_solve
+from .baselines import _silverman, kde_pdf, maxent_solve
 from .errors import DegenerateDataError, InputError, NpgqError
 from .experiments import (
     ExperimentConfig,
@@ -202,6 +202,8 @@ def cmd_experiment(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.smoke:
         cfg = replace(cfg, replications=10)
+    if args.jobs < 1:
+        raise InputError("jobs must be >= 1")
     csv_path = args.output + ".csv"
     txt_path = args.output + ".txt"
     # Both outputs are opened before the study runs, so a bad path fails fast.
@@ -220,9 +222,9 @@ def cmd_plotdata(args) -> int:
     data = _column_values(header, rows, args.column, args.input)
     if args.bins < 1:
         raise InputError("bins must be >= 1")
-    # The fits validate and standardize the data first, so its range is finite.
-    sample = Sample(data)
-    mean, std = fit_gaussian_mle(sample)
+    # The Gaussian fit validates the data first, so its range is finite.
+    fit = Sample(data).transform
+    mean, std = fit.shift, fit.scale
     bandwidth = _silverman(std, data.size)
     try:
         heights, edges = np.histogram(data, bins=args.bins, density=True)

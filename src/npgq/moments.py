@@ -7,13 +7,13 @@ variance are exactly rounded sums, taken by :func:`_exact_sum`: integer
 mantissa halves summed per binary exponent over cache-sized blocks of
 the data (a superaccumulator), which gives ``math.fsum``'s value bit for
 bit.  A :class:`Sample` keeps, on first use, its data's standardization
-and the Lanczos state of its empirical measure (:class:`_Lanczos`),
-shared by every discretizer handed the same ``Sample``.  k Lanczos steps
-fix the first 2k moments, so np-gq's rules and np-me's moment targets
-read one Jacobi matrix; a shorter request is a prefix of it, a longer
-one extends it.  :func:`sample_moments` (raw moments summed by
-``math.fsum``) is the independent reference ``npgq discretize --verify``
-checks against.
+(``transform`` and ``z``, the package's one route to it) and the Lanczos
+state of its empirical measure (:class:`_Lanczos`), shared by every
+discretizer handed the same ``Sample``.  k Lanczos steps fix the first
+2k moments, so np-gq's rules and np-me's moment targets read one Jacobi
+matrix; a shorter request is a prefix of it, a longer one extends it.
+:func:`sample_moments` (raw moments summed by ``math.fsum``) is the
+independent reference ``npgq discretize --verify`` checks against.
 """
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ __all__ = [
     "Sample",
     "GaussianMixture",
     "sample_moments",
-    "standardize",
 ]
 
 
@@ -228,19 +227,6 @@ def _mean_std(x: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def standardize(data) -> tuple[AffineTransform, np.ndarray]:
-    """Map data to mean 0, std 1 (population divisor ``I``).
-
-    Returns the transform that maps standardized values back to the
-    original units, together with the standardized array.  Raises
-    :class:`DegenerateDataError` when the sample std is zero and
-    :class:`InputError` when the mean or variance overflows.
-    """
-    x = _as_clean_array(data)
-    transform = AffineTransform(*_mean_std(x))
-    return transform, transform.to_standardized(x)
-
-
 class _Lanczos:
     """Jacobi matrix of the discrete measure with point ``x[i]`` of mass
     ``start[i]**2``, extended step by step as longer prefixes are asked for.
@@ -311,12 +297,15 @@ class Sample:
 
     @cached_property
     def transform(self) -> AffineTransform:
-        """Map from standardized to original units, as :func:`standardize`."""
+        """Map from standardized to original units: the sample mean and the
+        population std (divisor ``I``) of the data.  Raises
+        :class:`DegenerateDataError` when the std is zero and
+        :class:`InputError` when the mean or variance overflows."""
         return AffineTransform(*_mean_std(self.x))
 
     @cached_property
     def z(self) -> np.ndarray:
-        """The standardized data (read-only), as :func:`standardize`."""
+        """The standardized data (read-only): mean 0, std 1 by :attr:`transform`."""
         z = self.transform.to_standardized(self.x)
         z.setflags(write=False)
         return z

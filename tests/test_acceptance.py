@@ -13,12 +13,12 @@ import pytest
 
 from npgq import (
     DiscreteDistribution,
+    Sample,
     discretize_data,
     gauss_hermite_discretize,
     maxent_solve,
     sample_moments,
     solve_portfolio,
-    standardize,
 )
 from npgq.experiments import (
     DEFAULT_MIXTURE,
@@ -250,9 +250,9 @@ def test_criterion_8_maxent_dual_correctness(announce):
         sol = maxent_solve(data, n)
         dist = sol.distribution()
         target = sample_moments(data, sol.n_matched)
-        transform, z = standardize(data)
-        z_targets = sample_moments(z, sol.n_matched)[1:]
-        grid_z = transform.to_standardized(np.asarray(sol.nodes))
+        sample = Sample(data)
+        z_targets = sample_moments(sample.z, sol.n_matched)[1:]
+        grid_z = sample.transform.to_standardized(np.asarray(sol.nodes))
         w = np.asarray(sol.weights)
         feats = np.vander(grid_z, sol.n_matched + 1, increasing=True).T[1:]
         for k in range(1, sol.n_matched + 1):

@@ -11,14 +11,13 @@ from npgq import (
     InputError,
     NpgqError,
     NumericalError,
+    InfeasibleError,
     Sample,
-    fit_gaussian_mle,
     gauss_hermite_discretize,
     kde_pdf,
     maxent_discretize,
     maxent_solve,
     sample_moments,
-    standardize,
 )
 from npgq.baselines import (
     _SQRT_2PI,
@@ -36,24 +35,33 @@ from _oracles import maxent_dual
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def fit(data):
+    """The MLE Gaussian fit ``(mean, std)``: the data's standardization."""
+    transform = Sample(data).transform
+    return transform.shift, transform.scale
+
+
 def silverman(data):
     """Silverman's bandwidth of the data, as ``npgq plotdata`` takes it."""
-    return _silverman(fit_gaussian_mle(data)[1], len(data))
+    return _silverman(fit(data)[1], len(data))
 
 
 class TestGaussianMle:
+    """Gauss-Hermite fits the Gaussian whose mean and std are the data's
+    population ones: ``Sample.transform``."""
+
     def test_symmetric_two_point(self):
-        assert fit_gaussian_mle([-1.0, 1.0]) == pytest.approx((0.0, 1.0))
+        assert fit([-1.0, 1.0]) == pytest.approx((0.0, 1.0))
 
     def test_hand_computation(self):
         # mean 1, population variance (1+1+1+9)/4 = 3
-        mean, std = fit_gaussian_mle([0.0, 0.0, 0.0, 4.0])
+        mean, std = fit([0.0, 0.0, 0.0, 4.0])
         assert mean == pytest.approx(1.0)
         assert std == pytest.approx(math.sqrt(3.0))
 
     def test_constant_data_rejected(self):
         with pytest.raises(DegenerateDataError):
-            fit_gaussian_mle([2.0] * 5)
+            fit([2.0] * 5)
 
 
 class TestGaussHermite:
@@ -71,7 +79,7 @@ class TestGaussHermite:
     def test_two_nodes_closed_form(self):
         # 2-point rule for N(mean, std^2): nodes mean +/- std, weights 1/2.
         data = [0.0, 1.0, 5.0, 2.0]
-        mean, std = fit_gaussian_mle(data)
+        mean, std = fit(data)
         dist = gauss_hermite_discretize(data, 2)
         np.testing.assert_allclose(dist.nodes, [mean - std, mean + std], rtol=1e-12)
         np.testing.assert_allclose(dist.weights, [0.5, 0.5], rtol=1e-12)
@@ -79,7 +87,7 @@ class TestGaussHermite:
     def test_symmetry_about_fitted_mean(self):
         rng = np.random.default_rng(5)
         data = rng.standard_normal(300) * 2.1 + 0.4
-        mean, _ = fit_gaussian_mle(data)
+        mean, _ = fit(data)
         for n in range(2, 10):
             dist = gauss_hermite_discretize(data, n)
             centered = np.asarray(dist.nodes) - mean
@@ -91,7 +99,7 @@ class TestGaussHermite:
         # The exact Hermite recurrence keeps its accuracy as N grows; a
         # route through Gaussian moments drifts from N = 12 and fails at N = 38.
         data = np.random.default_rng(n).standard_normal(200) * 0.3 + 1.7
-        mean, std = fit_gaussian_mle(data)
+        mean, std = fit(data)
         dist = gauss_hermite_discretize(data, n)
         nodes, weights = hermegauss(n)
         assert len(dist) == n
@@ -128,7 +136,7 @@ class TestKernelDensity:
     def test_silverman_bandwidth(self):
         rng = np.random.default_rng(2)
         data = rng.standard_normal(500) * 1.7
-        _, std = fit_gaussian_mle(data)
+        _, std = fit(data)
         assert silverman(data) == pytest.approx(1.06 * std * 500 ** (-0.2), rel=1e-12)
 
     def test_reads_data_of_any_shape_without_writing_it(self):
@@ -166,7 +174,7 @@ class TestKernelDensity:
     @pytest.mark.parametrize("size", [_BLOCK // 9, _BLOCK + 1, 100_000])
     def test_np_me_prior_keeps_every_bit(self, size):
         # Each grid point's value is its own contiguous sum over the data.
-        _, z = standardize(sample_mixture(DEFAULT_MIXTURE, size, np.random.default_rng(size)))
+        z = Sample(sample_mixture(DEFAULT_MIXTURE, size, np.random.default_rng(size))).z
         h, grid = _silverman(1.0, size), _even_grid(9)
         want = [np.exp(-0.5 * u * u).sum() / (size * h * _SQRT_2PI) for u in ((x - z) / h for x in grid)]
         assert [v.hex() for v in kde_pdf(z, h, grid)] == [v.hex() for v in want]
@@ -222,7 +230,7 @@ class TestMaxentGrid:
     def test_midpoint_is_mean(self):
         rng = np.random.default_rng(9)
         data = rng.uniform(3, 9, 101)
-        mean, _ = fit_gaussian_mle(data)
+        mean, _ = fit(data)
         grid = maxent_solve(data, 3).nodes
         assert grid[1] == pytest.approx(mean, rel=1e-12)
 
@@ -239,8 +247,8 @@ class TestMaxentDual:
         nodes = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         prior = np.full(5, 0.2)
         targets = np.array([prior @ nodes, prior @ nodes**2])
-        ((lam, weights, iterations, downgraded),) = _solve_duals([(nodes, prior, targets)])
-        assert iterations == 0 and not downgraded
+        ((lam, weights, iterations),) = _solve_duals([(nodes, prior, targets)])
+        assert iterations == 0
         np.testing.assert_array_equal(lam, [0.0, 0.0])
         np.testing.assert_allclose(weights, prior, rtol=1e-14)
 
@@ -280,7 +288,7 @@ class TestMaxentSolve:
         sol = maxent_solve(data, 4)
         assert sol.n_matched == 2
         np.testing.assert_allclose(sol.weights, sol.weights[::-1], rtol=1e-9, atol=1e-12)
-        mean, std = fit_gaussian_mle(data)
+        mean, std = fit(data)
         w = np.asarray(sol.weights)
         x = np.asarray(sol.nodes)
         assert w @ x == pytest.approx(mean, abs=1e-8)
@@ -309,9 +317,9 @@ class TestMaxentSolve:
         rng = np.random.default_rng(34)
         data = rng.standard_normal(600) * 0.2 + 0.05
         sol = maxent_solve(data, 7)
-        transform, z = standardize(data)
-        grid_z = transform.to_standardized(np.asarray(sol.nodes))
-        targets = sample_moments(z, sol.n_matched)[1:]
+        sample = Sample(data)
+        grid_z = sample.transform.to_standardized(np.asarray(sol.nodes))
+        targets = sample_moments(sample.z, sol.n_matched)[1:]
         _, grad = maxent_dual(sol.lam, grid_z, np.asarray(sol.prior), targets)
         assert np.linalg.norm(grad) <= 1e-8
 
@@ -401,3 +409,41 @@ class TestStackedTilt:
         assert isinstance(results[0], NpgqError)
         assert results[1].n_matched == 2 and not results[1].downgraded
         assert isinstance(results[2], DegenerateDataError)
+
+    def test_a_failed_four_target_problem_is_solved_again_on_two(self):
+        # The fallback is a second, plain solve of the first two targets.
+        sample = Sample(sample_mixture(DEFAULT_MIXTURE, 100, replication_rng(5, 100, 0)))
+        (problem,) = _maxent_problems(sample, (5,))
+        transform, grid, prior, targets = problem
+        assert len(targets) == 4
+        (first,) = _solve_duals([(grid, prior, targets)])
+        assert isinstance(first, InfeasibleError)
+        ((lam, weights, iterations),) = _solve_duals([(grid, prior, targets[:2])])
+        (sol,) = _maxent_solutions([problem])
+        assert sol.downgraded and sol.n_matched == 2
+        assert [v.hex() for v in sol.lam] == [v.hex() for v in lam]
+        assert [v.hex() for v in sol.weights] == [v.hex() for v in weights]
+        assert sol.iterations == iterations
+        assert sol.nodes == tuple(transform.to_original(grid))
+
+
+class TestUnderflowingTilt:
+    """A converged tilt whose outer weight underflows to 0 is not a rule."""
+
+    # Replication 0 of the default study seed at T = 10000: the first N
+    # whose tilt has a zero weight is 44.
+    def _sample(self):
+        return Sample(sample_mixture(DEFAULT_MIXTURE, 10_000, replication_rng(20170927, 10_000, 0)))
+
+    def test_the_solver_converges_to_a_zero_weight(self):
+        (problem,) = _maxent_problems(self._sample(), (44,))
+        ((_, weights, _),) = _solve_duals([problem[1:]])
+        assert min(weights) == 0.0
+
+    def test_is_a_numerical_error_value(self):
+        results = _maxent_solutions(_maxent_problems(self._sample(), (43, 44)))
+        assert min(results[0].weights) > 0.0
+        assert isinstance(results[1], NumericalError)
+        assert str(results[1]) == "a weight of the 44-point np-me rule underflows to 0 -- reduce N"
+        with pytest.raises(NumericalError, match="44-point np-me rule underflows"):
+            maxent_discretize(self._sample(), 44)

@@ -170,6 +170,16 @@ class TestDiscretize:
             "error: a weight of the 200-node rule underflows to 0 -- reduce N\n"
         )
 
+    def test_np_me_underflowing_weights_exit_3(self, tmp_path, capsys):
+        # At N = 100 an outer weight of the tilt on 1e8 + N(0, 1) data
+        # underflows to 0: a numerical limit, not bad input.
+        data = 1e8 + np.random.default_rng(0).standard_normal(2000)
+        src = write_csv(tmp_path / "in.csv", ["x"], [data.tolist()])
+        assert main(["discretize", src, "--column", "x", "--n", "100", "--method", "np-me"]) == 3
+        assert capsys.readouterr().err == (
+            "error: a weight of the 100-point np-me rule underflows to 0 -- reduce N\n"
+        )
+
     def test_non_utf8_input_exits_2(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         src.write_bytes(b"x\n1.0\n\xff\xfe2.0\n")
@@ -433,6 +443,12 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(cfg), "--output", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_bad_jobs_exits_2_before_any_output(self, tmp_path, capsys, jobs):
+        assert main(["experiment", "--smoke", "--jobs", jobs, "--output", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output_exits_2_before_the_study(self, tmp_path, capsys, monkeypatch):
         def study_must_not_run(*args, **kwargs):

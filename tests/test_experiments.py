@@ -223,6 +223,16 @@ class TestRunExperiment:
         assert bad.n_used == 0
         assert math.isnan(bad.bias)
 
+    def test_np_me_weight_underflow_is_a_counted_failure(self):
+        # From N = 44 at T = 10000 an outer np-me weight underflows to 0 on
+        # the default seed's samples: a failed cell, not a failed study.
+        cfg = ExperimentConfig(sample_sizes=(10000,), node_counts=(5, 50), methods=("np-me",),
+                               gammas=(2.0,), replications=2)
+        report = run_experiment(cfg)
+        assert report.cell("np-me", 10000, 5, 2.0).failures == 0
+        bad = report.cell("np-me", 10000, 50, 2.0)
+        assert bad.failures == 2 and bad.n_used == 0
+
 
 class TestConfigValidation:
     def test_bad_values_rejected(self):

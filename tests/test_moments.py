@@ -11,8 +11,8 @@ from npgq import (
     DegenerateDataError,
     GaussianMixture,
     InputError,
+    Sample,
     sample_moments,
-    standardize,
 )
 from npgq.experiments import DEFAULT_MIXTURE, ExperimentConfig, replication_rng, sample_mixture
 from npgq.moments import _BLOCK, _blocks, _exact_sum, _mean_std, _standardized_mixture
@@ -49,7 +49,7 @@ class TestMomentSequence:
         # observable through Cholesky success: N = 4 factors the 4x4
         # leading block of the 5x5 Hankel matrix of orders 0..8.
         rng = np.random.default_rng(11)
-        _, z = standardize(rng.standard_normal(400))
+        z = Sample(rng.standard_normal(400)).z
         ms = MomentSequence(sample_moments(z, 8))
         diag, offdiag = jacobi_from_moments(ms, 4)
         assert (diag.size, offdiag.size) == (4, 3)
@@ -180,19 +180,23 @@ class TestMeanStd:
 
 
 class TestStandardize:
+    """A :class:`Sample`'s standardization: ``transform`` and ``z``."""
+
     def test_two_point(self):
-        transform, z = standardize([0.0, 2.0])
+        sample = Sample([0.0, 2.0])
+        transform, z = sample.transform, sample.z
         assert transform.shift == pytest.approx(1.0)
         assert transform.scale == pytest.approx(1.0)
         np.testing.assert_allclose(z, [-1.0, 1.0])
 
     def test_constant_data_is_degenerate(self):
         with pytest.raises(DegenerateDataError):
-            standardize([5.0, 5.0, 5.0])
+            Sample([5.0, 5.0, 5.0]).z
 
     def test_three_point_hand_computation(self):
         # mean 2, population variance ((1)+(0)+(1))/3 = 2/3
-        transform, z = standardize([1.0, 2.0, 3.0])
+        sample = Sample([1.0, 2.0, 3.0])
+        transform, z = sample.transform, sample.z
         assert transform.shift == pytest.approx(2.0, abs=1e-12)
         assert transform.scale == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
         assert np.mean(z) == pytest.approx(0.0, abs=1e-12)
@@ -207,7 +211,12 @@ class TestStandardize:
         x = np.asarray(data) + shift
         if np.std(x) < 1e-6:
             return
-        transform, z = standardize(x)
+        sample = Sample(x)
+        transform, z = sample.transform, sample.z
+        # Exactly rounded mean and population std, and z read-only.
+        assert transform == AffineTransform(*fsum_mean_std(x))
+        assert np.array_equal(z, transform.to_standardized(x))
+        assert not z.flags.writeable
         np.testing.assert_allclose(transform.to_original(z), x, rtol=1e-12, atol=1e-9)
         np.testing.assert_allclose(
             transform.to_standardized(transform.to_original(z)), z, rtol=1e-12, atol=1e-12

@@ -54,9 +54,11 @@ def test_only_the_pipeline_is_public():
     # the tests keep their own copies in _oracles where they need them.
     # Moments are plain float arrays, the mixture's standardization is
     # private to the theta* rule, and the kernel density is one function.
+    # A Sample is the one standardization: its transform is also the
+    # Gauss-Hermite fit.
     removed = {
-        "moments": ("MomentSequence", "standardized_mixture"),
-        "baselines": ("maxent_grid", "maxent_dual", "KernelDensity"),
+        "moments": ("MomentSequence", "standardized_mixture", "standardize"),
+        "baselines": ("maxent_grid", "maxent_dual", "KernelDensity", "fit_gaussian_mle"),
         "quadrature": ("tridiagonal_eigen", "JacobiMatrix"),
         "portfolio": ("state_returns", "crra_objective", "PortfolioProblem"),
         "experiments": ("format_config",),
