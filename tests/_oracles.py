@@ -275,8 +275,16 @@ def golden_section_theta(dist, risk_free, gamma, grid_points=20001, tol=1e-9):
             return float(weights @ np.log(wealth))
         return float(weights @ wealth ** (1.0 - gamma)) / (1.0 - gamma)
 
+    # The coarse scan: every grid point at once, as a (grid x nodes) array.
     grid = np.linspace(lo, hi, grid_points)
-    values = np.array([objective(t) for t in grid])
+    wealth = risk_free + grid[:, None] * excess
+    feasible = wealth.min(axis=1) > 0.0
+    safe = np.where(feasible[:, None], wealth, 1.0)
+    if gamma == 1.0:
+        values = np.log(safe) @ weights
+    else:
+        values = (safe ** (1.0 - gamma) @ weights) / (1.0 - gamma)
+    values = np.where(feasible, values, -np.inf)
     best = int(np.argmax(values))
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, grid_points - 1)]

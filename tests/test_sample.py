@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npgq import (
+    AffineTransform,
     DegenerateDataError,
     InputError,
     NotPositiveDefiniteError,
@@ -21,7 +22,7 @@ from npgq import (
 from npgq.baselines import _jacobi_moments
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
 
-from _oracles import one_shot_lanczos
+from _oracles import fsum_mean_std, one_shot_lanczos
 
 DISCRETIZERS = {
     "np-gq": discretize_data,
@@ -109,6 +110,15 @@ class TestSampleMoments:
             want = sample_moments(sample.z, 4)[1:]
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (data.size, got, want)
+
+    def test_standardization_matches_standardize(self):
+        # The one standardization: the exactly rounded mean and population
+        # std, and z the read-only image of the data under that transform.
+        data = mixture_data(400)
+        sample = Sample(data)
+        assert sample.transform == AffineTransform(*fsum_mean_std(data))
+        assert np.array_equal(sample.z, sample.transform.to_standardized(data))
+        assert not sample.z.flags.writeable
 
     def test_of_returns_the_same_sample(self):
         sample = Sample([1.0, 2.0, 4.0])
