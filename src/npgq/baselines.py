@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError, NpgqError, NumericalError
 from .moments import _BLOCK, Sample, _as_clean_array
-from .quadrature import DiscreteDistribution, _gauss_rule
+from .quadrature import DiscreteDistribution, _gauss_rule, _node_count_error
 
 __all__ = [
     "MaxEntSolution",
@@ -53,7 +53,7 @@ def _standard_normal_rule(n: int) -> DiscreteDistribution:
     """N-point Gauss-Hermite rule of N(0, 1), from its exact Jacobi matrix:
     the monic Hermite recurrence, diagonal 0 and off-diagonal sqrt(1..N-1)."""
     nodes, weights = _gauss_rule(np.zeros(n), np.sqrt(np.arange(1.0, n)), 1.0)
-    return DiscreteDistribution(nodes=tuple(nodes), weights=tuple(weights))
+    return DiscreteDistribution(nodes=nodes, weights=weights)
 
 
 def gauss_hermite_discretize(data, n: int) -> DiscreteDistribution:
@@ -64,8 +64,8 @@ def gauss_hermite_discretize(data, n: int) -> DiscreteDistribution:
     ``N(mean, std^2)`` is the Gaussian rule of the fitted Gaussian.
     Raises :class:`DegenerateDataError` for constant data.
     """
-    if n < 1:
-        raise InputError(f"node count must be >= 1, got {n}")
+    if error := _node_count_error(n, 1):
+        raise error
     fit = Sample.of(data).transform
     base = _standard_normal_rule(n)
     nodes = tuple(fit.shift + fit.scale * x for x in base.nodes)
@@ -78,11 +78,13 @@ def _silverman(std: float, size: int) -> float:
 
 def kde_pdf(data, bandwidth: float, x):
     """Gaussian-kernel density value(s) ``(1/(I h)) sum_i phi((x - x_i)/h)``
-    of nonempty, finite data, at a positive bandwidth ``h``."""
+    of nonempty, finite data, at a positive bandwidth ``h`` and finite ``x``."""
     data = _as_clean_array(data)
     if not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise InputError(f"bandwidth must be positive, got {bandwidth}")
     pts = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise InputError("evaluation points contain non-finite entries")
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
     # Blocks of whole grid rows of about _BLOCK values, or of one row when
@@ -120,25 +122,19 @@ def _even_grid(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MaxEntSolution:
-    """Result of the grid tilting problem.
+class MaxEntSolution(DiscreteDistribution):
+    """An np-me rule: the tilted probabilities ``weights`` on the grid
+    ``nodes``, and how the tilt was reached.
 
-    ``weights`` are the tilted probabilities on ``nodes``; ``prior`` is
-    the normalized kernel-density prior; ``lam`` solves the dual for the
-    ``n_matched`` monomial moments.  ``downgraded`` records a fallback
-    from four matched moments to two after an infeasible first attempt.
+    ``n_matched`` monomial moments are matched; ``downgraded`` records a
+    fallback from four matched moments to two after an infeasible first
+    attempt; ``iterations`` counts the Newton steps of the solve that
+    gave the rule.
     """
 
-    nodes: tuple[float, ...]
-    prior: tuple[float, ...]
-    lam: tuple[float, ...]
-    weights: tuple[float, ...]
     n_matched: int
     downgraded: bool
     iterations: int
-
-    def distribution(self) -> DiscreteDistribution:
-        return DiscreteDistribution(nodes=self.nodes, weights=self.weights)
 
 
 def _maxent_problems(sample: Sample, node_counts) -> list:
@@ -150,8 +146,8 @@ def _maxent_problems(sample: Sample, node_counts) -> list:
     of all the grids; each value is its own sum over the data, so a prior
     does not depend on the other grids.
     """
-    out = [InputError(f"node count must be >= 3, got {n}") if n < 3 else None for n in node_counts]
-    ns = tuple(n for n in node_counts if n >= 3)
+    out = [_node_count_error(n, 3) for n in node_counts]
+    ns = tuple(n for n, o in zip(node_counts, out) if o is None)
     if not ns:
         return out
     try:
@@ -184,7 +180,7 @@ def _maxent_solutions(problems) -> list[MaxEntSolution | NpgqError]:
     again = [i for i in live if isinstance(results[i], NpgqError) and len(problems[i][3]) > 2]
     results.update(zip(again, _solve_duals([(*problems[i][1:3], problems[i][3][:2]) for i in again])))
     for i, result in results.items():
-        transform, grid, prior, _ = problems[i]
+        transform, grid = problems[i][:2]
         if isinstance(result, NpgqError):
             out[i] = result
         elif min(result[1]) == 0.0:
@@ -192,9 +188,7 @@ def _maxent_solutions(problems) -> list[MaxEntSolution | NpgqError]:
         else:
             lam, weights, iterations = result
             out[i] = MaxEntSolution(
-                nodes=tuple(transform.to_original(grid)),
-                prior=tuple(prior),
-                lam=lam,
+                nodes=transform.to_original(grid),
                 weights=weights,
                 n_matched=len(lam),
                 downgraded=i in again,
@@ -238,9 +232,9 @@ def _stack(grids, priors, targets) -> np.ndarray:
     return data
 
 
-def _values(lam, feat, log_prior):
+def _values(lam, data):
     """Dual value and tilted weights of each stacked problem at ``lam``."""
-    logits = np.add.accumulate(feat * lam, axis=1)[:, -1] + log_prior
+    logits = np.add.accumulate(data[:, 1 : 1 + _MOMENTS] * lam, axis=1)[:, -1] + data[:, 0]
     top = logits.max(axis=0)
     expo = np.exp(logits - top)
     total = _sum0(expo)
@@ -276,7 +270,9 @@ def _solve_duals(problems) -> list:
     One column per problem (:func:`_stack`).  Every sum runs in index
     order, so padding adds exact zeros; each Hessian is solved on its own,
     and each column keeps its own line search, iteration count and stop.
-    So a problem's result does not depend on what shares the stack.
+    So a problem's result does not depend on what shares the stack.  A
+    column leaves the stack once: at the gradient test when it converges,
+    right after the line search when it stalls or diverges, or at the cap.
     """
     if not problems:
         return []
@@ -287,44 +283,19 @@ def _solve_duals(problems) -> list:
     out: list = [None] * len(problems)
     cols = np.arange(len(problems))
     lam = np.zeros((_MOMENTS, cols.size))
-    log_prior, feat, terms = data[:, 0], data[:, 1 : 1 + _MOMENTS], data[:, 1:]
-    value, w = _values(lam, feat, log_prior)
-    stalled, diverged = None, np.zeros(cols.size, dtype=bool)
-    failed = diverged
-    for iteration in range(_NEWTON_MAX_ITER + 1):
-        if iteration == _NEWTON_MAX_ITER:
-            failed = np.ones(cols.size, dtype=bool)
-        n_failed = np.count_nonzero(failed)
-        for c in failed.nonzero()[0]:
-            if stalled is not None and stalled[c]:
-                out[cols[c]] = NumericalError("tilting dual line search stalled")
-            elif diverged[c]:
-                out[cols[c]] = InfeasibleError(
-                    "tilting dual diverged; moment targets are unattainable on the grid"
-                )
-            else:
-                out[cols[c]] = NumericalError(
-                    f"tilting dual did not converge within {_NEWTON_MAX_ITER} iterations"
-                )
+    value, w = _values(lam, data)
+    for iteration in range(_NEWTON_MAX_ITER):
         # Tilted means of the features and of their pair products.
-        sums = _sum0(terms * w[:, None])
-        grad = sums[:_MOMENTS]
-        stop = np.sqrt(_sum0(grad * grad)) <= _NEWTON_GRAD_TOL
-        if n_failed:
-            stop &= ~failed
-        for c in stop.nonzero()[0]:
+        sums = _sum0(data[:, 1:] * w[:, None])
+        done = np.sqrt(_sum0(sums[:_MOMENTS] ** 2)) <= _NEWTON_GRAD_TOL
+        for c in done.nonzero()[0]:
             p = cols[c]
             out[p] = (tuple(lam[: n_match[p], c].tolist()), tuple(w[: sizes[p], c].tolist()), iteration)
-        if n_failed:
-            stop |= failed
-        if np.count_nonzero(stop):
-            keep = ~stop
-            if not np.count_nonzero(keep):
+        if np.count_nonzero(done):
+            if done.all():
                 return out
-            cols, lam, value, w, grad, sums, data = (
-                a[..., keep] for a in (cols, lam, value, w, grad, sums, data)
-            )
-            log_prior, feat, terms = data[:, 0], data[:, 1 : 1 + _MOMENTS], data[:, 1:]
+            cols, lam, value, w, sums, data = (a[..., ~done] for a in (cols, lam, value, w, sums, data))
+        grad = sums[:_MOMENTS]
         hess = sums[_MOMENTS:].reshape(_MOMENTS, _MOMENTS, -1) - grad[:, None] * grad
         step = _newton_steps(hess, grad, n_match[cols])
         slope = _sum0(grad * step)
@@ -338,12 +309,13 @@ def _solve_duals(problems) -> list:
         # drive the gradient to zero would be rejected.
         roundoff = 1e-15 * np.maximum(1.0, np.abs(value))
         cand = lam + step
-        c_value, c_w = _values(cand, feat, log_prior)
+        c_value, c_w = _values(cand, data)
         ok = c_value <= value + 1e-4 * slope + roundoff
-        if np.count_nonzero(ok) == ok.size:  # the full step in every column
-            lam, value, w, stalled = cand, c_value, c_w, None
+        stalled = ~ok
+        if not np.count_nonzero(stalled):  # the full step in every column
+            lam, value, w = cand, c_value, c_w
         else:  # halve each column's step until it decreases enough
-            stalled, t = np.ones(ok.size, dtype=bool), np.ones(ok.size)
+            t = np.ones(ok.size)
             for trial in range(1, 61):
                 np.copyto(lam, cand, where=ok)
                 np.copyto(value, c_value, where=ok)
@@ -353,14 +325,21 @@ def _solve_duals(problems) -> list:
                     break
                 t *= 0.5
                 cand = lam + t * step
-                c_value, c_w = _values(cand, feat, log_prior)
+                c_value, c_w = _values(cand, data)
                 ok = stalled & (c_value <= value + 1e-4 * t * slope + roundoff)
-        diverged = np.sqrt(_sum0(lam * lam)) > _LAMBDA_DIVERGENCE
-        if stalled is None:
-            failed = diverged
-        else:
-            diverged &= ~stalled
-            failed = diverged | stalled
+        failed = stalled | (np.sqrt(_sum0(lam * lam)) > _LAMBDA_DIVERGENCE)
+        if np.count_nonzero(failed):
+            for c in failed.nonzero()[0]:
+                out[cols[c]] = (
+                    NumericalError("tilting dual line search stalled")
+                    if stalled[c]
+                    else InfeasibleError("tilting dual diverged; moment targets are unattainable on the grid")
+                )
+            if failed.all():
+                return out
+            cols, lam, value, w, data = (a[..., ~failed] for a in (cols, lam, value, w, data))
+    for p in cols:
+        out[p] = NumericalError(f"tilting dual did not converge within {_NEWTON_MAX_ITER} iterations")
     return out
 
 
@@ -384,6 +363,7 @@ def maxent_solve(data, n: int) -> MaxEntSolution:
     return result
 
 
-def maxent_discretize(data, n: int) -> DiscreteDistribution:
-    """N-point distribution from the maximum-entropy grid method."""
-    return maxent_solve(data, n).distribution()
+def maxent_discretize(data, n: int) -> MaxEntSolution:
+    """N-point distribution from the maximum-entropy grid method: the
+    rule of :func:`maxent_solve`."""
+    return maxent_solve(data, n)

@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .baselines import _silverman, kde_pdf, maxent_solve
+from .baselines import _silverman, kde_pdf
 from .errors import DegenerateDataError, InputError, NpgqError
 from .experiments import (
     ExperimentConfig,
@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .moments import AffineTransform, Sample, sample_moments
 from .portfolio import solve_portfolios
-from .quadrature import DiscreteDistribution
+from .quadrature import DiscreteDistribution, expectation
 
 __all__ = ["main", "entry"]
 
@@ -125,14 +125,13 @@ def _gamma_grid(spec: str) -> list[float]:
 def cmd_discretize(args) -> int:
     header, rows = _read_csv(args.input)
     sample = Sample(_column_values(header, rows, args.column, args.input))
+    dist = _DISCRETIZERS[args.method](sample, args.n)
     # The highest moment order each method matches: np-gq 2N - 1, np-me
     # what its tilt reached (2 or 4), gauss-hermite the mean and variance
     # (the mean alone at N = 1).
     if args.method == "np-me":
-        solution = maxent_solve(sample, args.n)
-        dist, top = solution.distribution(), solution.n_matched
+        top = dist.n_matched
     else:
-        dist = _DISCRETIZERS[args.method](sample, args.n)
         top = 2 * args.n - 1 if args.method == "np-gq" else min(2, 2 * args.n - 1)
     # Round-trip precision: reading the file back gives the rule computed.
     written = [[repr(float(x)), repr(float(w))] for x, w in zip(dist.nodes, dist.weights)]
@@ -148,11 +147,12 @@ def cmd_discretize(args) -> int:
             z = sample.x - transform.shift
         target = sample_moments(z, top)
         rule = DiscreteDistribution(
-            nodes=tuple(transform.to_standardized([float(x) for x, _ in written])),
-            weights=tuple(float(w) for _, w in written),
+            nodes=transform.to_standardized([float(x) for x, _ in written]),
+            weights=[float(w) for _, w in written],
         )
         worst = max(
-            abs(rule.moment(k) - target[k]) / max(1.0, abs(target[k])) for k in range(top + 1)
+            abs(expectation(rule, lambda x: x**k) - target[k]) / max(1.0, abs(target[k]))
+            for k in range(top + 1)
         )
         print(f"max relative moment error (orders 0..{top}): {_NUM(worst)}")
     return 0

@@ -98,9 +98,13 @@ class ExperimentConfig:
             raise InputError("replications must be >= 1")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
+        # A repeated value would run its cells twice, and report them twice.
         for name in ("sample_sizes", "node_counts", "gammas", "methods"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise InputError(f"{name} must not be empty")
+            if len(set(values)) != len(values):
+                raise InputError(f"{name} must not repeat a value, got {list(values)}")
         if any(t < 2 for t in self.sample_sizes):
             raise InputError("sample sizes must be >= 2")
         if any(n < 1 for n in self.node_counts):
@@ -115,8 +119,6 @@ class ExperimentConfig:
             raise InputError(
                 f"unknown methods {unknown}; available: {sorted(_DISCRETIZERS)}"
             )
-        if len(set(self.methods)) != len(self.methods):
-            raise InputError("duplicate method labels")
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,7 +265,7 @@ def _replication_block(cfg: ExperimentConfig, start: int, stop: int) -> np.ndarr
                     slots.append((i, s, j, k))
     for slot, solution in zip(tilt_slots, _maxent_solutions(tilts)):
         if not isinstance(solution, NpgqError):
-            rules.append(solution.distribution())
+            rules.append(solution)
             slots.append(slot)
     for slot, row in zip(slots, solve_portfolios(rules, cfg.risk_free, cfg.gammas)):
         out[slot] = [math.nan if isinstance(r, NpgqError) else r.theta for r in row]

@@ -267,6 +267,4 @@ def _mixture_rule(mix: GaussianMixture) -> DiscreteDistribution:
     """The quadrature rule :func:`theoretical_portfolio` solves on."""
     transform, std_mix = _standardized_mixture(mix)
     nodes, weights = _gauss_rule(*_mixture_jacobi(std_mix, _THETA_STAR_NODES), 1.0)
-    return DiscreteDistribution(
-        nodes=tuple(transform.to_original(nodes)), weights=tuple(weights)
-    )
+    return DiscreteDistribution(nodes=transform.to_original(nodes), weights=weights)

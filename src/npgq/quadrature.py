@@ -24,6 +24,7 @@ Lanczos, since the standard normal's Jacobi matrix is known exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,8 +69,14 @@ class DiscreteDistribution:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def moment(self, order: int) -> float:
-        return math.fsum(w * x**order for x, w in zip(self.nodes, self.weights))
+
+def _node_count_error(n, least: int) -> InputError | None:
+    """The error for a node count that is not an integer of at least ``least``."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        return InputError(f"node count must be an integer, got {n!r}")
+    return InputError(f"node count must be >= {least}, got {n}") if n < least else None
 
 
 def _gauss_rule(diag, offdiag, mass: float) -> tuple[np.ndarray, np.ndarray]:
@@ -108,8 +115,8 @@ def discretize_data(data, n: int) -> DiscreteDistribution:
     n : int
         Number of nodes.
     """
-    if n < 1:
-        raise InputError(f"node count must be >= 1, got {n}")
+    if error := _node_count_error(n, 1):
+        raise error
     sample = Sample.of(data)
     try:
         transform = sample.transform
@@ -135,9 +142,7 @@ def discretize_data(data, n: int) -> DiscreteDistribution:
             pivot=diag.size + 1,
         )
     nodes, weights = _gauss_rule(diag, offdiag, 1.0)
-    return DiscreteDistribution(
-        nodes=tuple(transform.to_original(nodes)), weights=tuple(weights)
-    )
+    return DiscreteDistribution(nodes=transform.to_original(nodes), weights=weights)
 
 
 def expectation(dist: DiscreteDistribution, g: Callable) -> float:

@@ -229,7 +229,7 @@ def maxent_dual(lam, nodes, prior, targets):
     stacked = np.zeros((_MOMENTS, 1))
     stacked[: targets.size, 0] = lam
     data = _stack([nodes], [np.asarray(prior, dtype=float)], [targets])
-    value, w = _values(stacked, data[:, 1 : 1 + _MOMENTS], data[:, 0])
+    value, w = _values(stacked, data)
     feats = np.vander(nodes, targets.size + 1, increasing=True).T[1:] - targets[:, None]
     return float(value[0]), feats @ w[:, 0]
 

@@ -13,12 +13,14 @@ from npgq import (
     NumericalError,
     InfeasibleError,
     Sample,
+    expectation,
     gauss_hermite_discretize,
     kde_pdf,
     maxent_discretize,
     maxent_solve,
     sample_moments,
 )
+import npgq.baselines
 from npgq.baselines import (
     _SQRT_2PI,
     _even_grid,
@@ -154,6 +156,12 @@ class TestKernelDensity:
     def test_rejects_bad_bandwidth(self, bandwidth):
         with pytest.raises(InputError, match="bandwidth must be positive"):
             kde_pdf([1.0, 2.0], bandwidth, 0.0)
+
+    @pytest.mark.parametrize("x", [math.nan, -math.inf, [0.0, math.nan], [[1.0], [math.inf]]])
+    def test_rejects_non_finite_points(self, x):
+        # A NaN point has no density: an error, not a NaN value.
+        with pytest.raises(InputError, match="evaluation points contain non-finite entries"):
+            kde_pdf([1.0, 2.0], 0.5, x)
 
     def test_grid_blocks_bound_memory_and_keep_every_bit(self):
         # 512 grid points on 50 000 data points: one (512 x T) temporary
@@ -299,28 +307,29 @@ class TestMaxentSolve:
         sol = maxent_solve(data, 5)
         assert sol.n_matched == 4
         assert not sol.downgraded
-        dist = sol.distribution()
         target = sample_moments(data, 4)
         for k in range(1, 5):
-            assert abs(dist.moment(k) - target[k]) <= 1e-8 * max(1.0, abs(target[k]))
+            assert abs(expectation(sol, lambda x: x**k) - target[k]) <= 1e-8 * max(1.0, abs(target[k]))
 
     def test_weights_positive_and_normalized(self):
         rng = np.random.default_rng(21)
-        data = rng.standard_normal(400)
-        for n in (3, 5, 7, 9):
-            sol = maxent_solve(data, n)
+        sample = Sample(rng.standard_normal(400))
+        for n, (_, _, prior, _) in zip((3, 5, 7, 9), _maxent_problems(sample, (3, 5, 7, 9))):
+            sol = maxent_solve(sample, n)
             assert all(w > 0 for w in sol.weights)
             assert sum(sol.weights) == pytest.approx(1.0, abs=1e-12)
-            assert all(q > 0 for q in sol.prior)
+            assert all(q > 0 for q in prior)
 
     def test_dual_optimality_in_standardized_units(self):
         rng = np.random.default_rng(34)
-        data = rng.standard_normal(600) * 0.2 + 0.05
-        sol = maxent_solve(data, 7)
-        sample = Sample(data)
-        grid_z = sample.transform.to_standardized(np.asarray(sol.nodes))
+        sample = Sample(rng.standard_normal(600) * 0.2 + 0.05)
+        sol = maxent_solve(sample, 7)
+        # The rule's multipliers: the dual solve it came from.
+        (problem,) = _maxent_problems(sample, (7,))
+        ((lam, weights, _),) = _solve_duals([problem[1:]])
+        assert weights == sol.weights and len(lam) == sol.n_matched
         targets = sample_moments(sample.z, sol.n_matched)[1:]
-        _, grad = maxent_dual(sol.lam, grid_z, np.asarray(sol.prior), targets)
+        _, grad = maxent_dual(lam, problem[1], problem[2], targets)
         assert np.linalg.norm(grad) <= 1e-8
 
     def test_infeasible_targets_fall_back_to_two_moments(self):
@@ -339,16 +348,14 @@ class TestMaxentSolve:
 
 
 def _outcome(result):
-    """A stacked solve's result for one problem, bit for bit."""
+    """A stacked solve's result for one problem, bit for bit: an np-me
+    rule, or the ``(lam, weights, iterations)`` of :func:`_solve_duals`."""
     if isinstance(result, NpgqError):
         return type(result).__name__, str(result)
-    return (
-        [w.hex() for w in result.weights],
-        [v.hex() for v in result.lam],
-        result.iterations,
-        result.downgraded,
-        result.n_matched,
-    )
+    if isinstance(result, tuple):
+        lam, weights, iterations = result
+        return [v.hex() for v in lam], [w.hex() for w in weights], iterations
+    return [w.hex() for w in result.weights], result.iterations, result.downgraded, result.n_matched
 
 
 class TestStackedTilt:
@@ -381,10 +388,22 @@ class TestStackedTilt:
         # The cases the batch mixes: an input error passed through, a
         # downgrade, a retry that fails too, and a singular Hessian.
         assert alone[0][0] == "InputError"
-        assert alone[-3][3] is True and alone[-3][4] == 2
+        assert alone[-3][2] is True and alone[-3][3] == 2
         assert alone[-2][0] in ("InfeasibleError", "NumericalError")
         assert alone[-1][0] in ("InfeasibleError", "NumericalError")
-        assert sum(o[3] is True for o in alone if len(o) == 5) > 1
+        assert sum(o[2] is True for o in alone if len(o) == 4) > 1
+
+    def test_shuffled_dual_batch_matches_each_dual_alone(self):
+        # The multipliers too, from the dual solves: every problem on its
+        # own targets and every four-target one again on two.
+        duals = [p[1:] for p in self._problems() if not isinstance(p, NpgqError)]
+        duals += [(grid, prior, targets[:2]) for grid, prior, targets in duals if len(targets) > 2]
+        alone = [_outcome(_solve_duals([d])[0]) for d in duals]
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(duals))
+            batch = _solve_duals([duals[i] for i in order])
+            assert [_outcome(r) for r in batch] == [alone[i] for i in order]
+        assert sum(len(o) == 3 and len(o[0]) == 4 for o in alone) > 1
 
     @pytest.mark.parametrize("size", [100, 1000, 10_000])
     def test_a_prior_does_not_depend_on_the_other_grids(self, size):
@@ -420,11 +439,90 @@ class TestStackedTilt:
         assert isinstance(first, InfeasibleError)
         ((lam, weights, iterations),) = _solve_duals([(grid, prior, targets[:2])])
         (sol,) = _maxent_solutions([problem])
-        assert sol.downgraded and sol.n_matched == 2
-        assert [v.hex() for v in sol.lam] == [v.hex() for v in lam]
+        assert sol.downgraded and sol.n_matched == len(lam) == 2
         assert [v.hex() for v in sol.weights] == [v.hex() for v in weights]
         assert sol.iterations == iterations
         assert sol.nodes == tuple(transform.to_original(grid))
+
+
+class TestSolveDualsPinned:
+    """:func:`_solve_duals` outcomes pinned in ``float.hex``: one problem
+    per way a column leaves the stack."""
+
+    PLAIN = (_even_grid(5), np.array([0.1, 0.2, 0.4, 0.2, 0.1]), [0.1, 1.0, 0.2, 2.5])
+
+    @staticmethod
+    def _solve_counting(monkeypatch, problem):
+        """Solve alone, counting the dual evaluations: one at lam = 0, one
+        per Newton step and one per halved step."""
+        calls = []
+        values = npgq.baselines._values
+        monkeypatch.setattr(npgq.baselines, "_values", lambda *a: calls.append(a) or values(*a))
+        (result,) = _solve_duals([problem])
+        return result, len(calls)
+
+    def test_plain_four_target_problem_takes_full_steps(self, monkeypatch):
+        ((lam, weights, iterations), evaluations) = self._solve_counting(monkeypatch, self.PLAIN)
+        assert evaluations == 1 + iterations
+        assert [v.hex() for v in lam] == [
+            "0x1.2c49e6cba800ap-3", "0x1.d2cc5ce832a5ap-6", "-0x1.2c49e6cba8028p-6", "-0x1.bbb9c9c7a9287p-5",
+        ]
+        assert [v.hex() for v in weights] == [
+            "0x1.555555555868fp-8", "0x1.8cecf40d57bf4p-3", "0x1.0ffffffffff98p-1",
+            "0x1.0ededb4ea96a2p-2", "0x1.5555555558675p-8",
+        ]
+        assert iterations == 7
+
+    def test_study_problem_whose_line_search_halves_its_step(self, monkeypatch):
+        sample = Sample(sample_mixture(DEFAULT_MIXTURE, 100, replication_rng(13, 100, 3)))
+        (problem,) = _maxent_problems(sample, (7,))
+        ((lam, weights, iterations), evaluations) = self._solve_counting(monkeypatch, problem[1:])
+        assert evaluations == 1 + iterations + 2
+        assert [v.hex() for v in lam] == [
+            "0x1.b028d9ccb2013p-4", "-0x1.070ca43cf4f25p-1", "0x1.2d945bb74be3bp-7", "0x1.089d75ad43033p-4",
+        ]
+        assert [v.hex() for v in weights] == [
+            "0x1.2317cf4bf6434p-5", "0x1.405403552d937p-6", "0x1.6fa89d7edcbccp-4", "0x1.43d59efbc2432p-1",
+            "0x1.af00662efa307p-3", "0x1.7d24bd0091ed0p-7", "0x1.320f14e2027b1p-11",
+        ]
+        assert iterations == 6
+
+    def test_diverging_first_attempt_of_a_downgrade(self):
+        sample = Sample(sample_mixture(DEFAULT_MIXTURE, 100, replication_rng(5, 100, 0)))
+        (problem,) = _maxent_problems(sample, (5,))
+        (result,) = _solve_duals([problem[1:]])
+        assert type(result) is InfeasibleError
+        assert str(result) == "tilting dual diverged; moment targets are unattainable on the grid"
+
+    def test_stalled_line_search(self):
+        prior = np.array([float.fromhex(v) for v in (
+            "0x1.d85c7c570796cp-5", "0x1.9c02d017b7ef6p-7", "0x1.6773bd636eca7p-2",
+            "0x1.7f5b3be3e78e8p-4", "0x1.f0c9cd97f89f8p-2",
+        )])
+        targets = [float.fromhex(v) for v in (
+            "0x1.63a5d463c7ae4p-3", "0x1.ab221d86d5777p+2", "0x1.42da5e16de9a7p+1", "0x1.fb97ef9f184d3p+4",
+        )]
+        (result,) = _solve_duals([(_even_grid(5), prior, targets)])
+        assert type(result) is NumericalError
+        assert str(result) == "tilting dual line search stalled"
+
+    def test_singular_hessian_column_runs_to_the_cap(self):
+        problem = (_even_grid(5), np.array([0.5, 0.0, 0.0, 0.0, 0.5]), [0.0, 1.0])
+        (result,) = _solve_duals([problem])
+        assert type(result) is NumericalError
+        assert str(result) == "tilting dual did not converge within 200 iterations"
+
+    def test_the_cap_counts_gradient_tests(self, monkeypatch):
+        # The loop makes _NEWTON_MAX_ITER gradient tests, before steps
+        # 0..cap-1: the plain problem passes its test after 7 steps, the
+        # 8th test, so a cap of 8 keeps it and a cap of 7 does not.
+        monkeypatch.setattr("npgq.baselines._NEWTON_MAX_ITER", 8)
+        ((_, _, iterations),) = _solve_duals([self.PLAIN])
+        assert iterations == 7
+        monkeypatch.setattr("npgq.baselines._NEWTON_MAX_ITER", 7)
+        (result,) = _solve_duals([self.PLAIN])
+        assert type(result) is NumericalError
+        assert str(result) == "tilting dual did not converge within 7 iterations"
 
 
 class TestUnderflowingTilt:

@@ -86,7 +86,7 @@ class TestDiscretize:
     def test_node_weight_csv_round_trips(self, tmp_path, capsys):
         # Re-reading the emitted file and re-evaluating moments must
         # reproduce the verification number printed by --verify.
-        from npgq import DiscreteDistribution, sample_moments
+        from npgq import DiscreteDistribution, expectation, sample_moments
 
         data = sample_mixture(DEFAULT_MIXTURE, 1500, replication_rng(4, 1500, 0))
         src = write_csv(tmp_path / "in.csv", ["x"], [data.tolist()])
@@ -101,7 +101,7 @@ class TestDiscretize:
         )
         target = sample_moments(data, 7)
         recomputed = max(
-            abs(dist.moment(k) - target[k]) / max(1.0, abs(target[k]))
+            abs(expectation(dist, lambda x: x**k) - target[k]) / max(1.0, abs(target[k]))
             for k in range(8)
         )
         # the file holds the rule at round-trip precision
@@ -442,6 +442,15 @@ class TestExperimentCommand:
         cfg.write_text(line + "\n")
         assert main(["experiment", "--config", str(cfg), "--output", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+
+    @pytest.mark.parametrize("line", ["node_counts = 3, 3", "sample_sizes = 50, 50", "gammas = 2, 2.0"])
+    def test_repeated_grid_value_exits_2_before_any_output(self, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        assert main(["experiment", "--config", str(cfg), "--output", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line.split()[0]} must not repeat a value") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -247,6 +247,17 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             ExperimentConfig(gammas=(0.0,))
 
+    @pytest.mark.parametrize(
+        "name, values",
+        [("sample_sizes", (100, 50, 100)), ("node_counts", (3, 3)), ("gammas", (2.0, 2)),
+         ("methods", ("np-gq", "np-me", "np-gq"))],
+    )
+    def test_repeated_grid_value_rejected(self, name, values):
+        # It would run each of its cells twice and report every row twice.
+        with pytest.raises(InputError) as info:
+            ExperimentConfig(**{name: values})
+        assert str(info.value).startswith(f"{name} must not repeat a value, got ")
+
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -2.0])
     def test_gamma_must_be_finite_and_positive(self, gamma):
         with pytest.raises(InputError, match="risk aversions must be finite and positive"):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -76,3 +77,16 @@ def test_only_the_pipeline_is_public():
     # targets from it, and exactly rounded moments are only the reference.
     assert not hasattr(npgq.Sample, "moments")
 
+
+
+def test_an_np_me_rule_is_a_rule():
+    # One rule type: np-me returns a DiscreteDistribution with its solve's
+    # counters, and a rule has one integration route, `expectation`.
+    assert issubclass(npgq.MaxEntSolution, npgq.DiscreteDistribution)
+    fields = {f.name for f in dataclasses.fields(npgq.MaxEntSolution)}
+    assert fields == {"nodes", "weights", "n_matched", "downgraded", "iterations"}
+    gone = [n for n in ("prior", "lam", "distribution", "moment") if hasattr(npgq.MaxEntSolution, n)]
+    assert gone == []
+    assert not hasattr(npgq.DiscreteDistribution, "moment")
+    rule = npgq.maxent_discretize([-1.0, -0.5, 0.0, 0.5, 1.0], 3)
+    assert type(rule) is npgq.MaxEntSolution and rule.n_matched == 2
