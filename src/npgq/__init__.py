@@ -44,7 +44,6 @@ from .portfolio import (
 from .experiments import (
     DEFAULT_MIXTURE,
     DEFAULT_RISK_FREE,
-    METHOD_LABELS,
     CellResult,
     ExperimentConfig,
     ExperimentReport,

@@ -15,11 +15,12 @@ np-me's tilting duals are solved many at a time, in one stacked damped
 Newton (:func:`_solve_duals`), and :func:`maxent_solve` is its
 one-problem case, the way :func:`~npgq.portfolio.solve_portfolio` is
 that of :func:`~npgq.portfolio.solve_portfolios`.  The Monte Carlo study
-stacks every np-me problem of a block of replications; the four-moment
-problems that fail are solved again, on two moments, in a second stack.
+stacks every np-me problem of a block of replications, and
+:func:`_attainable` decides before Newton which targets each is solved on.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -126,10 +127,9 @@ class MaxEntSolution(DiscreteDistribution):
     """An np-me rule: the tilted probabilities ``weights`` on the grid
     ``nodes``, and how the tilt was reached.
 
-    ``n_matched`` monomial moments are matched; ``downgraded`` records a
-    fallback from four matched moments to two after an infeasible first
-    attempt; ``iterations`` counts the Newton steps of the solve that
-    gave the rule.
+    ``n_matched`` monomial moments are matched; ``downgraded`` records
+    that four were asked for but no tilt reaches them, so two were
+    matched; ``iterations`` counts the Newton steps of the solve.
     """
 
     n_matched: int
@@ -165,22 +165,61 @@ def _maxent_problems(sample: Sample, node_counts) -> list:
     return [next(problems) if o is None else o for o in out]
 
 
+@lru_cache(maxsize=64)
+def _facets(grid: tuple, k: int) -> np.ndarray:
+    """Facets of the hull of ``(x, .., x^k)`` over a grid ``x_1 < .. < x_N``,
+    for even k, as (facets x k+1) polynomial coefficients ``c_0..c_k``.
+
+    The hull is a cyclic polytope: by Gale's evenness condition a facet is
+    k/2 disjoint pairs of neighbouring points, ``x_N`` a neighbour of
+    ``x_1``.  A row is the product of ``x - x_i`` over its points, negated
+    if ``(x_N, x_1)`` is a pair, so it is positive on the other grid points
+    (Ziegler, Lectures on Polytopes, Thm 0.7).
+    """
+    n = len(grid)
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    rows = []
+    for chosen in itertools.combinations(pairs, k // 2):
+        points = sorted({i for pair in chosen for i in pair})
+        if len(points) == k:
+            sign = -1.0 if (n - 1, 0) in chosen else 1.0
+            rows.append(sign * np.polynomial.polynomial.polyfromroots([grid[i] for i in points]))
+    facets = np.array(rows)
+    facets.setflags(write=False)  # one cached array serves every caller
+    return facets
+
+
+def _attainable(grid: np.ndarray, targets) -> bool:
+    """Whether a tilt of a positive prior on the grid matches ``targets``: iff each
+    facet polynomial's expectation under them is positive (Tanaka & Toda 2013)."""
+    return bool((_facets(tuple(grid.tolist()), len(targets)) @ [1.0, *targets]).min() > 0.0)
+
+
 def _maxent_solutions(problems) -> list[MaxEntSolution | NpgqError]:
     """Solve np-me tilting problems, from :func:`_maxent_problems`, in one
     stacked damped Newton (:func:`_solve_duals`), and map each grid back
-    to data units.  A four-target problem that fails is solved again, in
-    a second stack of all such problems, on its first two targets, and is
-    ``downgraded``.  Failures are values: an :class:`NpgqError` entry
-    passes through, a problem that cannot be solved gets its error, and a
-    tilt with a weight that underflows to 0 is a :class:`NumericalError`.
+    to data units.  Each problem is solved once, on the targets a tilt
+    can reach (:func:`_attainable`): all of them, or else the first two of
+    four, and the rule is ``downgraded``.  Failures are values: an
+    :class:`NpgqError` entry passes through, a problem whose first two
+    targets are out of reach is an :class:`InfeasibleError` with no Newton
+    step, a problem that cannot be solved gets its error, and a tilt with
+    a weight that underflows to 0 is a :class:`NumericalError`.
     """
     out = list(problems)
-    live = [i for i, p in enumerate(problems) if not isinstance(p, NpgqError)]
-    results = dict(zip(live, _solve_duals([problems[i][1:] for i in live])))
-    again = [i for i in live if isinstance(results[i], NpgqError) and len(problems[i][3]) > 2]
-    results.update(zip(again, _solve_duals([(*problems[i][1:3], problems[i][3][:2]) for i in again])))
-    for i, result in results.items():
-        transform, grid = problems[i][:2]
+    live, duals = [], []
+    for i, problem in enumerate(problems):
+        if isinstance(problem, NpgqError):
+            continue
+        grid, prior, targets = problem[1:]
+        k = next((k for k in (len(targets), 2) if _attainable(grid, targets[:k])), 0)
+        if k:
+            live.append(i)
+            duals.append((grid, prior, targets[:k]))
+        else:
+            out[i] = InfeasibleError(f"moment targets are unattainable on the {grid.size}-point np-me grid")
+    for i, result in zip(live, _solve_duals(duals)):
+        transform, grid, _, targets = problems[i]
         if isinstance(result, NpgqError):
             out[i] = result
         elif min(result[1]) == 0.0:
@@ -191,7 +230,7 @@ def _maxent_solutions(problems) -> list[MaxEntSolution | NpgqError]:
                 nodes=transform.to_original(grid),
                 weights=weights,
                 n_matched=len(lam),
-                downgraded=i in again,
+                downgraded=len(lam) < len(targets),
                 iterations=iterations,
             )
     return out
@@ -351,8 +390,8 @@ def maxent_solve(data, n: int) -> MaxEntSolution:
     and the prior is the standardized data's kernel density with
     Silverman's bandwidth ``1.06 * I^(-1/5)``.  Four moments are matched
     when N >= 5 (two otherwise), read from the sample's three-step Jacobi
-    matrix whatever N; if four are unattainable the solver
-    retries with two and flags the downgrade.  Nodes are mapped back to
+    matrix whatever N; if no tilt reaches four, two are matched and the
+    rule is ``downgraded``.  Nodes are mapped back to
     data units.  N must be at least 3: at N = 2 the grid is +-sqrt(2),
     where every tilt has second moment 2, not the data's 1.  This is the
     stacked solve of :func:`_maxent_solutions` on one problem.

@@ -18,15 +18,9 @@ class NotPositiveDefiniteError(NpgqError):
     """The measure has fewer support points than the nodes requested.
 
     Raised when Lanczos on data breaks down before N steps: its next
-    off-diagonal entry is rounding noise.
-
-    Attributes
-    ----------
-    pivot : int
-        One more than the number of Lanczos steps completed.  A failure at
-        pivot ``i`` signals that the data has fewer than ``i`` effective
-        support points; reducing the node count to ``i - 1`` is the usual
-        remedy.
+    off-diagonal entry is rounding noise.  ``pivot``, one more than the
+    steps completed, is ``i`` when the data has fewer than ``i`` effective
+    support points, so ``i - 1`` nodes is the usual remedy.
     """
 
     def __init__(self, message: str, pivot: int):

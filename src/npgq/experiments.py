@@ -16,6 +16,7 @@ rules, np-me's as one stacked solve of every tilting problem of the block,
 then solves them at every configured risk aversion in one call of
 :func:`~npgq.portfolio.solve_portfolios`, which returns one row of shares
 per rule.  The true optimal shares are one such call on the mixture's rule.
+The summary is one array stage over (cell x replication) rows of errors.
 
 Reproducibility: every replication draws from its own counter-based
 substream keyed by (seed, sample size, replication index), and sampling
@@ -27,7 +28,9 @@ blocks differ) on one platform.
 from __future__ import annotations
 
 import io
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,7 +48,6 @@ from .quadrature import discretize_data
 __all__ = [
     "DEFAULT_MIXTURE",
     "DEFAULT_RISK_FREE",
-    "METHOD_LABELS",
     "ExperimentConfig",
     "CellResult",
     "ExperimentReport",
@@ -66,9 +68,6 @@ DEFAULT_MIXTURE = GaussianMixture(
 # Average real gross risk-free rate from the same annual data.
 DEFAULT_RISK_FREE = 1.0045
 
-METHOD_LABELS = ("np-gq", "gauss-hermite", "np-me")
-
-
 _DISCRETIZERS = {
     "np-gq": discretize_data,
     "gauss-hermite": gauss_hermite_discretize,
@@ -85,13 +84,16 @@ class ExperimentConfig:
     sample_sizes: tuple[int, ...] = (100, 1000, 10000)
     node_counts: tuple[int, ...] = (3, 5, 7, 9)
     gammas: tuple[float, ...] = (2.0, 4.0, 6.0)
-    methods: tuple[str, ...] = METHOD_LABELS
+    methods: tuple[str, ...] = tuple(_DISCRETIZERS)
     replications: int = 1000
     seed: int = 20170927
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_sizes", tuple(int(t) for t in self.sample_sizes))
-        object.__setattr__(self, "node_counts", tuple(int(n) for n in self.node_counts))
+        for name in ("sample_sizes", "node_counts"):
+            try:  # an integer type, never a float that int() would truncate
+                object.__setattr__(self, name, tuple(operator.index(v) for v in getattr(self, name)))
+            except TypeError:
+                raise InputError(f"{name} must be integers, got {list(getattr(self, name))}") from None
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.replications < 1:
@@ -281,32 +283,11 @@ def _theta_star_table(cfg: ExperimentConfig) -> dict[float, float]:
                 raise solution
             table[gamma] = solution.theta
     except NpgqError as exc:
-        raise InputError(
-            f"cannot compute the true optimal share for this configuration: {exc}"
-        ) from exc
+        raise InputError(f"cannot compute the true optimal share for this configuration: {exc}") from exc
     zeros = [g for g, v in table.items() if v == 0.0]
     if zeros:
-        raise InputError(
-            f"true optimal share is zero for gamma={zeros}; relative errors undefined"
-        )
+        raise InputError(f"true optimal share is zero for gamma={zeros}; relative errors undefined")
     return table
-
-
-def _summarize(ratios_minus_one: np.ndarray) -> tuple[float, float, int, int, float, float]:
-    """bias, mae, failures, n_used, and standard errors from one cell's errors."""
-    total = ratios_minus_one.size
-    good = ratios_minus_one[np.isfinite(ratios_minus_one)]
-    failures = total - good.size
-    if good.size == 0:
-        return math.nan, math.nan, failures, 0, math.nan, math.nan
-    bias = float(np.mean(good))
-    mae = float(np.mean(np.abs(good)))
-    if good.size > 1:
-        bias_se = float(np.std(good, ddof=1) / math.sqrt(good.size))
-        mae_se = float(np.std(np.abs(good), ddof=1) / math.sqrt(good.size))
-    else:
-        bias_se = mae_se = math.nan
-    return bias, mae, failures, good.size, bias_se, mae_se
 
 
 def _grid_tasks(cfg: ExperimentConfig, jobs: int):
@@ -332,30 +313,28 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     else:
         with Pool(processes=min(jobs, os.cpu_count() or 1)) as pool:
             blocks = pool.starmap(_replication_block, tasks, chunksize=1)
-    # Blocks come back in task order, which is replication order.
-    thetas = np.concatenate(blocks)
-    cells = []
-    for j, method in enumerate(cfg.methods):
-        for s, t in enumerate(cfg.sample_sizes):
-            for k, n in enumerate(cfg.node_counts):
-                for g_idx, gamma in enumerate(cfg.gammas):
-                    errors = thetas[:, s, j, k, g_idx] / theta_star[gamma] - 1.0
-                    bias, mae, failures, n_used, bias_se, mae_se = _summarize(errors)
-                    cells.append(
-                        CellResult(
-                            method=method,
-                            sample_size=t,
-                            node_count=n,
-                            gamma=gamma,
-                            bias=bias,
-                            mae=mae,
-                            failures=failures,
-                            n_used=n_used,
-                            bias_se=bias_se,
-                            mae_se=mae_se,
-                        )
-                    )
-    return ExperimentReport(config=cfg, theta_star=theta_star, cells=tuple(cells))
+    # Blocks come back in task order, which is replication order.  One row of
+    # relative errors per cell, in the report's order; the rows with n finite
+    # errors are compacted to one (rows x n) array, reduced along its rows.
+    errors = np.concatenate(blocks) / np.array([theta_star[g] for g in cfg.gammas]) - 1.0
+    rows = np.ascontiguousarray(errors.transpose(2, 1, 3, 4, 0)).reshape(-1, cfg.replications)
+    finite = np.isfinite(rows)
+    n_used = np.count_nonzero(finite, axis=1)
+    # Python floats, and the one shared math.nan where a cell lacks a statistic.
+    stats = np.full((4, rows.shape[0]), math.nan, dtype=object)  # bias, mae, bias_se, mae_se
+    for n in np.unique(n_used[n_used > 0]).tolist():
+        group = n_used == n
+        good = rows[group][finite[group]].reshape(-1, n)
+        for row, values in enumerate((good, np.abs(good))):
+            stats[row, group] = np.mean(values, axis=1)
+            if n > 1:
+                stats[row + 2, group] = np.std(values, axis=1, ddof=1) / math.sqrt(n)
+    keys = itertools.product(cfg.methods, cfg.sample_sizes, cfg.node_counts, cfg.gammas)
+    return ExperimentReport(config=cfg, theta_star=theta_star, cells=tuple(
+        CellResult(method, t, n, gamma, bias, mae, cfg.replications - used, used, bias_se, mae_se)
+        for (method, t, n, gamma), bias, mae, bias_se, mae_se, used
+        in zip(keys, *stats.tolist(), n_used.tolist())
+    ))
 
 
 # --- flat key=value configuration files ---------------------------------

@@ -122,21 +122,10 @@ def _as_clean_array(data, *, name: str = "data") -> np.ndarray:
 
 
 def sample_moments(data, max_order: int) -> np.ndarray:
-    """Raw sample moments ``(1/I) * sum_i x_i^k`` for ``k = 0..max_order``.
-
-    Parameters
-    ----------
-    data : array_like
-        Observations ``x_1..x_I``; must be nonempty and finite.
-    max_order : int
-        Highest moment order K.
-
-    Returns
-    -------
-    numpy.ndarray
-        Read-only float64 array ``[m_0, ..., m_K]`` with ``m_0`` exactly 1;
-        each sum is exactly rounded (``math.fsum``).  A moment past the
-        float range raises :class:`InputError` naming its order.
+    """Raw sample moments ``(1/I) * sum_i x_i^k`` of nonempty, finite data,
+    as a read-only float64 array ``[m_0, ..., m_K]``, ``K = max_order``, with
+    ``m_0`` exactly 1 and each sum exactly rounded (``math.fsum``).  A
+    moment past the float range raises :class:`InputError` naming its order.
     """
     if max_order < 0:
         raise InputError(f"max_order must be >= 0, got {max_order}")

@@ -10,7 +10,10 @@ vectorized portfolio engine replaced, kept as its step-for-step reference;
 ``one_shot_lanczos`` is the fixed-length Lanczos run the incremental
 Lanczos state replaced, kept as its bit-for-bit reference, and
 ``fsum_mean_std`` the two ``math.fsum`` passes the blocked exact sum of
-the standardization replaced.
+the standardization replaced.  ``summarize_cell`` is the per-cell
+summary the study's array stage replaced, and ``interior_margin`` decides
+whether np-me's targets are reachable by a linear program, in place of
+the cyclic polytope's facets.
 
 The moment route is the reference for the library's Lanczos route:
 ``gaussian_moments`` and ``mixture_moments`` give raw moments as a
@@ -23,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 from npgq import (
     DiscreteDistribution,
@@ -232,6 +236,41 @@ def maxent_dual(lam, nodes, prior, targets):
     value, w = _values(stacked, data)
     feats = np.vander(nodes, targets.size + 1, increasing=True).T[1:] - targets[:, None]
     return float(value[0]), feats @ w[:, 0]
+
+
+def interior_margin(grid, targets):
+    """The largest ``t`` such that weights ``w_i >= t`` on the grid sum to 1
+    and have raw moments ``targets``, by ``scipy.optimize.linprog``: the
+    targets are interior to the hull of the grid's moment curve, so a tilt
+    of a positive prior reaches them, iff it is positive."""
+    grid = np.asarray(grid, dtype=float)
+    n, k = grid.size, len(targets)
+    # Variables (w_1..w_N, t); maximize t subject to V w = (1, m) and t - w_i <= 0.
+    a_eq = np.hstack([np.vander(grid, k + 1, increasing=True).T, np.zeros((k + 1, 1))])
+    a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=[1.0, *targets],
+                  bounds=[(None, None)] * (n + 1), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def summarize_cell(ratios_minus_one):
+    """bias, mae, failures, n_used, and standard errors from one cell's errors."""
+    total = ratios_minus_one.size
+    good = ratios_minus_one[np.isfinite(ratios_minus_one)]
+    failures = total - good.size
+    if good.size == 0:
+        return math.nan, math.nan, failures, 0, math.nan, math.nan
+    bias = float(np.mean(good))
+    mae = float(np.mean(np.abs(good)))
+    if good.size > 1:
+        bias_se = float(np.std(good, ddof=1) / math.sqrt(good.size))
+        mae_se = float(np.std(np.abs(good), ddof=1) / math.sqrt(good.size))
+    else:
+        bias_se = mae_se = math.nan
+    return bias, mae, failures, good.size, bias_se, mae_se
 
 
 def naive_moments(data, max_order):

@@ -1,4 +1,5 @@
 import math
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,9 @@ from npgq import (
 import npgq.baselines
 from npgq.baselines import (
     _SQRT_2PI,
+    _attainable,
     _even_grid,
+    _facets,
     _maxent_problems,
     _maxent_solutions,
     _silverman,
@@ -32,7 +35,7 @@ from npgq.baselines import (
 from npgq.moments import _BLOCK
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
 
-from _oracles import maxent_dual
+from _oracles import interior_margin, maxent_dual
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -370,8 +373,8 @@ class TestStackedTilt:
         downgrading = Sample(sample_mixture(DEFAULT_MIXTURE, 100, replication_rng(5, 100, 0)))
         problems += _maxent_problems(downgrading, (5,))
         unit, grid = AffineTransform(0.0, 1.0), _even_grid(5)
-        # A second moment of 10 is past the grid's reach (x^2 <= 8), so the
-        # two-target retry fails too.
+        # A second moment of 10 is past the grid's reach (x^2 <= 8), so
+        # neither four nor two targets can be matched.
         problems.append((unit, grid, np.full(5, 0.2), [0.0, 10.0, 0.0, 150.0]))
         # Mass on two points: every Hessian is singular, so each stacked
         # solve falls back to one solve per column.
@@ -386,7 +389,8 @@ class TestStackedTilt:
             batch = _maxent_solutions([problems[i] for i in order])
             assert [_outcome(r) for r in batch] == [alone[i] for i in order]
         # The cases the batch mixes: an input error passed through, a
-        # downgrade, a retry that fails too, and a singular Hessian.
+        # downgrade, targets out of reach on two moments too, and a
+        # singular Hessian.
         assert alone[0][0] == "InputError"
         assert alone[-3][2] is True and alone[-3][3] == 2
         assert alone[-2][0] in ("InfeasibleError", "NumericalError")
@@ -430,7 +434,7 @@ class TestStackedTilt:
         assert isinstance(results[2], DegenerateDataError)
 
     def test_a_failed_four_target_problem_is_solved_again_on_two(self):
-        # The fallback is a second, plain solve of the first two targets.
+        # A downgraded rule is the plain solve of the first two targets.
         sample = Sample(sample_mixture(DEFAULT_MIXTURE, 100, replication_rng(5, 100, 0)))
         (problem,) = _maxent_problems(sample, (5,))
         transform, grid, prior, targets = problem
@@ -523,6 +527,89 @@ class TestSolveDualsPinned:
         (result,) = _solve_duals([self.PLAIN])
         assert type(result) is NumericalError
         assert str(result) == "tilting dual did not converge within 7 iterations"
+
+
+class TestAttainableTargets:
+    """np-me decides before Newton which targets a tilt can reach: inside
+    the hull of the grid's moment curve, a cyclic polytope, iff every
+    facet polynomial has a positive expectation under the targets."""
+
+    @staticmethod
+    def _grid(rng):
+        while True:
+            grid = np.sort(rng.uniform(-4.0, 4.0, int(rng.integers(3, 13))))
+            if np.diff(grid).min() > 0.05:
+                return grid
+
+    def test_facets_are_the_polytope_facets(self):
+        # A facet polynomial vanishes on its k grid points and is positive
+        # on the others; a cyclic polytope has N(N-3)/2 facets for k = 4
+        # and N for k = 2.
+        rng = np.random.default_rng(160)
+        for _ in range(30):
+            grid = self._grid(rng)
+            for k in (2, 4)[: 1 + (grid.size >= 5)]:
+                facets = _facets(tuple(grid.tolist()), k)
+                assert facets.shape == ((grid.size * (grid.size - 3)) // 2 if k == 4 else grid.size, k + 1)
+                values = facets @ np.vander(grid, k + 1, increasing=True).T
+                scale = np.abs(facets) @ np.abs(np.vander(grid, k + 1, increasing=True)).T
+                zero = np.abs(values) <= 1e-12 * scale
+                assert (zero.sum(axis=1) == k).all()
+                assert (values[~zero] > 0.0).all()
+
+    def test_agrees_with_a_linear_program_near_the_boundary(self):
+        # Targets from weights with almost all their mass on k/2 grid
+        # points, a face of the hull, and a little on the rest, with one
+        # small negative weight in every other draw: just inside the
+        # hull, or close to it on either side.
+        rng = np.random.default_rng(161)
+        outcomes = []
+        for draw in range(120):
+            grid = self._grid(rng)
+            k = 4 if grid.size >= 5 and draw % 3 else 2
+            w = rng.uniform(0.0, 1e-3, grid.size)
+            w[rng.choice(grid.size, k // 2, replace=False)] += rng.dirichlet(np.ones(k // 2))
+            if draw % 2:
+                w[rng.integers(grid.size)] = -rng.uniform(0.0, 5e-3)
+            targets = (np.vander(grid, k + 1, increasing=True).T[1:] @ (w / w.sum())).tolist()
+            margin = interior_margin(grid, targets)
+            assert abs(margin) > 1e-8  # far from a tie at the LP's tolerance
+            assert _attainable(grid, targets) == (margin > 0.0)
+            outcomes.append(margin > 0.0)
+        assert 20 <= sum(outcomes) <= 100
+
+    def test_study_downgrades_are_the_diverging_four_target_solves(self):
+        duals = []
+        for size in (100, 1000):
+            for m in range(40):
+                sample = Sample(sample_mixture(DEFAULT_MIXTURE, size, replication_rng(20170927, size, m)))
+                duals += [p[1:] for p in _maxent_problems(sample, (5, 7, 9))]
+        diverged = [isinstance(r, InfeasibleError) for r in _solve_duals(duals)]
+        assert [not _attainable(grid, targets) for grid, _, targets in duals] == diverged
+        assert sum(diverged) > 20
+
+    def test_a_batch_is_one_dual_solve(self, monkeypatch):
+        calls = []
+        solve = npgq.baselines._solve_duals
+        monkeypatch.setattr(npgq.baselines, "_solve_duals", lambda duals: calls.append(len(duals)) or solve(duals))
+        downgrading = Sample(sample_mixture(DEFAULT_MIXTURE, 100, replication_rng(5, 100, 0)))
+        plain = Sample(sample_mixture(DEFAULT_MIXTURE, 1000, replication_rng(5, 1000, 2)))
+        unit = AffineTransform(0.0, 1.0)
+        unreachable = (unit, _even_grid(5), np.full(5, 0.2), [0.0, 10.0])
+        problems = _maxent_problems(downgrading, (5,)) + _maxent_problems(plain, (3, 5, 9)) + [unreachable]
+        results = _maxent_solutions(problems)
+        assert calls == [4]  # the unreachable problem takes no Newton step
+        assert results[0].downgraded and results[0].n_matched == 2
+        assert [r.n_matched for r in results[1:4]] == [2, 4, 4]
+        assert type(results[4]) is InfeasibleError
+
+    def test_unreachable_two_targets_are_infeasible_at_once(self):
+        # Newton alone would run this problem to its 200-iteration cap.
+        problem = (AffineTransform(0.0, 1.0), _even_grid(5), np.full(5, 0.2), [0.0, 10.0])
+        (result,) = _maxent_solutions([problem])
+        assert type(result) is InfeasibleError
+        assert str(result) == "moment targets are unattainable on the 5-point np-me grid"
+        assert min(timeit.repeat(lambda: _maxent_solutions([problem]), number=1, repeat=5)) < 1e-3
 
 
 class TestUnderflowingTilt:

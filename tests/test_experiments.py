@@ -3,7 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -26,6 +26,8 @@ from npgq import (
     theoretical_portfolio,
 )
 from npgq.experiments import DEFAULT_MIXTURE, DEFAULT_RISK_FREE
+
+from _oracles import summarize_cell
 
 TWO_ATOM = GaussianMixture(proportions=(0.4, 0.6), means=(-0.15, 0.12), stds=(0.0, 0.0))
 
@@ -234,7 +236,74 @@ class TestRunExperiment:
         assert bad.failures == 2 and bad.n_used == 0
 
 
+def _hex(values):
+    return [v.hex() if isinstance(v, float) else repr(v) for v in values]
+
+
+def _oracle_cells(cfg, thetas, theta_star):
+    """Every cell by the per-cell summary, in the report's order."""
+    for j, method in enumerate(cfg.methods):
+        for s, t in enumerate(cfg.sample_sizes):
+            for k, n in enumerate(cfg.node_counts):
+                for g, gamma in enumerate(cfg.gammas):
+                    errors = thetas[:, s, j, k, g] / theta_star[gamma] - 1.0
+                    yield _hex((method, t, n, gamma, *summarize_cell(errors)))
+
+
+class TestSummaryStage:
+    """The one-pass summary gives every cell the bits of summarizing it alone."""
+
+    def test_default_study_matches_the_per_cell_summary(self):
+        cfg = ExperimentConfig(replications=20)
+        report = run_experiment(cfg)
+        thetas = experiments._replication_block(cfg, 0, cfg.replications)
+        assert [_hex(astuple(c)) for c in report.cells] == list(_oracle_cells(cfg, thetas, report.theta_star))
+
+    def test_failed_replications_match_the_per_cell_summary(self, monkeypatch):
+        # Cells with no, one, some and every replication finite, spread over
+        # several blocks.
+        cfg = ExperimentConfig(sample_sizes=(100, 1000), node_counts=(3, 5), gammas=(2.0, 4.0),
+                               replications=9)
+        rng = np.random.default_rng(16)
+        thetas = rng.normal(1.5, 0.3, (9, 2, 3, 2, 2))
+        thetas[rng.random(thetas.shape) < 0.2] = np.nan
+        thetas[:, 0, 0, 0, 0] = np.nan
+        thetas[:, 1, 2, 1, 1] = np.nan
+        thetas[4, 1, 2, 1, 1] = 1.25
+        thetas[:, 0, 1, 1, 0] = 1.5
+        monkeypatch.setattr(experiments, "_replication_block", lambda cfg, start, stop: thetas[start:stop])
+        report = run_experiment(cfg)
+        assert [_hex(astuple(c)) for c in report.cells] == list(_oracle_cells(cfg, thetas, report.theta_star))
+        n_used = {c.n_used for c in report.cells}
+        assert {0, 1, 9} <= n_used and len(n_used - {0, 1, 9}) > 1
+        all_nan = report.cell("np-gq", 100, 3, 2.0)
+        assert all_nan.failures == 9 and math.isnan(all_nan.bias) and math.isnan(all_nan.mae_se)
+        single = report.cell("np-me", 1000, 5, 4.0)
+        assert single.n_used == 1 and math.isfinite(single.bias) and math.isnan(single.bias_se)
+        # A statistic a cell lacks is the one shared NaN: a kept report
+        # holds no NaN object of its own.
+        missing = [v for c in report.cells for v in astuple(c)[4:] if isinstance(v, float) and math.isnan(v)]
+        assert missing and all(v is math.nan for v in missing)
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "name, values",
+        [("node_counts", (3.7, 5)), ("node_counts", (3.2, 3.9)), ("sample_sizes", (100.9,)),
+         ("node_counts", (np.float64(5.0),))],
+    )
+    def test_non_integer_grid_values_rejected(self, name, values):
+        # int() would truncate them: 3.7 would run N = 3, and (3.2, 3.9)
+        # would be reported as the repeated value [3, 3].
+        with pytest.raises(InputError, match=f"^{name} must be integers, got "):
+            ExperimentConfig(**{name: values})
+
+    def test_integer_types_are_kept(self):
+        cfg = ExperimentConfig(sample_sizes=np.array([100, 1000]), node_counts=(np.int32(3), 5))
+        assert cfg.sample_sizes == (100, 1000) and cfg.node_counts == (3, 5)
+        assert {type(v) for v in cfg.sample_sizes + cfg.node_counts} == {int}
+        assert cfg == parse_config("sample_sizes = 100, 1000\nnode_counts = 3, 5\n")
+
     def test_bad_values_rejected(self):
         with pytest.raises(InputError):
             ExperimentConfig(replications=0)

@@ -56,13 +56,13 @@ def test_only_the_pipeline_is_public():
     # Moments are plain float arrays, the mixture's standardization is
     # private to the theta* rule, and the kernel density is one function.
     # A Sample is the one standardization: its transform is also the
-    # Gauss-Hermite fit.
+    # Gauss-Hermite fit.  The method names are the discretizers' keys.
     removed = {
         "moments": ("MomentSequence", "standardized_mixture", "standardize"),
         "baselines": ("maxent_grid", "maxent_dual", "KernelDensity", "fit_gaussian_mle"),
         "quadrature": ("tridiagonal_eigen", "JacobiMatrix"),
         "portfolio": ("state_returns", "crra_objective", "PortfolioProblem"),
-        "experiments": ("format_config",),
+        "experiments": ("format_config", "METHOD_LABELS"),
     }
     left = [
         f"{mod}.{name}"
@@ -72,6 +72,7 @@ def test_only_the_pipeline_is_public():
         or name in getattr(npgq, mod).__all__
     ]
     assert left == []
+    assert npgq.ExperimentConfig().methods == ("np-gq", "gauss-hermite", "np-me")
     assert "nodes" not in inspect.signature(npgq.theoretical_portfolio).parameters
     # The Jacobi matrix is a sample's one statistic: np-me reads its moment
     # targets from it, and exactly rounded moments are only the reference.
