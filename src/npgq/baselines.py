@@ -323,7 +323,8 @@ def _solve_duals(problems) -> list:
     cols = np.arange(len(problems))
     lam = np.zeros((_MOMENTS, cols.size))
     value, w = _values(lam, data)
-    for iteration in range(_NEWTON_MAX_ITER):
+    # One gradient test after each of the _NEWTON_MAX_ITER steps, and one before them.
+    for iteration in range(_NEWTON_MAX_ITER + 1):
         # Tilted means of the features and of their pair products.
         sums = _sum0(data[:, 1:] * w[:, None])
         done = np.sqrt(_sum0(sums[:_MOMENTS] ** 2)) <= _NEWTON_GRAD_TOL
@@ -334,6 +335,8 @@ def _solve_duals(problems) -> list:
             if done.all():
                 return out
             cols, lam, value, w, sums, data = (a[..., ~done] for a in (cols, lam, value, w, sums, data))
+        if iteration == _NEWTON_MAX_ITER:
+            break
         grad = sums[:_MOMENTS]
         hess = sums[_MOMENTS:].reshape(_MOMENTS, _MOMENTS, -1) - grad[:, None] * grad
         step = _newton_steps(hess, grad, n_match[cols])

@@ -3,13 +3,13 @@
 States are log excess returns; the gross stock return in state n is
 ``R_n = R_f * exp(x_n)``.  The investor picks the risky share to maximize
 expected CRRA utility of portfolio gross return.  The first-order
-condition is strictly decreasing on the feasible set, so the optimum is
-the unique root of a monotone function and bisection is exact and
-deterministic.
+condition falls strictly from +inf to -inf across the feasible set, so
+the optimum is its unique root, and its sign at zero tells which side of
+zero to bisect: bisection is exact and deterministic.
 
 Every caller has a grid: some discretized rules, some risk aversions,
 one risk-free rate.  :func:`solve_portfolios` solves the whole grid in
-one vectorized bracketed bisection and returns one row per rule and one
+one vectorized bisection and returns one row per rule and one
 column per risk aversion; :func:`solve_portfolio` is its one-by-one case.
 The (rule, risk aversion) pairs are stacked as a (nodes x pairs) array,
 shorter rules padded with zero-weight nodes, and each pair's first-order
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 _BISECT_RTOL = 1e-12
-_BOUNDARY_MARGIN = 1e-12
 
 # Nodes of the rule the true optimal share is solved on.  For the default
 # mixture, eleven agree with a 2 x 200-node component-wise Gauss-Hermite
@@ -61,16 +60,16 @@ class PortfolioSolution:
 
 
 def solve_portfolio(dist: DiscreteDistribution, risk_free: float, gamma: float) -> PortfolioSolution:
-    """Unique root of the first-order condition by bracketed bisection.
+    """Unique root of the first-order condition by bisection.
 
     The feasible interval keeps every state's portfolio return positive;
-    a sign change is verified by exponential bracket growth from zero
-    before refinement.  If every excess return has the same sign the
-    problem has no finite optimum (:class:`UnboundedError`); if all are
-    zero the objective is flat and the zero share is returned with the
-    degenerate flag set.  :class:`NumericalError` reports a condition that
-    finds no bracket or overflows at the optimum, and :class:`InputError`
-    a rate or risk aversion that is not finite and positive.  This is
+    bisection runs on its part between zero and the wipe-out bound on the
+    side the condition at zero points to.  If every excess return has the
+    same sign the problem has no finite optimum (:class:`UnboundedError`);
+    if all are zero the objective is flat and the zero share is returned
+    with the degenerate flag set.  :class:`NumericalError` reports a
+    condition that overflows at the optimum, and :class:`InputError` a
+    rate or risk aversion that is not finite and positive.  This is
     :func:`solve_portfolios` on one rule and one risk aversion.
     """
     ((result,),) = solve_portfolios([dist], risk_free, [gamma])
@@ -108,7 +107,7 @@ def solve_portfolios(dists, risk_free: float, gammas) -> list[list[PortfolioSolu
     # One column per (live rule, good gamma), rule-major.
     pairs = [(i, j) for i in np.flatnonzero(~(degenerate | unbounded)) for j in np.flatnonzero(good)]
     rules = [i for i, _ in pairs]
-    theta, residual, scale, failed = _bisect_stack(
+    theta, residual, scale = _bisect_stack(
         excess[:, rules], weights[:, rules], np.full(len(pairs), float(risk_free)),
         np.array([gammas[j] for _, j in pairs], dtype=float),
     )
@@ -122,9 +121,7 @@ def solve_portfolios(dists, risk_free: float, gammas) -> list[list[PortfolioSolu
                 "expected utility has no interior maximum"
             )
     for c, (i, j) in enumerate(pairs):
-        if failed[c]:
-            out[i][j] = NumericalError("failed to bracket the first-order condition root")
-        elif not math.isfinite(scale[c]):
+        if not math.isfinite(scale[c]):
             out[i][j] = NumericalError("first-order condition overflows at the optimum")
         else:
             out[i][j] = PortfolioSolution(
@@ -154,14 +151,15 @@ def _foc(theta, excess, wd, rf, neg_gamma):
 
 
 def _bisect_stack(excess, weights, rf, gamma):
-    """Bracket and bisect the first-order condition of every column at once.
+    """Bisect the first-order condition of every column at once.
 
-    Every column takes the steps of a scalar bracketed bisection: the
-    bracket ``[0, b]`` grows geometrically toward the feasibility boundary
-    (less a margin) on the side the condition at zero points to, then
-    bisection halves it until ``_BISECT_RTOL`` or until the midpoint equals
-    an end.  Returns theta, the condition and the sum of its absolute
-    terms at theta, and a mask of the columns that found no bracket.
+    On the feasible interval ``(lower, upper)``, where every state's
+    portfolio return is positive, the condition falls from +inf to -inf, so
+    a column's root lies in ``[0, upper)`` if the condition at zero is
+    positive and in ``(lower, 0]`` otherwise.  Bisection halves that
+    half-interval until ``_BISECT_RTOL`` or until the midpoint equals an
+    end.  Returns theta, and the condition and the sum of its absolute
+    terms at theta.
     """
     wd = weights * excess
     # A full-size exponent: numpy rounds a broadcast exponent of -1 as an
@@ -169,34 +167,13 @@ def _bisect_stack(excess, weights, rf, gamma):
     neg_gamma = np.tile(-gamma, (excess.shape[0], 1))
     upper = -rf / excess.min(axis=0)  # > 0: wipe-out leverage against the worst state
     lower = -rf / excess.max(axis=0)  # < 0: wipe-out short position against the best state
-    margin_up = np.minimum(_BOUNDARY_MARGIN * np.maximum(1.0, np.abs(upper)), 0.5 * upper)
-    margin_dn = np.minimum(_BOUNDARY_MARGIN * np.maximum(1.0, np.abs(lower)), 0.5 * np.abs(lower))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f0 = _foc(np.zeros_like(rf), excess, wd, rf, neg_gamma)
-        # Grow [0, b] on the side sign * theta > 0 until sign * foc(sign * b) <= 0.
-        sign = np.where(f0 > 0.0, 1.0, -1.0)
-        limit = np.where(f0 > 0.0, upper - margin_up, -(lower + margin_dn))
-        step = np.minimum(1.0, 0.5 * limit)
-        prev, end = np.zeros_like(rf), np.zeros_like(rf)
-        searching = f0 != 0.0
-        failed = np.zeros_like(searching)
-        for k in range(200):
-            if not searching.any():
-                break
-            b = np.minimum(limit, step * 2.0**k)
-            f = _foc(np.where(searching, sign * b, 0.0), excess, wd, rf, neg_gamma)
-            found = searching & (sign * f <= 0.0)
-            np.copyto(end, b, where=found)
-            searching &= ~found
-            np.copyto(prev, b, where=searching)
-            failed |= searching & (b >= limit)
-            searching &= b < limit
-        failed |= searching
-        # Bisect the bracketed columns, dropping each one as it stops.
+        # Bisect every column with f0 != 0, dropping each one as it stops.
         theta = np.zeros_like(rf)
-        cols = np.flatnonzero((f0 != 0.0) & ~failed)
-        lo = np.where(sign > 0.0, prev, -end)[cols]
-        hi = np.where(sign > 0.0, end, -prev)[cols]
+        cols = np.flatnonzero(f0 != 0.0)
+        lo = np.where(f0 > 0.0, 0.0, lower)[cols]
+        hi = np.where(f0 > 0.0, upper, 0.0)[cols]
         args = excess[:, cols], wd[:, cols], rf[cols], neg_gamma[:, cols]
         # No column can stop in its first `free` halvings, so they skip the
         # stop test.  A column stops when hi - lo <= tol, its tolerance
@@ -233,7 +210,7 @@ def _bisect_stack(excess, weights, rf, gamma):
             np.copyto(hi, mid, where=~up)
         residual = _foc(theta, excess, wd, rf, neg_gamma)
         scale = np.add.accumulate(np.abs(wd) * (rf + theta * excess) ** neg_gamma, axis=0)[-1]
-    return theta, residual, scale, failed
+    return theta, residual, scale
 
 
 def theoretical_portfolio(mix: GaussianMixture, risk_free: float, gamma: float) -> float:

@@ -3,17 +3,18 @@
 Everything here deliberately avoids the code paths under test: moments by
 plain one-pass accumulation, optimal shares by objective-only grid search
 plus golden-section refinement, random problem generators for property
-tests.  ``reference_solve_portfolio`` is the scalar bracketed bisection the
-vectorized portfolio engine replaced, kept as its step-for-step reference;
-``crra_objective`` is the expected utility it maximizes, and
-``maxent_dual`` exposes np-me's tilting dual for finite-difference checks.
-``one_shot_lanczos`` is the fixed-length Lanczos run the incremental
-Lanczos state replaced, kept as its bit-for-bit reference, and
-``fsum_mean_std`` the two ``math.fsum`` passes the blocked exact sum of
-the standardization replaced.  ``summarize_cell`` is the per-cell
-summary the study's array stage replaced, and ``interior_margin`` decides
-whether np-me's targets are reachable by a linear program, in place of
-the cyclic polytope's facets.
+tests.  ``reference_solve_portfolio`` is the scalar bisection on the
+known half-interval that the vectorized portfolio engine stacks, kept as
+its step-for-step reference; ``crra_objective`` is the expected utility
+it maximizes and ``crra_foc`` its exactly summed derivative, which checks
+a share whatever steps found it; ``maxent_dual`` exposes np-me's tilting
+dual for finite-difference checks.  ``one_shot_lanczos`` is the
+fixed-length Lanczos run the incremental Lanczos state replaced, kept as
+its bit-for-bit reference, and ``fsum_mean_std`` the two ``math.fsum``
+passes the blocked exact sum of the standardization replaced.
+``summarize_cell`` is the per-cell summary the study's array stage
+replaced, and ``interior_margin`` decides whether np-me's targets are
+reachable by a linear program, in place of the cyclic polytope's facets.
 
 The moment route is the reference for the library's Lanczos route:
 ``gaussian_moments`` and ``mixture_moments`` give raw moments as a
@@ -33,13 +34,12 @@ from npgq import (
     GaussianMixture,
     InputError,
     NotPositiveDefiniteError,
-    NumericalError,
     PortfolioSolution,
     UnboundedError,
 )
 from npgq.baselines import _MOMENTS, _stack, _values
 from npgq.moments import _BREAKDOWN_RTOL
-from npgq.portfolio import _BISECT_RTOL, _BOUNDARY_MARGIN
+from npgq.portfolio import _BISECT_RTOL
 from npgq.quadrature import _gauss_rule
 
 # Relative pivot floor: a Cholesky pivot below this fraction of its own
@@ -226,6 +226,23 @@ def crra_objective(dist, rf, gamma, theta):
     return math.fsum(w * v**p for w, v in zip(weights, wealth)) / p
 
 
+def crra_foc(dist, rf, gamma, theta):
+    """Derivative of :func:`crra_objective` in theta, exactly summed.
+
+    Where a term overflows, or some state's portfolio return is not
+    positive, it is the limit at that binding state's wipe-out bound:
+    +inf if the state's excess return is positive, else -inf.
+    """
+    pairs = list(zip(dist.weights, (state_returns(dist, rf) - rf).tolist()))
+    d_bind = min(pairs, key=lambda p: rf + theta * p[1])[1]
+    if rf + theta * d_bind > 0.0:
+        try:
+            return math.fsum(w * d * (rf + theta * d) ** -gamma for w, d in pairs)
+        except OverflowError:
+            pass
+    return math.inf if d_bind > 0.0 else -math.inf
+
+
 def maxent_dual(lam, nodes, prior, targets):
     """Value of np-me's tilting dual at ``lam``, as the stacked solver
     evaluates it, and its gradient: the mismatch of the tilted moments."""
@@ -343,10 +360,8 @@ def golden_section_theta(dist, risk_free, gamma, grid_points=20001, tol=1e-9):
 
 
 def reference_solve_portfolio(dist, rf, gamma):
-    """Scalar bracketed bisection: one exactly summed (``math.fsum``)
-    first-order condition per step, otherwise the steps of
-    :func:`npgq.solve_portfolio`."""
-    weights = dist.weights
+    """Scalar bisection: one exactly summed (``math.fsum``) first-order
+    condition per step, otherwise the steps of :func:`npgq.solve_portfolio`."""
     excess = tuple(float(r - rf) for r in state_returns(dist, rf))
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise InputError(f"risk aversion must be positive, got {gamma}")
@@ -358,51 +373,23 @@ def reference_solve_portfolio(dist, rf, gamma):
             "all state returns lie on one side of the risk-free rate; "
             "expected utility has no interior maximum"
         )
-    upper = -rf / d_min
-    lower = -rf / d_max
-    margin_up = min(_BOUNDARY_MARGIN * max(1.0, abs(upper)), 0.5 * upper)
-    margin_dn = min(_BOUNDARY_MARGIN * max(1.0, abs(lower)), 0.5 * abs(lower))
-    pairs = tuple(zip(weights, excess))
-
-    def foc(theta):
-        try:
-            return math.fsum(w * d * (rf + theta * d) ** -gamma for w, d in pairs)
-        except OverflowError:
-            _, d_bind = min(pairs, key=lambda p: rf + theta * p[1])
-            return math.inf if d_bind > 0.0 else -math.inf
-
-    def expand_bracket(func, limit):
-        step = min(1.0, 0.5 * limit)
-        prev = 0.0
-        for k in range(200):
-            b = min(limit, step * 2.0**k)
-            if func(b) <= 0.0:
-                return prev, b
-            prev = b
-            if b >= limit:
-                break
-        raise NumericalError("failed to bracket the first-order condition root")
-
-    f0 = foc(0.0)
+    f0 = crra_foc(dist, rf, gamma, 0.0)
     if f0 == 0.0:
         theta = 0.0
     else:
-        if f0 > 0.0:
-            lo, hi = expand_bracket(foc, upper - margin_up)
-        else:
-            neg_lo, neg_hi = expand_bracket(lambda t: -foc(-t), -(lower + margin_dn))
-            lo, hi = -neg_hi, -neg_lo
+        # The root lies between zero and the wipe-out bound f0 points to.
+        lo, hi = (0.0, -rf / d_min) if f0 > 0.0 else (-rf / d_max, 0.0)
         while hi - lo > _BISECT_RTOL * max(1.0, abs(lo), abs(hi)):
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            if foc(mid) > 0.0:
+            if crra_foc(dist, rf, gamma, mid) > 0.0:
                 lo = mid
             else:
                 hi = mid
         theta = 0.5 * (lo + hi)
-    residual = foc(theta)
-    scale = math.fsum(abs(w * d) * (rf + theta * d) ** -gamma for w, d in pairs)
+    residual = crra_foc(dist, rf, gamma, theta)
+    scale = math.fsum(abs(w * d) * (rf + theta * d) ** -gamma for w, d in zip(dist.weights, excess))
     return PortfolioSolution(theta=theta, degenerate=False, foc_residual=residual, foc_scale=scale)
 
 

@@ -517,16 +517,16 @@ class TestSolveDualsPinned:
         assert str(result) == "tilting dual did not converge within 200 iterations"
 
     def test_the_cap_counts_gradient_tests(self, monkeypatch):
-        # The loop makes _NEWTON_MAX_ITER gradient tests, before steps
-        # 0..cap-1: the plain problem passes its test after 7 steps, the
-        # 8th test, so a cap of 8 keeps it and a cap of 7 does not.
-        monkeypatch.setattr("npgq.baselines._NEWTON_MAX_ITER", 8)
+        # The cap is on steps, and the iterate after the last step is
+        # tested too: the plain problem passes its test after 7 steps, so
+        # a cap of 7 keeps it and a cap of 6 does not.
+        monkeypatch.setattr("npgq.baselines._NEWTON_MAX_ITER", 7)
         ((_, _, iterations),) = _solve_duals([self.PLAIN])
         assert iterations == 7
-        monkeypatch.setattr("npgq.baselines._NEWTON_MAX_ITER", 7)
+        monkeypatch.setattr("npgq.baselines._NEWTON_MAX_ITER", 6)
         (result,) = _solve_duals([self.PLAIN])
         assert type(result) is NumericalError
-        assert str(result) == "tilting dual did not converge within 7 iterations"
+        assert str(result) == "tilting dual did not converge within 6 iterations"
 
 
 class TestAttainableTargets:

@@ -7,21 +7,26 @@ from hypothesis import strategies as st
 
 from npgq import (
     DiscreteDistribution,
+    ExperimentConfig,
     GaussianMixture,
     InputError,
     NpgqError,
     NumericalError,
     PortfolioSolution,
     UnboundedError,
+    gauss_hermite_discretize,
+    run_experiment,
     solve_portfolio,
     solve_portfolios,
     theoretical_portfolio,
 )
-from npgq.experiments import DEFAULT_MIXTURE, DEFAULT_RISK_FREE
+import npgq.portfolio
+from npgq.experiments import DEFAULT_MIXTURE, DEFAULT_RISK_FREE, replication_rng, sample_mixture
 from npgq.moments import _standardized_mixture
 from npgq.portfolio import _BISECT_RTOL, _mixture_rule
 
 from _oracles import (
+    crra_foc,
     crra_objective,
     gaussian_moments,
     golub_welsch,
@@ -136,6 +141,33 @@ class TestSolvePortfolio:
         assert sol.theta == pytest.approx(oracle, abs=1e-6)
 
 
+class TestOptimumAtTheWipeOutBound:
+    """The 50-point Gauss-Hermite rule of replication 0 (default seed,
+    T = 10000) puts weight 1.0e-37 on its lowest node, and at gamma = 2 its
+    optimum lies within 2e-12 (relative) of the wipe-out bound."""
+
+    @staticmethod
+    def _rule():
+        cfg = ExperimentConfig()
+        data = sample_mixture(cfg.mixture, 10_000, replication_rng(cfg.seed, 10_000, 0))
+        return gauss_hermite_discretize(data, 50)
+
+    def test_solves_next_to_the_bound(self):
+        rule, rf = self._rule(), DEFAULT_RISK_FREE
+        assert min(rule.weights) < 1.1e-37
+        theta = solve_portfolio(rule, rf, 2.0).theta
+        bound = -rf / (float(state_returns(rule, rf).min()) - rf)
+        assert bound * (1.0 - 2e-12) < theta < bound
+        assert crra_foc(rule, rf, 2.0, theta * (1.0 - 2e-12)) > 0.0
+        assert crra_foc(rule, rf, 2.0, bound) == -math.inf
+        assert theta == pytest.approx(golden_section_theta(rule, rf, 2.0), rel=1e-8)
+
+    def test_the_study_counts_no_gauss_hermite_failure(self):
+        cfg = ExperimentConfig(sample_sizes=(10_000,), node_counts=(5, 50), replications=2)
+        cells = run_experiment(cfg).cells
+        assert sum(c.failures for c in cells if c.method == "gauss-hermite") == 0
+
+
 class TestTheoreticalPortfolio:
     def test_two_atom_mixture_equals_direct_solve(self):
         mix = GaussianMixture(proportions=(0.3, 0.7), means=(-0.2, 0.1), stds=(0.0, 0.0))
@@ -230,6 +262,20 @@ def _two_state(nodes, weights, risk_free, gamma):
     return DiscreteDistribution(nodes, weights), risk_free, gamma
 
 
+def _spy_on_nonfinite_sums(monkeypatch):
+    """A list that gets, per first-order evaluation, the number of columns
+    whose sum is not finite: those the binding state's sign decides."""
+    counts, foc = [], npgq.portfolio._foc
+
+    def spy(theta, excess, wd, rf, neg_gamma):
+        f = np.add.accumulate(wd * (rf + theta * excess) ** neg_gamma, axis=0)[-1]
+        counts.append(np.count_nonzero(~np.isfinite(f)))
+        return foc(theta, excess, wd, rf, neg_gamma)
+
+    monkeypatch.setattr(npgq.portfolio, "_foc", spy)
+    return counts
+
+
 EDGE_PROBLEMS = {
     "degenerate": _two_state((0.0,), (1.0,), 1.02, 2.0),
     "unbounded-above": _two_state((0.01, 0.3), (0.5, 0.5), 1.0, 2.0),
@@ -237,10 +283,15 @@ EDGE_PROBLEMS = {
     "f0-zero": _cancelling_problem(3.0),
     "log-utility": _two_state((math.log(0.9), math.log(1.2)), (0.5, 0.5), 1.0, 1.0),
     "negative-share": _two_state((-0.3, 0.05), (0.5, 0.5), 1.0, 2.0),
-    # The bracket grows to the feasibility limit, where a term overflows
-    # and the binding (worst) state decides the sign.
+    # A term overflows within 1e-12 of the wipe-out bound, but bisection
+    # stops far short of it: the optimum lies past 2, the bound at 2.54.
     "overflow-at-limit-log": _two_state((-0.5, 0.3), (0.05, 0.95), 1e-300, 1.0),
     "overflow-at-limit": _two_state((-0.5, 0.3), (0.01, 0.99), 1e-150, 2.0),
+    # The optimum lies 2e-6 (relative) short of the wipe-out bound, where
+    # the worst state's return is just above the 7.5e-155 at which its
+    # power overflows: midpoints between the two overflow, and the binding
+    # (worst) state decides their sign.
+    "overflow-near-bound": _two_state((-0.5, 0.3), (1e-12, 1.0), 3.8e-149, 2.0),
     # rf ** -gamma overflows at every share, the optimum included.
     "overflow-everywhere": _two_state((-0.5, 0.3), (0.3, 0.7), 1e-31, 10.0),
 }
@@ -259,6 +310,15 @@ def assert_grid_matches_reference(dists, risk_free, gammas, grid):
             assert_matches_reference((dist, risk_free, gamma), result)
 
 
+def assert_root_within_tolerance(problem, theta):
+    """The exactly summed first-order condition changes sign across
+    ``theta +- 2 * _BISECT_RTOL * max(1, |theta|)``; past a wipe-out bound
+    it is that bound's infinite limit.  The check does not depend on the
+    steps that found theta."""
+    delta = 2 * _BISECT_RTOL * max(1.0, abs(theta))
+    assert crra_foc(*problem, theta - delta) >= 0.0 >= crra_foc(*problem, theta + delta)
+
+
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("name", sorted(EDGE_PROBLEMS))
     def test_edge_case(self, name):
@@ -266,18 +326,24 @@ class TestEngineMatchesReference:
         ((result,),) = solve_portfolios([dist], risk_free, [gamma])
         assert_matches_reference(EDGE_PROBLEMS[name], result)
 
-    def test_edge_cases_exercise_their_branch(self):
+    def test_edge_cases_exercise_their_branch(self, monkeypatch):
         assert _outcome(EDGE_PROBLEMS["degenerate"]).degenerate
         assert _outcome(EDGE_PROBLEMS["f0-zero"]).theta == 0.0
+        nonfinite = _spy_on_nonfinite_sums(monkeypatch)
         for name in ("overflow-at-limit-log", "overflow-at-limit"):
             dist, rf, gamma = EDGE_PROBLEMS[name]
             d_min = float(state_returns(dist, rf)[0]) - rf
             upper = -rf / d_min
-            limit = upper - min(1e-12 * max(1.0, upper), 0.5 * upper)
             with pytest.raises(OverflowError):
-                (rf + limit * d_min) ** -gamma
-            # The bracket reaches the limit: the optimum lies past 2.
-            assert _outcome(EDGE_PROBLEMS[name]).theta > 2.0
+                (rf + upper * (1.0 - 1e-12) * d_min) ** -gamma
+            assert 2.0 < _outcome(EDGE_PROBLEMS[name]).theta < 0.9 * upper
+        assert not any(nonfinite)
+        dist, rf, gamma = EDGE_PROBLEMS["overflow-near-bound"]
+        theta = _outcome((dist, rf, gamma)).theta
+        assert any(nonfinite)
+        # The binding state decided right: the share is the one at rate 1,
+        # where nothing overflows (a share does not depend on the rate's scale).
+        assert theta == pytest.approx(solve_portfolio(dist, 1.0, gamma).theta, rel=2 * _BISECT_RTOL)
         with pytest.raises(NumericalError, match="overflows at the optimum"):
             solve_portfolio(*EDGE_PROBLEMS["overflow-everywhere"])
 
@@ -301,6 +367,10 @@ class TestEngineMatchesReference:
         ]
         grid = solve_portfolios(dists, risk_free, gammas)
         assert_grid_matches_reference(dists, risk_free, gammas, grid)
+        for dist, row in zip(dists, grid):
+            for gamma, result in zip(gammas, row):
+                if isinstance(result, PortfolioSolution) and not result.degenerate:
+                    assert_root_within_tolerance((dist, risk_free, gamma), result.theta)
 
     @pytest.mark.parametrize("risk_free", [0.0, -1.0, math.nan, math.inf])
     def test_bad_rate_raises(self, risk_free):
