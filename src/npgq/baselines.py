@@ -137,6 +137,19 @@ class MaxEntSolution(DiscreteDistribution):
     iterations: int
 
 
+@lru_cache(maxsize=32)
+def _grid_layout(ns: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray, tuple[np.ndarray, ...]]:
+    """np-me's grids at node counts ``ns``, their distinct points, and per
+    grid the index of each of its points among them: read-only arrays,
+    built once per tuple of node counts."""
+    grids = tuple(_even_grid(n) for n in ns)
+    points, where = np.unique(np.concatenate(grids), return_inverse=True)
+    indices = tuple(np.split(where, np.cumsum(ns[:-1])))
+    for array in (*grids, points, *indices):
+        array.setflags(write=False)
+    return grids, points, indices
+
+
 def _maxent_problems(sample: Sample, node_counts) -> list:
     """np-me's tilting problem on one sample at each node count, as
     ``(transform, grid, prior, targets)`` in standardized units, or the
@@ -155,12 +168,12 @@ def _maxent_problems(sample: Sample, node_counts) -> list:
     except NpgqError as exc:
         return [exc if o is None else o for o in out]
     moments = _jacobi_moments(*sample.jacobi(3))
-    grids = [_even_grid(n) for n in ns]
-    points, where = np.unique(np.concatenate(grids), return_inverse=True)
-    density = kde_pdf(z, _silverman(1.0, z.size), points)[where]
+    grids, points, indices = _grid_layout(ns)
+    density = kde_pdf(z, _silverman(1.0, z.size), points)
+    priors = (density[index] for index in indices)
     problems = iter(
         (transform, grid, prior / prior.sum(), moments[: 4 if grid.size >= 5 else 2])
-        for grid, prior in zip(grids, np.split(density, np.cumsum(ns[:-1])))
+        for grid, prior in zip(grids, priors)
     )
     return [next(problems) if o is None else o for o in out]
 
@@ -195,6 +208,10 @@ def _attainable(grid: np.ndarray, targets) -> bool:
     return bool((_facets(tuple(grid.tolist()), len(targets)) @ [1.0, *targets]).min() > 0.0)
 
 
+def _underflow_error(n: int) -> NumericalError:
+    return NumericalError(f"a weight of the {n}-point np-me rule underflows to 0 -- reduce N")
+
+
 def _maxent_solutions(problems) -> list[MaxEntSolution | NpgqError]:
     """Solve np-me tilting problems, from :func:`_maxent_problems`, in one
     stacked damped Newton (:func:`_solve_duals`), and map each grid back
@@ -204,7 +221,8 @@ def _maxent_solutions(problems) -> list[MaxEntSolution | NpgqError]:
     :class:`NpgqError` entry passes through, a problem whose first two
     targets are out of reach is an :class:`InfeasibleError` with no Newton
     step, a problem that cannot be solved gets its error, and a tilt with
-    a weight that underflows to 0 is a :class:`NumericalError`.
+    a weight that underflows to 0 is a :class:`NumericalError`, as is a
+    prior with a weight of 0, before any facet test: no tilt lifts it.
     """
     out = list(problems)
     live, duals = [], []
@@ -212,6 +230,9 @@ def _maxent_solutions(problems) -> list[MaxEntSolution | NpgqError]:
         if isinstance(problem, NpgqError):
             continue
         grid, prior, targets = problem[1:]
+        if not prior.all():
+            out[i] = _underflow_error(grid.size)
+            continue
         k = next((k for k in (len(targets), 2) if _attainable(grid, targets[:k])), 0)
         if k:
             live.append(i)
@@ -223,7 +244,7 @@ def _maxent_solutions(problems) -> list[MaxEntSolution | NpgqError]:
         if isinstance(result, NpgqError):
             out[i] = result
         elif min(result[1]) == 0.0:
-            out[i] = NumericalError(f"a weight of the {grid.size}-point np-me rule underflows to 0 -- reduce N")
+            out[i] = _underflow_error(grid.size)
         else:
             lam, weights, iterations = result
             out[i] = MaxEntSolution(

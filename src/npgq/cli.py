@@ -5,6 +5,8 @@ column), ``portfolio`` (the returns-data pipeline: real log excess
 returns -> discretize -> optimal risky share per risk aversion),
 ``experiment`` (the Monte Carlo accuracy study), and ``plotdata``
 (histogram/KDE/fitted-Gaussian curves as CSV for plotting elsewhere).
+The parser is built once per process; a program that calls :func:`main`
+many times pays for it once.
 
 Exit codes: 0 on success, 2 for input/parse/config problems, 3 when the
 numerics reject the request (degenerate data, fewer support points than
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -247,7 +250,10 @@ def cmd_plotdata(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``npgq`` parser, built once per process: parsing reads it and
+    never changes it, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="npgq",
         description="Moment-based discretization of empirical distributions, "
@@ -310,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

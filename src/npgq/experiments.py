@@ -15,7 +15,8 @@ blocks of replications that span every sample size: a block builds all its
 rules, np-me's as one stacked solve of every tilting problem of the block,
 then solves them at every configured risk aversion in one call of
 :func:`~npgq.portfolio.solve_portfolios`, which returns one row of shares
-per rule.  The true optimal shares are one such call on the mixture's rule.
+per rule.  The true optimal shares are one such call on the mixture's rule,
+made once per (mixture, rate, risk-aversion grid) per process.
 The summary is one array stage over (cell x replication) rows of errors.
 
 Reproducibility: every replication draws from its own counter-based
@@ -33,7 +34,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from multiprocessing import Pool
 
 import numpy as np
@@ -94,6 +95,11 @@ class ExperimentConfig:
                 object.__setattr__(self, name, tuple(operator.index(v) for v in getattr(self, name)))
             except TypeError:
                 raise InputError(f"{name} must be integers, got {list(getattr(self, name))}") from None
+        for name in ("replications", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.replications < 1:
@@ -274,20 +280,22 @@ def _replication_block(cfg: ExperimentConfig, start: int, stop: int) -> np.ndarr
     return out
 
 
-def _theta_star_table(cfg: ExperimentConfig) -> dict[float, float]:
+@lru_cache(maxsize=16)
+def _theta_star_table(mixture: GaussianMixture, risk_free: float, gammas: tuple[float, ...]) -> tuple[float, ...]:
+    """The true optimal share at each gamma, once per (mixture, rate, gamma
+    grid) per process.  A tuple, so no caller can change what the next one
+    reads; a configuration that raises is not cached, and raises again."""
     try:
-        (row,) = solve_portfolios([_mixture_rule(cfg.mixture)], cfg.risk_free, cfg.gammas)
-        table = {}
-        for gamma, solution in zip(cfg.gammas, row):
+        (row,) = solve_portfolios([_mixture_rule(mixture)], risk_free, gammas)
+        for solution in row:
             if isinstance(solution, NpgqError):
                 raise solution
-            table[gamma] = solution.theta
     except NpgqError as exc:
         raise InputError(f"cannot compute the true optimal share for this configuration: {exc}") from exc
-    zeros = [g for g, v in table.items() if v == 0.0]
+    zeros = [g for g, solution in zip(gammas, row) if solution.theta == 0.0]
     if zeros:
         raise InputError(f"true optimal share is zero for gamma={zeros}; relative errors undefined")
-    return table
+    return tuple(solution.theta for solution in row)
 
 
 def _grid_tasks(cfg: ExperimentConfig, jobs: int):
@@ -306,7 +314,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """
     if jobs < 1:
         raise InputError("jobs must be >= 1")
-    theta_star = _theta_star_table(cfg)
+    theta_star = _theta_star_table(cfg.mixture, cfg.risk_free, cfg.gammas)
     tasks = [(cfg, start, stop) for start, stop in _grid_tasks(cfg, jobs)]
     if jobs == 1:
         blocks = [_replication_block(*task) for task in tasks]
@@ -316,7 +324,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     # Blocks come back in task order, which is replication order.  One row of
     # relative errors per cell, in the report's order; the rows with n finite
     # errors are compacted to one (rows x n) array, reduced along its rows.
-    errors = np.concatenate(blocks) / np.array([theta_star[g] for g in cfg.gammas]) - 1.0
+    errors = np.concatenate(blocks) / np.array(theta_star) - 1.0
     rows = np.ascontiguousarray(errors.transpose(2, 1, 3, 4, 0)).reshape(-1, cfg.replications)
     finite = np.isfinite(rows)
     n_used = np.count_nonzero(finite, axis=1)
@@ -330,7 +338,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
             if n > 1:
                 stats[row + 2, group] = np.std(values, axis=1, ddof=1) / math.sqrt(n)
     keys = itertools.product(cfg.methods, cfg.sample_sizes, cfg.node_counts, cfg.gammas)
-    return ExperimentReport(config=cfg, theta_star=theta_star, cells=tuple(
+    return ExperimentReport(config=cfg, theta_star=dict(zip(cfg.gammas, theta_star)), cells=tuple(
         CellResult(method, t, n, gamma, bias, mae, cfg.replications - used, used, bias_se, mae_se)
         for (method, t, n, gamma), bias, mae, bias_se, mae_se, used
         in zip(keys, *stats.tolist(), n_used.tolist())

@@ -27,6 +27,7 @@ from npgq.baselines import (
     _attainable,
     _even_grid,
     _facets,
+    _grid_layout,
     _maxent_problems,
     _maxent_solutions,
     _silverman,
@@ -377,7 +378,8 @@ class TestStackedTilt:
         # neither four nor two targets can be matched.
         problems.append((unit, grid, np.full(5, 0.2), [0.0, 10.0, 0.0, 150.0]))
         # Mass on two points: every Hessian is singular, so each stacked
-        # solve falls back to one solve per column.
+        # dual solve falls back to one solve per column.  Its zero prior
+        # weights make it a failure before any Newton step.
         problems.append((unit, grid, np.array([0.5, 0.0, 0.0, 0.0, 0.5]), [0.0, 1.0]))
         return problems
 
@@ -394,7 +396,7 @@ class TestStackedTilt:
         assert alone[0][0] == "InputError"
         assert alone[-3][2] is True and alone[-3][3] == 2
         assert alone[-2][0] in ("InfeasibleError", "NumericalError")
-        assert alone[-1][0] in ("InfeasibleError", "NumericalError")
+        assert alone[-1] == ("NumericalError", "a weight of the 5-point np-me rule underflows to 0 -- reduce N")
         assert sum(o[2] is True for o in alone if len(o) == 4) > 1
 
     def test_shuffled_dual_batch_matches_each_dual_alone(self):
@@ -417,6 +419,23 @@ class TestStackedTilt:
         for n, problem in zip((3, 5, 7, 9), together):
             (alone,) = _maxent_problems(sample, (n,))
             assert [v.hex() for v in problem[2]] == [v.hex() for v in alone[2]]
+
+    def test_problems_match_fresh_grids_on_a_read_only_layout(self):
+        # The grid layout is built once per tuple of node counts; a cold
+        # and a warm cache give the problems of fresh grids, bit for bit.
+        sample = Sample(sample_mixture(DEFAULT_MIXTURE, 1000, replication_rng(15, 1000, 0)))
+        h, node_counts = _silverman(1.0, sample.z.size), (3, 5, 7, 9, 12)
+        _grid_layout.cache_clear()
+        for _ in range(2):
+            for n, (_, grid, prior, _) in zip(node_counts, _maxent_problems(sample, node_counts)):
+                fresh = _even_grid(n)
+                density = kde_pdf(sample.z, h, fresh)
+                assert grid.tobytes() == fresh.tobytes()
+                assert prior.tobytes() == (density / density.sum()).tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    grid[0] = 0.0
+        grids, points, indices = _grid_layout(node_counts)
+        assert not any(a.flags.writeable for a in (*grids, points, *indices))
 
     def test_maxent_solve_is_the_batch_of_one(self):
         sample = Sample(sample_mixture(DEFAULT_MIXTURE, 100, replication_rng(5, 100, 0)))
@@ -632,3 +651,17 @@ class TestUnderflowingTilt:
         assert str(results[1]) == "a weight of the 44-point np-me rule underflows to 0 -- reduce N"
         with pytest.raises(NumericalError, match="44-point np-me rule underflows"):
             maxent_discretize(self._sample(), 44)
+
+    def test_a_zero_prior_weight_fails_before_the_facets(self, monkeypatch):
+        # At N = 300 the grid reaches 24.5 standard deviations, where the
+        # kernel density of 2000 N(0, 1) points is exactly 0.  No tilt lifts
+        # a zero weight, so neither the O(N^2) facets nor Newton run.
+        calls, facets, solve = [], npgq.baselines._facets, npgq.baselines._solve_duals
+        monkeypatch.setattr(npgq.baselines, "_facets", lambda *args: calls.append(args) or facets(*args))
+        # Every problem handed to Newton; an empty stack takes no step.
+        monkeypatch.setattr(npgq.baselines, "_solve_duals", lambda duals: calls.extend(duals) or solve(duals))
+        data = np.random.default_rng(0).standard_normal(2000)
+        with pytest.raises(NumericalError) as info:
+            maxent_solve(data, 300)
+        assert str(info.value) == "a weight of the 300-point np-me rule underflows to 0 -- reduce N"
+        assert calls == []

@@ -548,3 +548,36 @@ class TestOutputPrecision:
         node, weight = capsys.readouterr().out.splitlines()[1].split(",")
         dist = discretize_data([0.0, 1.0, 2.0], 2)
         assert (node, weight) == (repr(dist.nodes[0]), repr(dist.weights[0]))
+
+
+class TestSharedParser:
+    """One parser, built once, serves every :func:`main` call of a process."""
+
+    def test_a_sequence_of_calls_matches_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        data = write_csv(tmp_path / "x.csv", ["x"], [np.random.default_rng(4).standard_normal(200).tolist()])
+        returns = TestPortfolio().make_returns(tmp_path, t=120)
+        argvs = [
+            ["discretize", data, "--column", "x", "--verify"],
+            ["discretize", data, "--column", "x"],
+            ["portfolio", returns, "--stock", "stock", "--riskfree", "rf", "--method", "np-me"],
+            ["portfolio", returns, "--stock", "stock", "--riskfree", "rf"],
+            ["portfolio", returns, "--stock", "stock", "--riskfree", "rf", "--n", "five"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own errors
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        assert cli.build_parser() is cli.build_parser()
+        shared = [run(argv) for argv in argvs]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert [run(argv) for argv in argvs] == shared
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2]
+        assert "max relative moment error" in shared[0][1]
+        assert "max relative moment error" not in shared[1][1]
+        assert shared[2][1] != shared[3][1]
+        assert "invalid int value: 'five'" in shared[4][2]

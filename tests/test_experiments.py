@@ -298,11 +298,20 @@ class TestConfigValidation:
         with pytest.raises(InputError, match=f"^{name} must be integers, got "):
             ExperimentConfig(**{name: values})
 
+    @pytest.mark.parametrize("name, value", [("replications", 2.5), ("replications", 2.0),
+                                             ("seed", 1.5), ("seed", 7.0)])
+    def test_non_integer_replications_or_seed_rejected(self, name, value):
+        # Not a TypeError from range() or SeedSequence in the middle of a run.
+        with pytest.raises(InputError, match=f"^{name} must be an integer, got {value}$"):
+            ExperimentConfig(**{name: value})
+
     def test_integer_types_are_kept(self):
-        cfg = ExperimentConfig(sample_sizes=np.array([100, 1000]), node_counts=(np.int32(3), 5))
+        cfg = ExperimentConfig(sample_sizes=np.array([100, 1000]), node_counts=(np.int32(3), 5),
+                               replications=np.int64(4), seed=np.uint32(7))
         assert cfg.sample_sizes == (100, 1000) and cfg.node_counts == (3, 5)
-        assert {type(v) for v in cfg.sample_sizes + cfg.node_counts} == {int}
-        assert cfg == parse_config("sample_sizes = 100, 1000\nnode_counts = 3, 5\n")
+        assert (cfg.replications, cfg.seed) == (4, 7)
+        assert {type(v) for v in cfg.sample_sizes + cfg.node_counts + (cfg.replications, cfg.seed)} == {int}
+        assert cfg == parse_config("sample_sizes = 100, 1000\nnode_counts = 3, 5\nreplications = 4\nseed = 7\n")
 
     def test_bad_values_rejected(self):
         with pytest.raises(InputError):
@@ -343,6 +352,45 @@ class TestConfigValidation:
             ExperimentConfig(seed=-1)
         with pytest.raises(InputError):
             parse_config("seed = -5\n")
+
+
+class TestThetaStarTable:
+    """theta* is computed once per (mixture, rate, gamma grid) per process,
+    and every report gets a dict of its own."""
+
+    CFG = replace(SMALL_CFG, replications=2)
+
+    def test_each_report_gets_its_own_dict(self):
+        first = run_experiment(replace(self.CFG, seed=1))
+        second = run_experiment(replace(self.CFG, seed=2))
+        assert first.theta_star == second.theta_star
+        assert first.theta_star is not second.theta_star
+        expected = dict(first.theta_star)
+        first.theta_star[2.0] = 99.0
+        second.theta_star.clear()
+        third = run_experiment(replace(self.CFG, seed=3))
+        assert third.theta_star == expected
+        experiments._theta_star_table.cache_clear()
+        assert run_experiment(replace(self.CFG, seed=3)).to_csv() == third.to_csv()
+
+    @pytest.mark.parametrize("change", [
+        {"risk_free": 1.02},
+        {"mixture": GaussianMixture(proportions=(0.3, 0.7), means=(-0.1, 0.08), stds=(0.2, 0.15))},
+        {"gammas": (3.0, 5.0)},
+    ])
+    def test_other_inputs_get_their_own_theta_star(self, change):
+        run_experiment(self.CFG)
+        cfg = replace(self.CFG, **change)
+        report = run_experiment(cfg)
+        assert report.theta_star == {g: theoretical_portfolio(cfg.mixture, cfg.risk_free, g) for g in cfg.gammas}
+        assert report.theta_star != run_experiment(self.CFG).theta_star
+
+    def test_a_zero_theta_star_raises_on_every_call(self):
+        # Every excess return is within 1e-14 of 0: the degenerate share 0.
+        cfg = replace(self.CFG, mixture=GaussianMixture(proportions=(1.0,), means=(0.0,), stds=(1e-16,)))
+        for _ in range(2):
+            with pytest.raises(InputError, match="true optimal share is zero for gamma=.2.0, 4.0."):
+                run_experiment(cfg)
 
 
 class TestConfigFiles:
