@@ -247,9 +247,10 @@ class _Lanczos:
         while len(self._diag) < n:
             k = len(self._diag)
             if k:  # finish the previous step: its residual becomes row k
-                w = self._w
+                w, q = self._w, self._q[:k]
                 for _ in range(2):
-                    w -= self._q[:k].T @ (self._q[:k] @ w)
+                    # Not q.T @ (q @ w): matmul loops itself on the k = 1 view.
+                    w -= q.dot(w).dot(q)
                 b = float(np.linalg.norm(w))
                 if b <= self._floor:
                     self._support = n = k

@@ -9,8 +9,9 @@ its step-for-step reference; ``crra_objective`` is the expected utility
 it maximizes and ``crra_foc`` its exactly summed derivative, which checks
 a share whatever steps found it; ``maxent_dual`` exposes np-me's tilting
 dual for finite-difference checks.  ``one_shot_lanczos`` is the
-fixed-length Lanczos run the incremental Lanczos state replaced, kept as
-its bit-for-bit reference, and ``fsum_mean_std`` the two ``math.fsum``
+fixed-length Lanczos run the incremental Lanczos state replaced, with the
+reorthogonalization written as two matmuls, kept as its bit-for-bit
+reference, and ``fsum_mean_std`` the two ``math.fsum``
 passes the blocked exact sum of the standardization replaced.
 ``summarize_cell`` is the per-cell summary the study's array stage
 replaced, and ``interior_margin`` decides whether np-me's targets are

@@ -183,13 +183,26 @@ class TestKernelDensity:
         rows = [kde_pdf(data, 0.1, grid[i : i + 1])[0] for i in range(0, 512, 37)]
         assert np.array_equal(vals[::37], rows)
 
-    @pytest.mark.parametrize("size", [_BLOCK // 9, _BLOCK + 1, 100_000])
+    @pytest.mark.parametrize("size", [_BLOCK // 9, 1000, _BLOCK + 1, 10_000, 100_000])
     def test_np_me_prior_keeps_every_bit(self, size):
-        # Each grid point's value is its own contiguous sum over the data.
+        # Each grid point's value is its own contiguous sum over the data,
+        # on the 9-point grid and on the study's 19 distinct points.  At
+        # 100 000 points the outer points are past the 37.64 h cut from
+        # much of the data, and those terms vanish in the sum either way.
         z = Sample(sample_mixture(DEFAULT_MIXTURE, size, np.random.default_rng(size))).z
-        h, grid = _silverman(1.0, size), _even_grid(9)
-        want = [np.exp(-0.5 * u * u).sum() / (size * h * _SQRT_2PI) for u in ((x - z) / h for x in grid)]
-        assert [v.hex() for v in kde_pdf(z, h, grid)] == [v.hex() for v in want]
+        h = _silverman(1.0, size)
+        for grid in (_even_grid(9), _grid_layout((3, 5, 7, 9))[1]):
+            want = [np.exp(-0.5 * u * u).sum() / (size * h * _SQRT_2PI) for u in ((x - z) / h for x in grid)]
+            assert [v.hex() for v in kde_pdf(z, h, grid)] == [v.hex() for v in want]
+
+    def test_terms_below_the_smallest_normal_are_zero(self):
+        # A term exp(-u**2 / 2) past |u| = 37.64 is subnormal or 0; it
+        # counts as 0.  At u = 37.6 it is normal and kept.
+        assert kde_pdf([0.0], 1.0, 37.7) == 0.0
+        assert kde_pdf([0.0], 1.0, 38.0) == 0.0
+        assert kde_pdf([0.0], 1.0, 37.6).hex() == (math.exp(-0.5 * 37.6 * 37.6) / _SQRT_2PI).hex()
+        data = np.array([0.0, 37.7, -38.0, 1.0])
+        assert kde_pdf(data, 1.0, 0.5) == kde_pdf([0.0, 1.0], 1.0, 0.5) / 2
 
     def test_np_me_prior_memory_is_bounded_by_the_data(self):
         # np-me's largest grid on 100 000 points: one (9 x T) temporary
@@ -635,7 +648,8 @@ class TestUnderflowingTilt:
     """A converged tilt whose outer weight underflows to 0 is not a rule."""
 
     # Replication 0 of the default study seed at T = 10000: the first N
-    # whose tilt has a zero weight is 44.
+    # rejected is 43, whose outer grid points lie more than 37.64
+    # bandwidths past all the data, so their prior is 0.
     def _sample(self):
         return Sample(sample_mixture(DEFAULT_MIXTURE, 10_000, replication_rng(20170927, 10_000, 0)))
 
@@ -645,12 +659,12 @@ class TestUnderflowingTilt:
         assert min(weights) == 0.0
 
     def test_is_a_numerical_error_value(self):
-        results = _maxent_solutions(_maxent_problems(self._sample(), (43, 44)))
+        results = _maxent_solutions(_maxent_problems(self._sample(), (42, 43)))
         assert min(results[0].weights) > 0.0
         assert isinstance(results[1], NumericalError)
-        assert str(results[1]) == "a weight of the 44-point np-me rule underflows to 0 -- reduce N"
-        with pytest.raises(NumericalError, match="44-point np-me rule underflows"):
-            maxent_discretize(self._sample(), 44)
+        assert str(results[1]) == "a weight of the 43-point np-me rule underflows to 0 -- reduce N"
+        with pytest.raises(NumericalError, match="43-point np-me rule underflows"):
+            maxent_discretize(self._sample(), 43)
 
     def test_a_zero_prior_weight_fails_before_the_facets(self, monkeypatch):
         # At N = 300 the grid reaches 24.5 standard deviations, where the

@@ -26,6 +26,7 @@ from npgq import (
     theoretical_portfolio,
 )
 from npgq.experiments import DEFAULT_MIXTURE, DEFAULT_RISK_FREE
+from npgq.portfolio import _BISECT_RTOL
 
 from _oracles import summarize_cell
 
@@ -391,6 +392,14 @@ class TestThetaStarTable:
         for _ in range(2):
             with pytest.raises(InputError, match="true optimal share is zero for gamma=.2.0, 4.0."):
                 run_experiment(cfg)
+
+    def test_a_theta_star_within_bisection_resolution_of_zero_raises(self):
+        # E[e^x] = 1 at R_f = 1: the true share is 0, and bisection, which
+        # stops at a width of _BISECT_RTOL, lands within it of 0 (-2.57e-13).
+        mixture = GaussianMixture(proportions=(1.0,), means=(-0.02,), stds=(0.2,))
+        assert 0.0 < abs(theoretical_portfolio(mixture, 1.0, 2.0)) <= _BISECT_RTOL
+        with pytest.raises(InputError, match="true optimal share is zero for gamma=.2.0, 4.0."):
+            run_experiment(replace(self.CFG, mixture=mixture, risk_free=1.0))
 
 
 class TestConfigFiles:

@@ -20,6 +20,7 @@ from npgq import (
     sample_moments,
 )
 from npgq.baselines import _jacobi_moments
+from npgq.moments import _BLOCK
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
 
 from _oracles import fsum_mean_std, one_shot_lanczos
@@ -71,6 +72,18 @@ class TestSampleMoments:
                 got = sample.jacobi(n)
                 want = one_shot_lanczos(z, 1.0 / math.sqrt(z.size), n)
                 assert [a.tolist() for a in got] == [a.tolist() for a in want], n
+
+    @pytest.mark.parametrize("size", [100, _BLOCK + 1, 100_000])
+    def test_large_samples_match_one_shot_lanczos(self, size):
+        # The reference reorthogonalizes with two matmuls; the state's dot
+        # products must give the same bits, at every N and in the one- and
+        # three-step prefixes np-me reads from a longer run.
+        data = mixture_data(size)
+        z, shared = Sample(data).z, Sample(data)
+        for n in (*range(1, 10), 3, 1):
+            want = one_shot_lanczos(z, 1.0 / math.sqrt(size), n)
+            for got in (Sample(data).jacobi(n), shared.jacobi(n)):
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want], n
 
     def test_shorter_requests_reuse_the_lanczos_state(self, monkeypatch):
         # Each Lanczos step past the first takes one norm, of its residual.
