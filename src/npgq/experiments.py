@@ -43,7 +43,7 @@ from scipy.special import ndtri
 from .baselines import _maxent_problems, _maxent_solutions, gauss_hermite_discretize, maxent_discretize
 from .errors import InputError, NpgqError
 from .moments import GaussianMixture, Sample
-from .portfolio import _BISECT_RTOL, _mixture_rule, solve_portfolios
+from .portfolio import _THETA_RTOL, _mixture_rule, solve_portfolios
 from .quadrature import discretize_data
 
 __all__ = [
@@ -292,8 +292,8 @@ def _theta_star_table(mixture: GaussianMixture, risk_free: float, gammas: tuple[
                 raise solution
     except NpgqError as exc:
         raise InputError(f"cannot compute the true optimal share for this configuration: {exc}") from exc
-    # Bisection cannot tell a share within _BISECT_RTOL of 0 from 0.
-    zeros = [g for g, solution in zip(gammas, row) if abs(solution.theta) <= _BISECT_RTOL]
+    # The solver cannot tell a share within _THETA_RTOL of 0 from 0.
+    zeros = [g for g, solution in zip(gammas, row) if abs(solution.theta) <= _THETA_RTOL]
     if zeros:
         raise InputError(f"true optimal share is zero for gamma={zeros}; relative errors undefined")
     return tuple(solution.theta for solution in row)

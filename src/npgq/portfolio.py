@@ -3,13 +3,18 @@
 States are log excess returns; the gross stock return in state n is
 ``R_n = R_f * exp(x_n)``.  The investor picks the risky share to maximize
 expected CRRA utility of portfolio gross return.  The first-order
-condition falls strictly from +inf to -inf across the feasible set, so
-the optimum is its unique root, and its sign at zero tells which side of
-zero to bisect: bisection is exact and deterministic.
+condition is ``R_f**(1 - gamma)`` times ``sum_n w_n e_n (1 + theta
+e_n)**-gamma`` with ``e_n = expm1(x_n)``, so the share does not depend on
+the rate's scale, and it is solved at rate 1.  The condition falls
+strictly from +inf to -inf across the feasible set, so the optimum is its
+unique root, and its sign at zero tells which side of zero holds it.
+Safeguarded Newton keeps a bracket of the root and stops only when the
+bracket is as narrow as bisection's last one, so it is as sure as
+bisection, and deterministic.
 
 Every caller has a grid: some discretized rules, some risk aversions,
 one risk-free rate.  :func:`solve_portfolios` solves the whole grid in
-one vectorized bisection and returns one row per rule and one
+one vectorized solve and returns one row per rule and one
 column per risk aversion; :func:`solve_portfolio` is its one-by-one case.
 The (rule, risk aversion) pairs are stacked as a (nodes x pairs) array,
 shorter rules padded with zero-weight nodes, and each pair's first-order
@@ -19,6 +24,7 @@ shares the call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +41,7 @@ __all__ = [
     "theoretical_portfolio",
 ]
 
-_BISECT_RTOL = 1e-12
+_THETA_RTOL = 1e-12
 
 # Nodes of the rule the true optimal share is solved on.  For the default
 # mixture, eleven agree with a 2 x 200-node component-wise Gauss-Hermite
@@ -50,7 +56,8 @@ class PortfolioSolution:
     ``degenerate`` marks the flat-objective case (every state return
     equals the risk-free rate), where the share is fixed at zero by
     convention.  ``foc_residual`` and ``foc_scale`` report the first-order
-    condition at the optimum and the sum of its absolute terms.
+    condition at the optimum, over ``R_f**(1 - gamma)``, and the sum of its
+    absolute terms.
     """
 
     theta: float
@@ -60,10 +67,10 @@ class PortfolioSolution:
 
 
 def solve_portfolio(dist: DiscreteDistribution, risk_free: float, gamma: float) -> PortfolioSolution:
-    """Unique root of the first-order condition by bisection.
+    """Unique root of the first-order condition by safeguarded Newton.
 
     The feasible interval keeps every state's portfolio return positive;
-    bisection runs on its part between zero and the wipe-out bound on the
+    the search runs on its part between zero and the wipe-out bound on the
     side the condition at zero points to.  If every excess return has the
     same sign the problem has no finite optimum (:class:`UnboundedError`);
     if all are zero the objective is flat and the zero share is returned
@@ -79,13 +86,14 @@ def solve_portfolio(dist: DiscreteDistribution, risk_free: float, gamma: float) 
 
 
 def solve_portfolios(dists, risk_free: float, gammas) -> list[list[PortfolioSolution | NpgqError]]:
-    """Solve every (rule, risk aversion) pair at one rate in one vectorized bisection.
+    """Solve every (rule, risk aversion) pair at one rate in one vectorized solve.
 
     Row i, column j is what ``solve_portfolio(dists[i], risk_free,
     gammas[j])`` returns, or the :class:`NpgqError` it raises, as a value:
     a risk aversion that is not finite and positive is an
-    :class:`InputError` in its own column.  A bad rate raises.  A share
-    does not depend on the other rules or risk aversions in the call.
+    :class:`InputError` in its own column.  A bad rate raises; a good one
+    changes no share.  A share does not depend on the other rules or risk
+    aversions in the call.
     """
     if not (math.isfinite(risk_free) and risk_free > 0.0):
         raise InputError(f"risk-free rate must be positive, got {risk_free}")
@@ -99,117 +107,105 @@ def solve_portfolios(dists, risk_free: float, gammas) -> list[list[PortfolioSolu
     nodes, weights = np.zeros(real.shape), np.zeros(real.shape)
     nodes.T[real.T] = [x for d in dists for x in d.nodes]
     weights.T[real.T] = [w for d in dists for w in d.weights]
-    excess = risk_free * np.exp(nodes) - risk_free
+    excess = np.expm1(nodes)
     d_min, d_max = excess.min(axis=0), excess.max(axis=0)
-    degenerate = np.maximum(np.abs(d_min), np.abs(d_max)) <= 1e-14 * risk_free
-    unbounded = ~degenerate & ((d_min >= 0.0) | (d_max <= 0.0))
+    degenerate = np.maximum(np.abs(d_min), np.abs(d_max)) <= 1e-14
+    # An excess return smaller than the smallest normal double counts as
+    # zero: its wipe-out bound would overflow.
+    unbounded = ~degenerate & ((d_min > -sys.float_info.min) | (d_max < sys.float_info.min))
     good = [math.isfinite(g) and g > 0.0 for g in gammas]
     # One column per (live rule, good gamma), rule-major.
     pairs = [(i, j) for i in np.flatnonzero(~(degenerate | unbounded)) for j in np.flatnonzero(good)]
     rules = [i for i, _ in pairs]
-    theta, residual, scale = _bisect_stack(
-        excess[:, rules], weights[:, rules], np.full(len(pairs), float(risk_free)),
-        np.array([gammas[j] for _, j in pairs], dtype=float),
+    theta, residual, scale = _newton_stack(
+        excess[:, rules], weights[:, rules], np.array([gammas[j] for _, j in pairs], dtype=float)
     )
-    out: list = [[PortfolioSolution(theta=0.0, degenerate=True) if ok
-                  else InputError(f"risk aversion must be positive, got {g}")
-                  for g, ok in zip(gammas, good)] for _ in dists]
-    for i in np.flatnonzero(unbounded):
-        for j in np.flatnonzero(good):
-            out[i][j] = UnboundedError(
-                "all state returns lie on one side of the risk-free rate; "
-                "expected utility has no interior maximum"
-            )
-    for c, (i, j) in enumerate(pairs):
-        if not math.isfinite(scale[c]):
-            out[i][j] = NumericalError("first-order condition overflows at the optimum")
-        else:
-            out[i][j] = PortfolioSolution(
-                theta=float(theta[c]),
-                degenerate=False,
-                foc_residual=float(residual[c]),
-                foc_scale=float(scale[c]),
-            )
+    degenerate, unbounded = degenerate.tolist(), unbounded.tolist()
+    out: list = [[InputError(f"risk aversion must be positive, got {g}") if not ok
+                  else PortfolioSolution(theta=0.0, degenerate=True) if degenerate[i]
+                  else UnboundedError("all state returns lie on one side of the risk-free rate; "
+                                      "expected utility has no interior maximum") if unbounded[i]
+                  else None for g, ok in zip(gammas, good)] for i in range(len(dists))]
+    for (i, j), t, r, s in zip(pairs, theta.tolist(), residual.tolist(), scale.tolist()):
+        out[i][j] = (PortfolioSolution(theta=t, foc_residual=r, foc_scale=s) if math.isfinite(s)
+                     else NumericalError("first-order condition overflows at the optimum"))
     return out
 
 
-def _foc(theta, excess, wd, rf, neg_gamma):
-    """Marginal expected utility of each column's share; decreasing in theta.
+def _foc(theta, excess, wd, neg_gamma):
+    """Marginal expected utility of each column's share at rate 1, and its
+    slope ``-gamma * sum w d**2 u**(-gamma - 1)`` from the same powers; the
+    condition falls in theta.
 
     Terms are summed in node order, so trailing padding adds exact zeros.
-    Where the sum is not finite (a term overflowed near a feasibility
-    boundary) its sign is the binding state's: the one with the smallest
-    portfolio return.
+    Where the condition's sum is not finite (a term overflowed near a
+    feasibility boundary) its sign is the binding state's: the one with the
+    smallest portfolio return.
     """
-    f = np.add.accumulate(wd * (rf + theta * excess) ** neg_gamma, axis=0)[-1]
+    wealth = 1.0 + theta * excess
+    terms = wd * wealth**neg_gamma
+    f = np.add.accumulate(terms, axis=0)[-1]
+    terms *= excess
+    terms /= wealth
+    slope = neg_gamma[0] * np.add.accumulate(terms, axis=0)[-1]
     if not np.isfinite(f).all():
         bad = np.flatnonzero(~np.isfinite(f))
-        base = rf[bad] + theta[bad] * excess[:, bad]
-        d_bind = excess[np.argmin(base, axis=0), bad]
+        d_bind = excess[np.argmin(wealth[:, bad], axis=0), bad]
         f[bad] = np.where(d_bind > 0.0, math.inf, -math.inf)
-    return f
+    return f, slope
 
 
-def _bisect_stack(excess, weights, rf, gamma):
-    """Bisect the first-order condition of every column at once.
+def _newton_stack(excess, weights, gamma):
+    """Solve the first-order condition of every column at once, at rate 1.
 
     On the feasible interval ``(lower, upper)``, where every state's
-    portfolio return is positive, the condition falls from +inf to -inf, so
-    a column's root lies in ``[0, upper)`` if the condition at zero is
-    positive and in ``(lower, 0]`` otherwise.  Bisection halves that
-    half-interval until ``_BISECT_RTOL`` or until the midpoint equals an
-    end.  Returns theta, and the condition and the sum of its absolute
-    terms at theta.
+    portfolio return is positive, the condition falls from +inf to -inf.
+    Each column runs safeguarded Newton (``rtsafe``, Numerical Recipes
+    9.4) from zero, inside a bracket of its root that starts as that
+    interval.  An evaluation at x moves the bracket's lower end to x where
+    the condition is >= 0 and its upper end where it is <= 0, so the first
+    leaves the half-interval between zero and a wipe-out bound.  The next
+    point is the Newton point where the condition and its slope are finite,
+    the step is at most half the last one and the point lies strictly
+    inside the bracket, and the bracket's midpoint otherwise.  A Newton
+    step shorter than half the resolution ``_THETA_RTOL * max(1, |x|)`` is
+    lengthened to it, so that the next evaluation lands across the root;
+    a step of the whole resolution would leave, after rounding, a bracket
+    just wider than it about half the time.  A column stops once its
+    bracket is at most the resolution wide, at its last point, an end of
+    the bracket.  Returns theta, and the condition and the sum of its
+    absolute terms at theta.
     """
     wd = weights * excess
     # A full-size exponent: numpy rounds a broadcast exponent of -1 as an
     # exact reciprocal, so a one-column stack would round differently.
     neg_gamma = np.tile(-gamma, (excess.shape[0], 1))
-    upper = -rf / excess.min(axis=0)  # > 0: wipe-out leverage against the worst state
-    lower = -rf / excess.max(axis=0)  # < 0: wipe-out short position against the best state
+    theta, residual = np.zeros(excess.shape[1]), np.zeros(excess.shape[1])
+    x, cols, half_step = theta.copy(), np.arange(theta.size), np.full(theta.size, math.inf)
+    hi = -1.0 / excess.min(axis=0)  # > 0: wipe-out leverage against the worst state
+    lo = -1.0 / excess.max(axis=0)  # < 0: wipe-out short position against the best state
+    args = excess, wd, neg_gamma
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f0 = _foc(np.zeros_like(rf), excess, wd, rf, neg_gamma)
-        # Bisect every column with f0 != 0, dropping each one as it stops.
-        theta = np.zeros_like(rf)
-        cols = np.flatnonzero(f0 != 0.0)
-        lo = np.where(f0 > 0.0, 0.0, lower)[cols]
-        hi = np.where(f0 > 0.0, upper, 0.0)[cols]
-        args = excess[:, cols], wd[:, cols], rf[cols], neg_gamma[:, cols]
-        # No column can stop in its first `free` halvings, so they skip the
-        # stop test.  A column stops when hi - lo <= tol, its tolerance
-        # _BISECT_RTOL * max(-lo, hi, 1), or when the midpoint is an end.
-        # The bracket nests, so the tolerance never grows past its first
-        # value tol0.  A halving leaves hi - lo within half an ulp of
-        # max(-lo, hi) of half its width, so after k halvings the width is
-        # at least w0 / 2**k - 2 * eps * max(-lo, hi).  With
-        # k < floor(log2(w0 / tol0)) - 1, w0 / 2**k >= 4 * tol0, and since
-        # eps * max(-lo, hi) < tol0 / 4000, the width stays above 3 * tol0:
-        # neither the width test nor an end midpoint (which needs a width of
-        # a few ulps) can fire.  The halvings are the same arithmetic, so
-        # every column keeps its bits.
-        ratio = float(np.min((hi - lo) / (_BISECT_RTOL * np.maximum(np.maximum(-lo, hi), 1.0)),
-                             initial=math.inf))
-        free = int(math.log2(ratio)) - 1 if 4.0 <= ratio < math.inf else 0
         while cols.size:
-            mid = 0.5 * (lo + hi)
-            if free:
-                free -= 1
-            else:
-                # lo < hi, so max(|lo|, |hi|) == max(-lo, hi).
-                tol = _BISECT_RTOL * np.maximum(np.maximum(-lo, hi), 1.0)
-                stop = (hi - lo <= tol) | (mid <= lo) | (mid >= hi)
-                if np.count_nonzero(stop):
-                    theta[cols[stop]] = mid[stop]
-                    keep = ~stop
-                    cols, lo, hi, mid = cols[keep], lo[keep], hi[keep], mid[keep]
-                    args = tuple(a[..., keep] for a in args)
-                    if not cols.size:
-                        break
-            up = _foc(mid, *args) > 0.0
-            np.copyto(lo, mid, where=up)
-            np.copyto(hi, mid, where=~up)
-        residual = _foc(theta, excess, wd, rf, neg_gamma)
-        scale = np.add.accumulate(np.abs(wd) * (rf + theta * excess) ** neg_gamma, axis=0)[-1]
+            f, slope = _foc(x, *args)
+            np.copyto(lo, x, where=f >= 0.0)
+            np.copyto(hi, x, where=f <= 0.0)
+            half_res = 0.5 * _THETA_RTOL * np.maximum(np.abs(x), 1.0)
+            d = f / slope
+            ad = np.abs(d)
+            newton = np.isfinite(slope) & (ad <= half_step)
+            t = x - np.where(ad < half_res, np.copysign(half_res, d), d)
+            newton &= (lo < t) & (t < hi)
+            half_width = 0.5 * (hi - lo)
+            t = np.where(newton, t, lo + half_width)
+            stop = half_width <= half_res
+            if stop.any():
+                theta[cols[stop]], residual[cols[stop]] = x[stop], f[stop]
+                keep = ~stop
+                cols, x, t, lo, hi = cols[keep], x[keep], t[keep], lo[keep], hi[keep]
+                args = tuple(a[:, keep] for a in args)
+            half_step, x = 0.5 * np.abs(t - x), t
+        scale = np.add.accumulate(np.abs(wd) * (1.0 + theta * excess) ** neg_gamma, axis=0)[-1]
     return theta, residual, scale
 
 

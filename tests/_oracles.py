@@ -3,12 +3,14 @@
 Everything here deliberately avoids the code paths under test: moments by
 plain one-pass accumulation, optimal shares by objective-only grid search
 plus golden-section refinement, random problem generators for property
-tests.  ``reference_solve_portfolio`` is the scalar bisection on the
-known half-interval that the vectorized portfolio engine stacks, kept as
-its step-for-step reference; ``crra_objective`` is the expected utility
-it maximizes and ``crra_foc`` its exactly summed derivative, which checks
-a share whatever steps found it; ``maxent_dual`` exposes np-me's tilting
-dual for finite-difference checks.  ``one_shot_lanczos`` is the
+tests.  ``reference_solve_portfolio`` is a scalar bisection at rate 1,
+on the half-interval the portfolio engine's safeguarded Newton starts
+from and with exactly rounded sums, kept as its reference: each share
+the engine finds lies within two resolutions of it; ``crra_objective``
+is the expected utility it maximizes and ``crra_foc`` its exactly summed
+derivative at rate 1, which checks a share whatever steps found it;
+``maxent_dual`` exposes np-me's tilting dual for finite-difference
+checks.  ``one_shot_lanczos`` is the
 fixed-length Lanczos run the incremental Lanczos state replaced, with the
 reorthogonalization written as two matmuls, kept as its bit-for-bit
 reference, and ``fsum_mean_std`` the two ``math.fsum``
@@ -25,6 +27,7 @@ their Hankel matrix, and ``golub_welsch`` takes its Gaussian rule.
 ``mp_data_rules`` and ``mp_mixture_rule`` run the same route in mpmath.
 """
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +43,7 @@ from npgq import (
 )
 from npgq.baselines import _MOMENTS, _stack, _values
 from npgq.moments import _BREAKDOWN_RTOL
-from npgq.portfolio import _BISECT_RTOL
+from npgq.portfolio import _THETA_RTOL
 from npgq.quadrature import _gauss_rule
 
 # Relative pivot floor: a Cholesky pivot below this fraction of its own
@@ -228,17 +231,20 @@ def crra_objective(dist, rf, gamma, theta):
 
 
 def crra_foc(dist, rf, gamma, theta):
-    """Derivative of :func:`crra_objective` in theta, exactly summed.
+    """Derivative of :func:`crra_objective` in theta over ``R_f**(1 - gamma)``,
+    exactly summed: ``sum w e (1 + theta e)**-gamma`` with ``e = expm1(x)``,
+    whose root does not depend on the rate's scale.
 
     Where a term overflows, or some state's portfolio return is not
     positive, it is the limit at that binding state's wipe-out bound:
     +inf if the state's excess return is positive, else -inf.
     """
-    pairs = list(zip(dist.weights, (state_returns(dist, rf) - rf).tolist()))
-    d_bind = min(pairs, key=lambda p: rf + theta * p[1])[1]
-    if rf + theta * d_bind > 0.0:
+    state_returns(dist, rf)  # validates the rate
+    pairs = list(zip(dist.weights, np.expm1(np.asarray(dist.nodes, dtype=float)).tolist()))
+    d_bind = min(pairs, key=lambda p: 1.0 + theta * p[1])[1]
+    if 1.0 + theta * d_bind > 0.0:
         try:
-            return math.fsum(w * d * (rf + theta * d) ** -gamma for w, d in pairs)
+            return math.fsum(w * d * (1.0 + theta * d) ** -gamma for w, d in pairs)
         except OverflowError:
             pass
     return math.inf if d_bind > 0.0 else -math.inf
@@ -361,15 +367,17 @@ def golden_section_theta(dist, risk_free, gamma, grid_points=20001, tol=1e-9):
 
 
 def reference_solve_portfolio(dist, rf, gamma):
-    """Scalar bisection: one exactly summed (``math.fsum``) first-order
-    condition per step, otherwise the steps of :func:`npgq.solve_portfolio`."""
-    excess = tuple(float(r - rf) for r in state_returns(dist, rf))
+    """Scalar bisection at rate 1, one exactly summed (``math.fsum``)
+    first-order condition per step, on the half-interval and to the
+    resolution of :func:`npgq.solve_portfolio`."""
+    state_returns(dist, rf)  # validates the rate
+    excess = np.expm1(np.asarray(dist.nodes, dtype=float)).tolist()
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise InputError(f"risk aversion must be positive, got {gamma}")
     d_min, d_max = min(excess), max(excess)
-    if max(abs(d_min), abs(d_max)) <= 1e-14 * rf:
+    if max(abs(d_min), abs(d_max)) <= 1e-14:
         return PortfolioSolution(theta=0.0, degenerate=True)
-    if d_min >= 0.0 or d_max <= 0.0:
+    if d_min > -sys.float_info.min or d_max < sys.float_info.min:
         raise UnboundedError(
             "all state returns lie on one side of the risk-free rate; "
             "expected utility has no interior maximum"
@@ -379,8 +387,8 @@ def reference_solve_portfolio(dist, rf, gamma):
         theta = 0.0
     else:
         # The root lies between zero and the wipe-out bound f0 points to.
-        lo, hi = (0.0, -rf / d_min) if f0 > 0.0 else (-rf / d_max, 0.0)
-        while hi - lo > _BISECT_RTOL * max(1.0, abs(lo), abs(hi)):
+        lo, hi = (0.0, -1.0 / d_min) if f0 > 0.0 else (-1.0 / d_max, 0.0)
+        while hi - lo > _THETA_RTOL * max(1.0, abs(lo), abs(hi)):
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
@@ -390,7 +398,7 @@ def reference_solve_portfolio(dist, rf, gamma):
                 hi = mid
         theta = 0.5 * (lo + hi)
     residual = crra_foc(dist, rf, gamma, theta)
-    scale = math.fsum(abs(w * d) * (rf + theta * d) ** -gamma for w, d in zip(dist.weights, excess))
+    scale = math.fsum(abs(w * d) * (1.0 + theta * d) ** -gamma for w, d in zip(dist.weights, excess))
     return PortfolioSolution(theta=theta, degenerate=False, foc_residual=residual, foc_scale=scale)
 
 

@@ -654,9 +654,16 @@ class TestUnderflowingTilt:
         return Sample(sample_mixture(DEFAULT_MIXTURE, 10_000, replication_rng(20170927, 10_000, 0)))
 
     def test_the_solver_converges_to_a_zero_weight(self):
-        (problem,) = _maxent_problems(self._sample(), (44,))
-        ((_, weights, _),) = _solve_duals([problem[1:]])
+        # A uniform prior on 81 points out to +-40, tilted to the standard
+        # normal's moments: the outer weights are about exp(-800), below the
+        # smallest double, though every prior weight is positive.
+        grid, prior, targets = np.linspace(-40.0, 40.0, 81), np.full(81, 1.0 / 81), [0.0, 1.0, 0.0, 3.0]
+        assert prior.min() > 0.0
+        ((_, weights, _),) = _solve_duals([(grid, prior, targets)])
         assert min(weights) == 0.0
+        (result,) = _maxent_solutions([(AffineTransform(0.0, 1.0), grid, prior, targets)])
+        assert isinstance(result, NumericalError)
+        assert str(result) == "a weight of the 81-point np-me rule underflows to 0 -- reduce N"
 
     def test_is_a_numerical_error_value(self):
         results = _maxent_solutions(_maxent_problems(self._sample(), (42, 43)))

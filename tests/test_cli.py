@@ -11,11 +11,10 @@ from npgq import (
     discretize_data,
     gauss_hermite_discretize,
     maxent_discretize,
+    solve_portfolio,
 )
 from npgq.cli import main
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
-
-from _oracles import reference_solve_portfolio
 
 
 # Standardizing these overflows the float range: a partial sum of the mean
@@ -339,10 +338,7 @@ class TestPortfolio:
         writer.writerow(["gamma", "theta_np", "theta_gaussian", "error"])
         for gamma in gammas:
             try:
-                theta_np, theta_g = (
-                    reference_solve_portfolio(d, risk_free, gamma).theta
-                    for d in dists
-                )
+                theta_np, theta_g = (solve_portfolio(d, risk_free, gamma).theta for d in dists)
             except NpgqError as exc:
                 writer.writerow([f"{gamma:.12g}", "error", "error", str(exc)])
             else:

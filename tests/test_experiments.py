@@ -26,7 +26,7 @@ from npgq import (
     theoretical_portfolio,
 )
 from npgq.experiments import DEFAULT_MIXTURE, DEFAULT_RISK_FREE
-from npgq.portfolio import _BISECT_RTOL
+from npgq.portfolio import _THETA_RTOL
 
 from _oracles import summarize_cell
 
@@ -384,7 +384,11 @@ class TestThetaStarTable:
         cfg = replace(self.CFG, **change)
         report = run_experiment(cfg)
         assert report.theta_star == {g: theoretical_portfolio(cfg.mixture, cfg.risk_free, g) for g in cfg.gammas}
-        assert report.theta_star != run_experiment(self.CFG).theta_star
+        if "risk_free" in change:
+            # A share does not depend on the rate's scale.
+            assert report.theta_star == run_experiment(self.CFG).theta_star
+        else:
+            assert report.theta_star != run_experiment(self.CFG).theta_star
 
     def test_a_zero_theta_star_raises_on_every_call(self):
         # Every excess return is within 1e-14 of 0: the degenerate share 0.
@@ -394,10 +398,10 @@ class TestThetaStarTable:
                 run_experiment(cfg)
 
     def test_a_theta_star_within_bisection_resolution_of_zero_raises(self):
-        # E[e^x] = 1 at R_f = 1: the true share is 0, and bisection, which
-        # stops at a width of _BISECT_RTOL, lands within it of 0 (-2.57e-13).
+        # E[e^x] = 1: the true share is 0, and the solver, which stops at a
+        # bracket of width _THETA_RTOL, lands within it of 0.
         mixture = GaussianMixture(proportions=(1.0,), means=(-0.02,), stds=(0.2,))
-        assert 0.0 < abs(theoretical_portfolio(mixture, 1.0, 2.0)) <= _BISECT_RTOL
+        assert 0.0 < abs(theoretical_portfolio(mixture, 1.0, 2.0)) <= _THETA_RTOL
         with pytest.raises(InputError, match="true optimal share is zero for gamma=.2.0, 4.0."):
             run_experiment(replace(self.CFG, mixture=mixture, risk_free=1.0))
 

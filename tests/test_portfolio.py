@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +22,12 @@ from npgq import (
     solve_portfolios,
     theoretical_portfolio,
 )
+import _oracles
+import npgq.cli
 import npgq.portfolio
 from npgq.experiments import DEFAULT_MIXTURE, DEFAULT_RISK_FREE, replication_rng, sample_mixture
 from npgq.moments import _standardized_mixture
-from npgq.portfolio import _BISECT_RTOL, _mixture_rule
+from npgq.portfolio import _THETA_RTOL, _mixture_rule
 
 from _oracles import (
     crra_foc,
@@ -156,7 +160,7 @@ class TestOptimumAtTheWipeOutBound:
         rule, rf = self._rule(), DEFAULT_RISK_FREE
         assert min(rule.weights) < 1.1e-37
         theta = solve_portfolio(rule, rf, 2.0).theta
-        bound = -rf / (float(state_returns(rule, rf).min()) - rf)
+        bound = -1.0 / math.expm1(min(rule.nodes))
         assert bound * (1.0 - 2e-12) < theta < bound
         assert crra_foc(rule, rf, 2.0, theta * (1.0 - 2e-12)) > 0.0
         assert crra_foc(rule, rf, 2.0, bound) == -math.inf
@@ -241,7 +245,7 @@ def assert_matches_reference(problem, result):
         return
     assert isinstance(result, PortfolioSolution)
     assert result.degenerate == expected.degenerate
-    assert abs(result.theta - expected.theta) <= 2 * _BISECT_RTOL * max(1.0, abs(expected.theta))
+    assert abs(result.theta - expected.theta) <= 2 * _THETA_RTOL * max(1.0, abs(expected.theta))
 
 
 def _outcome(problem):
@@ -254,7 +258,7 @@ def _outcome(problem):
 def _cancelling_problem(gamma):
     """Two states whose first-order terms cancel exactly at theta = 0."""
     nodes = (-0.3, 0.2)
-    d = [float(r) - 1.0 for r in state_returns(DiscreteDistribution(nodes, (1.0, 1.0)), 1.0)]
+    d = [math.expm1(x) for x in nodes]
     return DiscreteDistribution(nodes, (d[1], -d[0])), 1.0, gamma
 
 
@@ -267,10 +271,10 @@ def _spy_on_nonfinite_sums(monkeypatch):
     whose sum is not finite: those the binding state's sign decides."""
     counts, foc = [], npgq.portfolio._foc
 
-    def spy(theta, excess, wd, rf, neg_gamma):
-        f = np.add.accumulate(wd * (rf + theta * excess) ** neg_gamma, axis=0)[-1]
+    def spy(theta, excess, wd, neg_gamma):
+        f = np.add.accumulate(wd * (1.0 + theta * excess) ** neg_gamma, axis=0)[-1]
         counts.append(np.count_nonzero(~np.isfinite(f)))
-        return foc(theta, excess, wd, rf, neg_gamma)
+        return foc(theta, excess, wd, neg_gamma)
 
     monkeypatch.setattr(npgq.portfolio, "_foc", spy)
     return counts
@@ -283,17 +287,19 @@ EDGE_PROBLEMS = {
     "f0-zero": _cancelling_problem(3.0),
     "log-utility": _two_state((math.log(0.9), math.log(1.2)), (0.5, 0.5), 1.0, 1.0),
     "negative-share": _two_state((-0.3, 0.05), (0.5, 0.5), 1.0, 2.0),
-    # A term overflows within 1e-12 of the wipe-out bound, but bisection
-    # stops far short of it: the optimum lies past 2, the bound at 2.54.
+    # At the rates below, a term's power of the gross return overflowed
+    # near the optimum or everywhere.  The solve runs at rate 1, so each is
+    # its rate-1 share and nothing overflows.
     "overflow-at-limit-log": _two_state((-0.5, 0.3), (0.05, 0.95), 1e-300, 1.0),
     "overflow-at-limit": _two_state((-0.5, 0.3), (0.01, 0.99), 1e-150, 2.0),
-    # The optimum lies 2e-6 (relative) short of the wipe-out bound, where
-    # the worst state's return is just above the 7.5e-155 at which its
-    # power overflows: midpoints between the two overflow, and the binding
-    # (worst) state decides their sign.
     "overflow-near-bound": _two_state((-0.5, 0.3), (1e-12, 1.0), 3.8e-149, 2.0),
-    # rf ** -gamma overflows at every share, the optimum included.
     "overflow-everywhere": _two_state((-0.5, 0.3), (0.3, 0.7), 1e-31, 10.0),
+    # The optimum lies where the worst state's portfolio return is 1.1 times
+    # the 10**(-308.25 / 50) at which its power overflows: evaluations past
+    # it overflow, and the binding (worst) state decides their sign.
+    "overflow-near-the-optimum": _two_state((-0.5, 0.3), (1e-320, 1.0), 1.0, 50.0),
+    # There the worst state's return is 0.8 times that point (gamma 40).
+    "overflow-at-the-optimum": _two_state((-0.5, 0.3), (5e-324, 1.0), 1.0, 40.0),
 }
 
 RATES = st.one_of(st.floats(0.5, 2.0), st.sampled_from([1e-300, 1e-150, 1e-31, 1e-25, 1e20]))
@@ -312,10 +318,10 @@ def assert_grid_matches_reference(dists, risk_free, gammas, grid):
 
 def assert_root_within_tolerance(problem, theta):
     """The exactly summed first-order condition changes sign across
-    ``theta +- 2 * _BISECT_RTOL * max(1, |theta|)``; past a wipe-out bound
+    ``theta +- 2 * _THETA_RTOL * max(1, |theta|)``; past a wipe-out bound
     it is that bound's infinite limit.  The check does not depend on the
     steps that found theta."""
-    delta = 2 * _BISECT_RTOL * max(1.0, abs(theta))
+    delta = 2 * _THETA_RTOL * max(1.0, abs(theta))
     assert crra_foc(*problem, theta - delta) >= 0.0 >= crra_foc(*problem, theta + delta)
 
 
@@ -330,22 +336,17 @@ class TestEngineMatchesReference:
         assert _outcome(EDGE_PROBLEMS["degenerate"]).degenerate
         assert _outcome(EDGE_PROBLEMS["f0-zero"]).theta == 0.0
         nonfinite = _spy_on_nonfinite_sums(monkeypatch)
-        for name in ("overflow-at-limit-log", "overflow-at-limit"):
+        for name in ("overflow-at-limit-log", "overflow-at-limit", "overflow-near-bound", "overflow-everywhere"):
             dist, rf, gamma = EDGE_PROBLEMS[name]
-            d_min = float(state_returns(dist, rf)[0]) - rf
-            upper = -rf / d_min
-            with pytest.raises(OverflowError):
-                (rf + upper * (1.0 - 1e-12) * d_min) ** -gamma
-            assert 2.0 < _outcome(EDGE_PROBLEMS[name]).theta < 0.9 * upper
+            assert _outcome((dist, rf, gamma)) == solve_portfolio(dist, 1.0, gamma)
         assert not any(nonfinite)
-        dist, rf, gamma = EDGE_PROBLEMS["overflow-near-bound"]
-        theta = _outcome((dist, rf, gamma)).theta
+        problem = EDGE_PROBLEMS["overflow-near-the-optimum"]
+        theta = _outcome(problem).theta
         assert any(nonfinite)
-        # The binding state decided right: the share is the one at rate 1,
-        # where nothing overflows (a share does not depend on the rate's scale).
-        assert theta == pytest.approx(solve_portfolio(dist, 1.0, gamma).theta, rel=2 * _BISECT_RTOL)
+        # The binding state decided right.
+        assert_root_within_tolerance(problem, theta)
         with pytest.raises(NumericalError, match="overflows at the optimum"):
-            solve_portfolio(*EDGE_PROBLEMS["overflow-everywhere"])
+            solve_portfolio(*EDGE_PROBLEMS["overflow-at-the-optimum"])
 
     @given(
         st.lists(
@@ -385,24 +386,112 @@ def _random_rules(rng, count):
     return [random_portfolio_problem(rng, max_states=9)[0] for _ in range(count)]
 
 
-class TestBatchInvariance:
-    def test_same_steps_as_the_reference(self):
-        # A sign differs from the exactly rounded sum's only at rounding
-        # level, so nearly every share is the reference's bit for bit; a
-        # change of the steps (bracket, midpoints, stop rule) moves them all.
-        rng = np.random.default_rng(7)
-        gammas = [1.0, 2.0, 4.0, 6.0, 8.5]
-        same = 0
-        for rate in (0.98, 1.0045, 1.05, 1.02):
-            dists = _random_rules(rng, 10)
-            grid = solve_portfolios(dists, rate, gammas)
-            same += sum(
-                result.theta == reference_solve_portfolio(dist, rate, gamma).theta
-                for dist, row in zip(dists, grid)
-                for gamma, result in zip(gammas, row)
-            )
-        assert same >= 195
+def _spy_on_evaluations(monkeypatch):
+    """A list that gets the column count of every first-order evaluation
+    of the engine, and one that gets an entry per evaluation of the
+    reference bisection."""
+    engine, reference = [], []
+    foc, crra_foc = npgq.portfolio._foc, _oracles.crra_foc
+    monkeypatch.setattr(npgq.portfolio, "_foc", lambda theta, *args: engine.append(theta.size) or foc(theta, *args))
+    monkeypatch.setattr(_oracles, "crra_foc", lambda *args: reference.append(1) or crra_foc(*args))
+    return engine, reference
 
+
+def _evaluations(problem, engine, reference):
+    """The engine's and the reference's evaluation counts for one problem,
+    and their shares."""
+    del engine[:], reference[:]
+    theta = solve_portfolio(*problem).theta
+    expected = reference_solve_portfolio(*problem).theta
+    return sum(engine), len(reference), theta, expected
+
+
+class TestEvaluationCounts:
+    def test_fewer_evaluations_than_the_reference(self, monkeypatch):
+        # Safeguarded Newton takes a handful of evaluations where bisection
+        # takes about 42, and lands within the resolution of its share.
+        engine, reference = _spy_on_evaluations(monkeypatch)
+        rng = np.random.default_rng(7)
+        counts = []
+        for rate in (0.98, 1.0045, 1.05, 1.02):
+            for dist in _random_rules(rng, 10):
+                for gamma in (1.0, 2.0, 4.0, 6.0, 8.5):
+                    n, n_ref, theta, expected = _evaluations((dist, rate, gamma), engine, reference)
+                    assert n <= n_ref
+                    assert abs(theta - expected) <= 2 * _THETA_RTOL * max(1.0, abs(expected))
+                    counts.append(n)
+        assert len(counts) == 200
+        assert np.mean(counts) <= 10.0
+
+    def test_at_most_eight_per_column_on_study_and_cli_traffic(self, monkeypatch, tmp_path):
+        engine, _ = _spy_on_evaluations(monkeypatch)
+        columns, stack = [], npgq.portfolio._newton_stack
+        monkeypatch.setattr(npgq.portfolio, "_newton_stack", lambda excess, *args: columns.append(excess.shape[1]) or stack(excess, *args))
+        run_experiment(ExperimentConfig(replications=1))
+        assert sum(engine) <= 8.0 * sum(columns)
+        del engine[:], columns[:]
+        # The 15 return files of the benchmark's portfolio_cli workload.
+        spec = importlib.util.spec_from_file_location("bench_inputs", Path(__file__).parents[1] / "bench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        for k, table in enumerate(inputs.portfolio_tables(1)):
+            path = tmp_path / f"{k}.csv"
+            path.write_text(inputs.table_csv(table))
+            for method in ("np-gq", "np-me"):
+                argv = ["portfolio", str(path), "--stock", "stock", "--riskfree", "riskfree",
+                        "--inflation", "inflation", "--n", "5", "--method", method, "--output", str(tmp_path / "out.csv")]
+                assert npgq.cli.main(argv) == 0
+        assert sum(columns) == 15 * 2 * 2 * 13
+        assert sum(engine) <= 8.0 * sum(columns)
+
+    def test_optimum_next_to_the_wipe_out_bound(self, monkeypatch):
+        # The lowest state's weight puts each optimum 1e-15 to 1e-11
+        # (relative) short of its wipe-out bound, where Newton's steps from
+        # the safe side leave the bracket and its steps from the steep side
+        # are short.  Every share keeps to the resolution; a column needs
+        # about as many evaluations as bisection, and at most two more.
+        engine, reference = _spy_on_evaluations(monkeypatch)
+        rng = np.random.default_rng(11)
+        counts, reference_counts = [], []
+        while len(counts) < 500:
+            nodes = np.sort(rng.uniform(-1.0, 1.0, int(rng.integers(2, 9))))
+            if nodes[0] >= -0.05 or nodes[-1] <= 0.05:
+                continue
+            excess, weights = np.expm1(nodes), rng.uniform(0.1, 1.0, nodes.size)
+            gamma = float(rng.choice([1.0, 2.0, 3.0, 5.0, 8.0]))
+            delta = 10.0 ** rng.uniform(-15.0, -11.0)
+            rest = weights[1:] * excess[1:] * (1.0 - (1.0 - delta) * excess[1:] / excess[0]) ** -gamma
+            weights[0] = rest.sum() * delta**gamma / -excess[0]
+            if not weights[0] > 1e-300:
+                continue
+            problem = DiscreteDistribution(tuple(nodes.tolist()), tuple(weights.tolist())), 1.0, gamma
+            n, n_ref, theta, expected = _evaluations(problem, engine, reference)
+            assert abs(theta - expected) <= 2 * _THETA_RTOL * max(1.0, abs(expected))
+            assert_root_within_tolerance(problem, theta)
+            assert n <= n_ref + 2
+            counts.append(n)
+            reference_counts.append(n_ref)
+        assert np.mean(counts) < np.mean(reference_counts)
+
+
+class TestRateScale:
+    def test_tiny_rates_give_the_rate_one_share(self):
+        # The share solves sum w e (1 + theta e)**-gamma = 0, e = expm1(x),
+        # whatever the rate; R_f**-gamma alone overflows at these rates.
+        dist = DiscreteDistribution((-0.5, 0.3), (0.01, 0.99))
+        at_one = solve_portfolio(dist, 1.0, 2.0)
+        assert at_one.theta == pytest.approx(2.0741, abs=1e-4)
+        for rate in np.linspace(7e-155, 7e-154, 400).tolist():
+            assert solve_portfolio(dist, rate, 2.0) == at_one
+
+    @pytest.mark.parametrize("rate", [1e-300, 1e-30, 0.5, 1.0045, 1e30, 1e300])
+    def test_every_rate_gives_the_rate_one_grid(self, rate):
+        rng = np.random.default_rng(3)
+        dists, gammas = _random_rules(rng, 6), [1.0, 2.0, 5.0, 10.0]
+        assert solve_portfolios(dists, rate, gammas) == solve_portfolios(dists, 1.0, gammas)
+
+
+class TestBatchInvariance:
     def test_alone_equals_inside_a_shuffled_mixed_batch(self):
         # Per rate, one grid of random rules (and the edge problems at that
         # rate) by risk aversions, its rows and columns shuffled.
