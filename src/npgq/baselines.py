@@ -287,8 +287,7 @@ def _stack(grids, priors, targets) -> np.ndarray:
     used = np.arange(_MOMENTS)[:, None] < [len(t) for t in targets]
     data = np.zeros((real.shape[0], 1 + _MOMENTS + _MOMENTS**2, real.shape[1]))
     data[:, 0] = -np.inf
-    with np.errstate(divide="ignore"):  # a prior value that underflowed to 0
-        data[:, 0].T[real.T] = np.log(np.concatenate(priors))
+    data[:, 0].T[real.T] = np.log(np.concatenate(priors))
     feat = data[:, 1 : 1 + _MOMENTS]
     feat.transpose(2, 0, 1)[real.T] = np.concatenate(grids)[:, None]
     np.multiply.accumulate(feat, axis=1, out=feat)

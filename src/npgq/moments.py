@@ -29,6 +29,9 @@ from .errors import DegenerateDataError, InputError
 # of max|x| (the norm of diag(x)) is rounding noise, meaning the measure's
 # Krylov space, and so its support, is exhausted.
 _BREAKDOWN_RTOL = 1e-12
+# A residual whose measured projection on the earlier Lanczos rows is at
+# most this fraction of its norm is orthogonal to them at rounding level.
+_ORTH_RTOL = 2.0**-47
 
 # Values per block of a pass over the data: a block and the temporaries
 # built from it stay in cache, where a full-size temporary of a large
@@ -221,11 +224,13 @@ class _Lanczos:
     ``start[i]**2``, extended step by step as longer prefixes are asked for.
 
     ``start`` is the unit start vector, or one scalar for equal masses
-    (``1/sqrt(T)`` for an empirical measure).  Lanczos on ``diag(x)``,
-    with full reorthogonalization (twice, against every earlier vector):
+    (``1/sqrt(T)`` for an empirical measure).  Lanczos on ``diag(x)``:
     row k of ``q`` holds the k-th orthonormal polynomial at the points
-    times ``start``.  A step is the same arithmetic whatever the requests
-    before it, so every prefix equals a fresh run bit for bit.
+    times ``start``.  A step takes the three-term recurrence, then projects
+    its residual on the earlier rows again, at most twice, while the measured
+    projection is above :data:`_ORTH_RTOL` of its norm (Parlett & Scott's
+    selective reorthogonalization).  A step is the same arithmetic whatever
+    the requests before it, so every prefix equals a fresh run bit for bit.
     """
 
     def __init__(self, x: np.ndarray, start):
@@ -233,7 +238,7 @@ class _Lanczos:
         self._floor = _BREAKDOWN_RTOL * float(np.max(np.abs(x)))
         self._q = np.full((1, x.size), start)
         self._diag, self._offdiag = [], []
-        self._w = None  # x * q[k] for the last row k, not yet orthogonalized
+        self._w, self._s = np.empty(x.size), np.empty(x.size)  # x * q[k] of the last row k; scratch
 
     def jacobi(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``(diag, offdiag)`` after ``min(n, T)`` steps (``n >= 1``), or after
@@ -247,17 +252,24 @@ class _Lanczos:
         while len(self._diag) < n:
             k = len(self._diag)
             if k:  # finish the previous step: its residual becomes row k
-                w, q = self._w, self._q[:k]
+                w, s, q = self._w, self._s, self._q[:k]
+                w -= np.multiply(q[k - 1], self._diag[k - 1], out=s)
+                if k > 1:
+                    w -= np.multiply(q[k - 2], self._offdiag[k - 2], out=s)
+                b = float(np.linalg.norm(w))
                 for _ in range(2):
                     # Not q.T @ (q @ w): matmul loops itself on the k = 1 view.
-                    w -= q.dot(w).dot(q)
-                b = float(np.linalg.norm(w))
+                    c = q.dot(w)
+                    if c.dot(c) <= (_ORTH_RTOL * b) ** 2:
+                        break
+                    w -= c.dot(q, out=s)
+                    b = float(np.linalg.norm(w))
                 if b <= self._floor:
                     self._support = n = k
                     break
                 self._offdiag.append(b)
-                self._q[k] = w / b
-            self._w = self._x * self._q[k]
+                np.divide(w, b, out=self._q[k])
+            np.multiply(self._x, self._q[k], out=self._w)
             self._diag.append(self._q[k] @ self._w)
         return np.array(self._diag[:n]), np.array(self._offdiag[: n - 1])
 

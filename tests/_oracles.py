@@ -11,9 +11,11 @@ is the expected utility it maximizes and ``crra_foc`` its exactly summed
 derivative at rate 1, which checks a share whatever steps found it;
 ``maxent_dual`` exposes np-me's tilting dual for finite-difference
 checks.  ``one_shot_lanczos`` is the
-fixed-length Lanczos run the incremental Lanczos state replaced, with the
-reorthogonalization written as two matmuls, kept as its bit-for-bit
-reference, and ``fsum_mean_std`` the two ``math.fsum``
+fixed-length Lanczos run the incremental Lanczos state replaced, kept as
+its bit-for-bit reference; ``cgs2_lanczos`` is the same run with full
+reorthogonalization (classical Gram-Schmidt twice against every earlier
+row) in place of the three-term recurrence and its measured projections,
+kept as the accuracy reference; and ``fsum_mean_std`` the two ``math.fsum``
 passes the blocked exact sum of the standardization replaced.
 ``summarize_cell`` is the per-cell summary the study's array stage
 replaced, and ``interior_margin`` decides whether np-me's targets are
@@ -42,7 +44,7 @@ from npgq import (
     UnboundedError,
 )
 from npgq.baselines import _MOMENTS, _stack, _values
-from npgq.moments import _BREAKDOWN_RTOL
+from npgq.moments import _BREAKDOWN_RTOL, _ORTH_RTOL
 from npgq.portfolio import _THETA_RTOL
 from npgq.quadrature import _gauss_rule
 
@@ -182,8 +184,45 @@ def golub_welsch(m, n):
 def one_shot_lanczos(x, start, n):
     """Jacobi matrix ``(diag, offdiag)`` of the measure with mass
     ``start[i]**2`` at ``x[i]``: at most ``min(n, T)`` Lanczos steps in one
-    run, with full reorthogonalization (twice) and the library's relative
-    breakdown floor.  The last step's residual is never formed.
+    run, each with the library's product calls: the three-term recurrence,
+    then at most two projections on the earlier rows, each taken only when
+    the measured one is above ``_ORTH_RTOL`` times the residual's norm, and
+    the library's relative breakdown floor.  The last step's residual is
+    never formed.
+    """
+    n = min(n, x.size)
+    q = np.empty((n, x.size))
+    q[0] = start
+    floor = _BREAKDOWN_RTOL * float(np.max(np.abs(x)))
+    diag, offdiag = np.empty(n), np.empty(n - 1)
+    for k in range(n):
+        w = x * q[k]
+        diag[k] = q[k] @ w
+        if k == n - 1:
+            break
+        w -= diag[k] * q[k]
+        if k:
+            w -= offdiag[k - 1] * q[k - 1]
+        b = float(np.linalg.norm(w))
+        for _ in range(2):
+            c = q[: k + 1].dot(w)
+            if c.dot(c) <= (_ORTH_RTOL * b) ** 2:
+                break
+            w -= c.dot(q[: k + 1])
+            b = float(np.linalg.norm(w))
+        if b <= floor:
+            return diag[: k + 1], offdiag[:k]
+        offdiag[k] = b
+        q[k + 1] = w / b
+    return diag, offdiag
+
+
+def cgs2_lanczos(x, start, n):
+    """:func:`one_shot_lanczos` with full reorthogonalization in place of
+    the recurrence and its measured projections: classical Gram-Schmidt
+    twice against every earlier row, in two matmuls.  The accuracy
+    reference; on tied data its residual at the breakdown step can stay
+    above the floor, so it may run past the measure's support.
     """
     n = min(n, x.size)
     q = np.empty((n, x.size))

@@ -390,9 +390,12 @@ class TestStackedTilt:
         # A second moment of 10 is past the grid's reach (x^2 <= 8), so
         # neither four nor two targets can be matched.
         problems.append((unit, grid, np.full(5, 0.2), [0.0, 10.0, 0.0, 150.0]))
-        # Mass on two points: every Hessian is singular, so each stacked
-        # dual solve falls back to one solve per column.  Its zero prior
-        # weights make it a failure before any Newton step.
+        # Nearly all mass on two points: the Hessian is singular to working
+        # precision, so each stacked dual solve falls back to one solve per
+        # column and this column to least squares.
+        problems.append((unit, grid, np.array([0.5, 5e-324, 5e-324, 5e-324, 0.5]), [0.0, 1.0]))
+        # Mass on two points: zero prior weights are a failure before any
+        # Newton step, so only the batch of whole problems sees this one.
         problems.append((unit, grid, np.array([0.5, 0.0, 0.0, 0.0, 0.5]), [0.0, 1.0]))
         return problems
 
@@ -404,18 +407,20 @@ class TestStackedTilt:
             batch = _maxent_solutions([problems[i] for i in order])
             assert [_outcome(r) for r in batch] == [alone[i] for i in order]
         # The cases the batch mixes: an input error passed through, a
-        # downgrade, targets out of reach on two moments too, and a
-        # singular Hessian.
+        # downgrade, targets out of reach on two moments too, a singular
+        # Hessian, and a zero prior weight.
         assert alone[0][0] == "InputError"
-        assert alone[-3][2] is True and alone[-3][3] == 2
-        assert alone[-2][0] in ("InfeasibleError", "NumericalError")
+        assert alone[-4][2] is True and alone[-4][3] == 2
+        assert alone[-3][0] in ("InfeasibleError", "NumericalError")
+        assert alone[-2][1:] == (25, False, 2)
         assert alone[-1] == ("NumericalError", "a weight of the 5-point np-me rule underflows to 0 -- reduce N")
         assert sum(o[2] is True for o in alone if len(o) == 4) > 1
 
     def test_shuffled_dual_batch_matches_each_dual_alone(self):
-        # The multipliers too, from the dual solves: every problem on its
-        # own targets and every four-target one again on two.
-        duals = [p[1:] for p in self._problems() if not isinstance(p, NpgqError)]
+        # The multipliers too, from the dual solves: every problem that
+        # reaches them on its own targets, and every four-target one again
+        # on two.  A zero prior weight never does (see the mixed batch).
+        duals = [p[1:] for p in self._problems() if not isinstance(p, NpgqError) and p[2].all()]
         duals += [(grid, prior, targets[:2]) for grid, prior, targets in duals if len(targets) > 2]
         alone = [_outcome(_solve_duals([d])[0]) for d in duals]
         for seed in range(3):
@@ -486,6 +491,7 @@ class TestSolveDualsPinned:
     per way a column leaves the stack."""
 
     PLAIN = (_even_grid(5), np.array([0.1, 0.2, 0.4, 0.2, 0.1]), [0.1, 1.0, 0.2, 2.5])
+    SINGULAR = (_even_grid(5), np.array([0.5, 5e-324, 5e-324, 5e-324, 0.5]), [0.0, 1.0])
 
     @staticmethod
     def _solve_counting(monkeypatch, problem):
@@ -542,11 +548,20 @@ class TestSolveDualsPinned:
         assert type(result) is NumericalError
         assert str(result) == "tilting dual line search stalled"
 
-    def test_singular_hessian_column_runs_to_the_cap(self):
-        problem = (_even_grid(5), np.array([0.5, 0.0, 0.0, 0.0, 0.5]), [0.0, 1.0])
-        (result,) = _solve_duals([problem])
-        assert type(result) is NumericalError
-        assert str(result) == "tilting dual did not converge within 200 iterations"
+    def test_singular_hessian_column_takes_least_squares_steps(self, monkeypatch):
+        # Three prior weights of 5e-324 leave the Hessian singular to working
+        # precision: the column takes least-squares steps, then converges.
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+        ((lam, weights, iterations),) = _solve_duals([self.SINGULAR])
+        assert len(calls) == 18
+        assert [v.hex() for v in lam] == ["0x0.0p+0", "-0x1.753167dc489bap+6"]
+        assert [v.hex() for v in weights] == [
+            "0x1.0000000021de4p-4", "0x1.858288e3a6d91p-270", "0x1.bffffffff7886p-1",
+            "0x1.858288e3a6d91p-270", "0x1.0000000021de4p-4",
+        ]
+        assert iterations == 25
 
     def test_the_cap_counts_gradient_tests(self, monkeypatch):
         # The cap is on steps, and the iterate after the last step is

@@ -300,6 +300,15 @@ class TestDiscretizeData:
         assert "at most 2 nodes" in str(err.value)
         assert err.value.pivot == 3
 
+    def test_close_atoms_are_the_support_error(self):
+        # 75 draws of 7 atoms, two of them 0.0046 apart: the residual at
+        # step 7 is rounding noise, not an eighth node of weight 1e-33.
+        rng = np.random.default_rng(25)
+        data = rng.choice(rng.standard_normal(rng.integers(2, 13)), 75)
+        for n in (8, 9):
+            with pytest.raises(NotPositiveDefiniteError, match="supports at most 7 nodes"):
+                discretize_data(data, n)
+
     def test_lanczos_breakdown_returns_the_smaller_matrix(self):
         # Two support points with masses 1/4 and 3/4: two steps, then breakdown.
         x = np.array([-1.0, 2.0, 2.0, 2.0])
