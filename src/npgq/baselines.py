@@ -15,13 +15,12 @@ np-me's tilting duals are solved many at a time, in one stacked damped
 Newton (:func:`_solve_duals`), and :func:`maxent_solve` is its
 one-problem case, the way :func:`~npgq.portfolio.solve_portfolio` is
 that of :func:`~npgq.portfolio.solve_portfolios`.  The Monte Carlo study
-stacks every np-me problem of a block of replications, and
-:func:`_attainable` decides before Newton which targets each is solved on.
+stacks every np-me problem of a block, and one closed-form facet test
+(:func:`_reach`) decides before Newton which targets each is solved on.
 A kernel term below the smallest normal double counts as 0 (:func:`kde_pdf`).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -188,33 +187,31 @@ def _maxent_problems(sample: Sample, node_counts) -> list:
 
 
 @lru_cache(maxsize=64)
-def _facets(grid: tuple, k: int) -> np.ndarray:
-    """Facets of the hull of ``(x, .., x^k)`` over a grid ``x_1 < .. < x_N``,
-    for even k, as (facets x k+1) polynomial coefficients ``c_0..c_k``.
+def _pair_quadratics(grid: tuple) -> np.ndarray:
+    """Rows c_0, c_1, c_2 of ``q_i(x) = (x - x_i)(x - x_{i+1})`` for each pair
+    of neighbours of a grid, ``x_{N+1} = x_1``: the sign of ``x_{i+1} - x_i``
+    negates the wrap pair's, so each q_i is positive on the grid off its pair."""
+    x, y = np.array(grid), np.roll(grid, -1)
+    c = np.array([x * y, -(x + y), np.ones_like(x)]) * np.sign(y - x)
+    c.setflags(write=False)  # one cached array serves every caller
+    return c
 
-    The hull is a cyclic polytope: by Gale's evenness condition a facet is
-    k/2 disjoint pairs of neighbouring points, ``x_N`` a neighbour of
-    ``x_1``.  A row is the product of ``x - x_i`` over its points, negated
-    if ``(x_N, x_1)`` is a pair, so it is positive on the other grid points
-    (Ziegler, Lectures on Polytopes, Thm 0.7).
+
+def _reach(grid: np.ndarray, targets) -> int:
+    """How many leading targets, 4, 2 or 0, a tilt of a positive prior on
+    the grid matches: k where m1..mk lie inside the hull of ``(x, .., x^k)``
+    over the grid (Tanaka & Toda 2013), iff each facet polynomial has a
+    positive expectation.  The hull is a cyclic polytope, whose facets by
+    Gale's evenness condition (Ziegler 1995, Thm 0.7) give the q_i of
+    :func:`_pair_quadratics` for k = 2 and the q_i q_j of pairs sharing no
+    point for k = 4.  Every q_i q_j is nonnegative on the grid and not all 0
+    there (N >= 5), so all of ``c' H c`` is tested, ``H`` m's Hankel matrix.
     """
-    n = len(grid)
-    pairs = [(i, (i + 1) % n) for i in range(n)]
-    rows = []
-    for chosen in itertools.combinations(pairs, k // 2):
-        points = sorted({i for pair in chosen for i in pair})
-        if len(points) == k:
-            sign = -1.0 if (n - 1, 0) in chosen else 1.0
-            rows.append(sign * np.polynomial.polynomial.polyfromroots([grid[i] for i in points]))
-    facets = np.array(rows)
-    facets.setflags(write=False)  # one cached array serves every caller
-    return facets
-
-
-def _attainable(grid: np.ndarray, targets) -> bool:
-    """Whether a tilt of a positive prior on the grid matches ``targets``: iff each
-    facet polynomial's expectation under them is positive (Tanaka & Toda 2013)."""
-    return bool((_facets(tuple(grid.tolist()), len(targets)) @ [1.0, *targets]).min() > 0.0)
+    c = _pair_quadratics(tuple(grid.tolist()))
+    m = np.array([1.0, *targets])
+    if m.size == 5 and (c.T @ np.array([m[:3], m[1:4], m[2:]]) @ c).min() > 0.0:
+        return 4
+    return 2 if (m[:3] @ c).min() > 0.0 else 0
 
 
 def _underflow_error(n: int) -> NumericalError:
@@ -225,7 +222,7 @@ def _maxent_solutions(problems) -> list[MaxEntSolution | NpgqError]:
     """Solve np-me tilting problems, from :func:`_maxent_problems`, in one
     stacked damped Newton (:func:`_solve_duals`), and map each grid back
     to data units.  Each problem is solved once, on the targets a tilt
-    can reach (:func:`_attainable`): all of them, or else the first two of
+    can reach (:func:`_reach`): all of them, or else the first two of
     four, and the rule is ``downgraded``.  Failures are values: an
     :class:`NpgqError` entry passes through, a problem whose first two
     targets are out of reach is an :class:`InfeasibleError` with no Newton
@@ -242,8 +239,7 @@ def _maxent_solutions(problems) -> list[MaxEntSolution | NpgqError]:
         if not prior.all():
             out[i] = _underflow_error(grid.size)
             continue
-        k = next((k for k in (len(targets), 2) if _attainable(grid, targets[:k])), 0)
-        if k:
+        if k := _reach(grid, targets):
             live.append(i)
             duals.append((grid, prior, targets[:k]))
         else:

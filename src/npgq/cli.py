@@ -171,8 +171,11 @@ def cmd_portfolio(args) -> int:
         deflator = _column_values(header, rows, args.inflation, args.input)
         if np.any(deflator <= 0):
             raise InputError("gross inflation must be positive")
-        stock = stock / deflator
-        riskfree = riskfree / deflator
+        with np.errstate(over="ignore"):  # a real return past the float range is rejected below
+            stock, riskfree = stock / deflator, riskfree / deflator
+        for name, real in ((args.stock, stock), (args.riskfree, riskfree)):
+            if not np.all(np.isfinite(real) & (real > 0.0)):
+                raise InputError(f"real returns of column {name!r} are not finite and positive")
     risk_free = float(np.exp(np.mean(np.log(riskfree))))
     log_excess = Sample(np.log(stock) - math.log(risk_free))
     dist_np = _DISCRETIZERS[args.method](log_excess, args.n)

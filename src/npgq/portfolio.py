@@ -89,11 +89,11 @@ def solve_portfolios(dists, risk_free: float, gammas) -> list[list[PortfolioSolu
     """Solve every (rule, risk aversion) pair at one rate in one vectorized solve.
 
     Row i, column j is what ``solve_portfolio(dists[i], risk_free,
-    gammas[j])`` returns, or the :class:`NpgqError` it raises, as a value:
-    a risk aversion that is not finite and positive is an
-    :class:`InputError` in its own column.  A bad rate raises; a good one
-    changes no share.  A share does not depend on the other rules or risk
-    aversions in the call.
+    gammas[j])`` returns, or the :class:`NpgqError` it raises, as a value: a
+    risk aversion that is not finite and positive is an :class:`InputError`
+    in its own column.  A bad rate raises; a good one changes no share.  A
+    share does not depend on the other rules or risk aversions in the call.
+    A node past ``log(max double)`` overflows its rule's condition.
     """
     if not (math.isfinite(risk_free) and risk_free > 0.0):
         raise InputError(f"risk-free rate must be positive, got {risk_free}")
@@ -107,7 +107,8 @@ def solve_portfolios(dists, risk_free: float, gammas) -> list[list[PortfolioSolu
     nodes, weights = np.zeros(real.shape), np.zeros(real.shape)
     nodes.T[real.T] = [x for d in dists for x in d.nodes]
     weights.T[real.T] = [w for d in dists for w in d.weights]
-    excess = np.expm1(nodes)
+    with np.errstate(over="ignore"):  # inf past log(max double), about 709.78
+        excess = np.expm1(nodes)
     d_min, d_max = excess.min(axis=0), excess.max(axis=0)
     degenerate = np.maximum(np.abs(d_min), np.abs(d_max)) <= 1e-14
     # An excess return smaller than the smallest normal double counts as

@@ -1,3 +1,4 @@
+import itertools
 import math
 import timeit
 import tracemalloc
@@ -24,12 +25,12 @@ from npgq import (
 import npgq.baselines
 from npgq.baselines import (
     _SQRT_2PI,
-    _attainable,
     _even_grid,
-    _facets,
     _grid_layout,
     _maxent_problems,
     _maxent_solutions,
+    _pair_quadratics,
+    _reach,
     _silverman,
     _solve_duals,
 )
@@ -575,6 +576,14 @@ class TestSolveDualsPinned:
         assert type(result) is NumericalError
         assert str(result) == "tilting dual did not converge within 6 iterations"
 
+    def test_a_newton_error_is_the_rule_s_value(self, monkeypatch):
+        # The plain problem on a grid in data units: the capped solve's
+        # error is what _maxent_solutions gives for it, and no rule.
+        monkeypatch.setattr("npgq.baselines._NEWTON_MAX_ITER", 1)
+        (result,) = _maxent_solutions([(AffineTransform(0.0, 1.0), *self.PLAIN)])
+        assert type(result) is NumericalError
+        assert str(result) == "tilting dual did not converge within 1 iterations"
+
 
 class TestAttainableTargets:
     """np-me decides before Newton which targets a tilt can reach: inside
@@ -583,26 +592,39 @@ class TestAttainableTargets:
 
     @staticmethod
     def _grid(rng):
-        while True:
-            grid = np.sort(rng.uniform(-4.0, 4.0, int(rng.integers(3, 13))))
-            if np.diff(grid).min() > 0.05:
-                return grid
+        # 3 to 40 points at least 0.05 apart, about the origin.
+        grid = np.cumsum(rng.uniform(0.05, 8.0 / 12, int(rng.integers(3, 41))))
+        return grid - grid.mean()
 
     def test_facets_are_the_polytope_facets(self):
         # A facet polynomial vanishes on its k grid points and is positive
-        # on the others; a cyclic polytope has N(N-3)/2 facets for k = 4
-        # and N for k = 2.
+        # on the others: each pair quadratic q_i for k = 2, N of them, and
+        # each product q_i q_j of two pairs that share no point for k = 4,
+        # N(N-3)/2 of them, as a cyclic polytope has.
         rng = np.random.default_rng(160)
         for _ in range(30):
             grid = self._grid(rng)
-            for k in (2, 4)[: 1 + (grid.size >= 5)]:
-                facets = _facets(tuple(grid.tolist()), k)
-                assert facets.shape == ((grid.size * (grid.size - 3)) // 2 if k == 4 else grid.size, k + 1)
-                values = facets @ np.vander(grid, k + 1, increasing=True).T
-                scale = np.abs(facets) @ np.abs(np.vander(grid, k + 1, increasing=True)).T
+            n = grid.size
+            quadratics = _pair_quadratics(tuple(grid.tolist())).T
+            pairs = [{i, (i + 1) % n} for i in range(n)]
+            quartics = [
+                np.polynomial.polynomial.polymul(quadratics[i], quadratics[j])
+                for i, j in itertools.combinations(range(n), 2)
+                if pairs[i].isdisjoint(pairs[j])
+            ]
+            assert quadratics.shape == (n, 3) and len(quartics) == n * (n - 3) // 2
+            for k, facets in ((2, quadratics), (4, np.array(quartics).reshape(-1, 5))):
+                powers = np.vander(grid, k + 1, increasing=True).T
+                values, scale = facets @ powers, np.abs(facets) @ np.abs(powers)
                 zero = np.abs(values) <= 1e-12 * scale
                 assert (zero.sum(axis=1) == k).all()
                 assert (values[~zero] > 0.0).all()
+                if k == 2 and n >= 5:
+                    # _reach takes the minimum over every product q_i q_j:
+                    # each is nonnegative on the grid, and not all 0 there.
+                    q = np.where(zero, 0.0, values)
+                    products = q[:, None] * q
+                    assert (products >= 0.0).all() and (products.max(axis=2) > 0.0).all()
 
     def test_agrees_with_a_linear_program_near_the_boundary(self):
         # Targets from weights with almost all their mass on k/2 grid
@@ -621,7 +643,7 @@ class TestAttainableTargets:
             targets = (np.vander(grid, k + 1, increasing=True).T[1:] @ (w / w.sum())).tolist()
             margin = interior_margin(grid, targets)
             assert abs(margin) > 1e-8  # far from a tie at the LP's tolerance
-            assert _attainable(grid, targets) == (margin > 0.0)
+            assert (_reach(grid, targets) == k) == (margin > 0.0)
             outcomes.append(margin > 0.0)
         assert 20 <= sum(outcomes) <= 100
 
@@ -632,7 +654,7 @@ class TestAttainableTargets:
                 sample = Sample(sample_mixture(DEFAULT_MIXTURE, size, replication_rng(20170927, size, m)))
                 duals += [p[1:] for p in _maxent_problems(sample, (5, 7, 9))]
         diverged = [isinstance(r, InfeasibleError) for r in _solve_duals(duals)]
-        assert [not _attainable(grid, targets) for grid, _, targets in duals] == diverged
+        assert [_reach(grid, targets) < len(targets) for grid, _, targets in duals] == diverged
         assert sum(diverged) > 20
 
     def test_a_batch_is_one_dual_solve(self, monkeypatch):
@@ -649,6 +671,22 @@ class TestAttainableTargets:
         assert results[0].downgraded and results[0].n_matched == 2
         assert [r.n_matched for r in results[1:4]] == [2, 4, 4]
         assert type(results[4]) is InfeasibleError
+
+    def test_a_thousand_point_grid_is_decided_at_once(self):
+        # The k = 4 facets number N(N-3)/2, about half a million here;
+        # _reach reads them from one 3 x N matrix in one matrix product.
+        npgq.baselines._pair_quadratics.cache_clear()
+        grid = _even_grid(1000)
+        tracemalloc.start()
+        try:
+            start = timeit.default_timer()
+            assert _reach(grid, [0.0, 1.0, 0.0, 3.0]) == 4
+            elapsed = timeit.default_timer() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak <= 16e6
 
     def test_unreachable_two_targets_are_infeasible_at_once(self):
         # Newton alone would run this problem to its 200-iteration cap.
@@ -691,9 +729,9 @@ class TestUnderflowingTilt:
     def test_a_zero_prior_weight_fails_before_the_facets(self, monkeypatch):
         # At N = 300 the grid reaches 24.5 standard deviations, where the
         # kernel density of 2000 N(0, 1) points is exactly 0.  No tilt lifts
-        # a zero weight, so neither the O(N^2) facets nor Newton run.
-        calls, facets, solve = [], npgq.baselines._facets, npgq.baselines._solve_duals
-        monkeypatch.setattr(npgq.baselines, "_facets", lambda *args: calls.append(args) or facets(*args))
+        # a zero weight, so neither the O(N^2) facet test nor Newton runs.
+        calls, reach, solve = [], npgq.baselines._reach, npgq.baselines._solve_duals
+        monkeypatch.setattr(npgq.baselines, "_reach", lambda *args: calls.append(args) or reach(*args))
         # Every problem handed to Newton; an empty stack takes no step.
         monkeypatch.setattr(npgq.baselines, "_solve_duals", lambda duals: calls.extend(duals) or solve(duals))
         data = np.random.default_rng(0).standard_normal(2000)

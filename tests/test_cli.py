@@ -375,6 +375,30 @@ class TestPortfolio:
         src = write_csv(tmp_path / "r.csv", ["s", "b"], [[1.0, -0.5], [1.0, 1.0]])
         assert main(["portfolio", src, "--stock", "s", "--riskfree", "b"]) == 2
 
+    @pytest.mark.parametrize("stock, inflation", [(1e308, 1e-10), (5e-324, 2.0)])
+    def test_a_real_return_past_the_float_range_exits_2(self, tmp_path, capsys, stock, inflation):
+        # 1e308 / 1e-10 overflows to inf and 5e-324 / 2 underflows to 0: one
+        # error line naming the column, and no numpy warning.
+        src = write_csv(tmp_path / "r.csv", ["s", "b", "cpi"],
+                        [[stock, 1.1, 0.9, 1.2], [1.0] * 4, [inflation, 1.0, 1.0, 1.0]])
+        assert main(["portfolio", src, "--stock", "s", "--riskfree", "b", "--inflation", "cpi"]) == 2
+        assert capsys.readouterr().err == (
+            "error: real returns of column 's' are not finite and positive\n"
+        )
+
+    def test_an_overflowing_excess_return_is_an_error_row(self, tmp_path, capsys):
+        # A log excess return of about 713 (1e300 over a rate of 1e-10):
+        # its excess return overflows to inf, so does the first-order
+        # condition, and every share is that error; stderr holds the rate only.
+        stock = [1e300] + [(0.7 + 0.02 * k) * 1e-10 for k in range(30)]
+        src = write_csv(tmp_path / "r.csv", ["s", "b"], [stock, [1e-10] * 31])
+        assert main(["portfolio", src, "--stock", "s", "--riskfree", "b", "--n", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "# risk_free = 1e-10\n"
+        rows = out.splitlines()[1:]
+        assert len(rows) == 13
+        assert all(r.endswith(",error,error,first-order condition overflows at the optimum") for r in rows)
+
     @pytest.mark.parametrize("spec", ["a:3", "nan:3", "1:inf", "1:3:0"])
     def test_bad_gamma_range_exits_2(self, tmp_path, capsys, spec):
         src = self.make_returns(tmp_path, t=200)
@@ -524,6 +548,32 @@ class TestPlotdata:
         kde_mass = sum(float(r[3]) for r in rows if r[0] == "kde" and float(r[1]) < cutoff)
         gauss_mass = sum(float(r[3]) for r in rows if r[0] == "gaussian" and float(r[1]) < cutoff)
         assert kde_mass > gauss_mass
+
+
+class TestInputErrorMessages:
+    """Each input check of the CLI: exit 2 and its one error line."""
+
+    RETURNS = "s,b,c\n1.1,1.0,1.0\n0.9,1.0,0.0\n"
+    PORTFOLIO = ["portfolio", "--stock", "s", "--riskfree", "b", "--n", "1"]
+
+    @pytest.mark.parametrize("text, args, message", [
+        ("x\n", ["discretize", "--column", "x"], "{path}: need a header row and at least one data row"),
+        ("x,y\n1,2\n3\n", ["discretize", "--column", "x"],
+         "{path}: ragged rows (all rows must match the header)"),
+        ("x,y\n1,2\n", ["discretize", "--column", "2"], "{path}: column index 2 out of range 0..1"),
+        ("x\n1\nabc\n", ["discretize", "--column", "x"],
+         "{path}: non-numeric entry in column 'x': could not convert string to float: 'abc'"),
+        (RETURNS, PORTFOLIO + ["--gamma", "1:2:3:4"], "bad gamma range '1:2:3:4'; use start:stop[:step]"),
+        (RETURNS, PORTFOLIO + ["--gamma", "a,b"], "bad gamma list 'a,b': could not convert string to float: 'a'"),
+        (RETURNS, PORTFOLIO + ["--gamma", ","], "empty gamma grid"),
+        (RETURNS, PORTFOLIO + ["--inflation", "c"], "gross inflation must be positive"),
+        ("x\n1\n2\n", ["plotdata", "--column", "x", "--bins", "0"], "bins must be >= 1"),
+    ])
+    def test_exits_2_with_its_message(self, tmp_path, capsys, text, args, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert main([args[0], str(path), *args[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
 class TestOutputPrecision:

@@ -522,3 +522,40 @@ class TestSharedSampleStudy:
         assert calls["sample_moments"] == 0
         # One Lanczos state per standardized sample, shared by every N.
         assert len(calls["lanczos"]) == len(set(calls["lanczos"])) == samples
+
+
+class TestInputErrorMessages:
+    """Each input check of the study, with its exact message."""
+
+    UNBOUNDED = ("cannot compute the true optimal share for this configuration: all state returns lie on "
+                 "one side of the risk-free rate; expected utility has no interior maximum")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ExperimentConfig(node_counts=(0,)), "node counts must be >= 1"),
+        (lambda: sample_mixture(DEFAULT_MIXTURE, 0, replication_rng(1, 0, 0)), "sample size must be >= 1, got 0"),
+        (lambda: run_experiment(SMALL_CFG, jobs=0), "jobs must be >= 1"),
+        (lambda: parse_config("seed = x"),
+         "config line 1: bad value for 'seed': invalid literal for int() with base 10: 'x'"),
+        # Every log excess return of N(0.5, 0.01^2) is above the rate's 0.0045.
+        (lambda: run_experiment(ExperimentConfig(mixture=GaussianMixture((1.0,), (0.5,), (0.01,)))), UNBOUNDED),
+    ])
+    def test_message(self, call, message):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_a_missing_cell_is_a_key_error(self):
+        report = run_experiment(replace(SMALL_CFG, replications=1))
+        with pytest.raises(KeyError) as info:
+            report.cell("np-gq", 61, 2, 2.0)
+        assert info.value.args == ("no cell for ('np-gq', 61, 2, 2.0)",)
+
+    def test_excluded_replications_are_listed(self):
+        # Two draws per replication: no three-node np-gq rule, and on these
+        # draws every Gauss-Hermite and np-me state return lies above the rate.
+        report = run_experiment(ExperimentConfig(sample_sizes=(2,), node_counts=(3,), replications=2))
+        assert report.format_tables().split("\n\n")[-1] == (
+            "Excluded replications (discretization or solve failed):\n"
+            + "".join(f"  {method}  T=2  N=3  gamma={g}: 2 of 2\n"
+                      for method in ("np-gq", "gauss-hermite", "np-me") for g in (2, 4, 6))
+        )

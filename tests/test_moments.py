@@ -230,6 +230,16 @@ class TestAffineTransform:
         with pytest.raises(InputError):
             AffineTransform(shift=0.0, scale=-1.0)
 
+    @pytest.mark.parametrize("shift, scale, message", [
+        (math.nan, 1.0, "affine transform parameters must be finite"),
+        (0.0, math.inf, "affine transform parameters must be finite"),
+        (0.0, 0.0, "scale must be positive, got 0.0"),
+    ])
+    def test_messages(self, shift, scale, message):
+        with pytest.raises(InputError) as info:
+            AffineTransform(shift=shift, scale=scale)
+        assert str(info.value) == message
+
 
 class TestGaussianMoments:
     def test_standard_normal_double_factorials(self):
@@ -295,6 +305,19 @@ class TestMixtureMoments:
             estimate = powers.mean()
             se = powers.std(ddof=1) / math.sqrt(draws.size)
             assert abs(analytic[k] - estimate) < 3.0 * se
+
+    @pytest.mark.parametrize("proportions, means, stds, message", [
+        ((), (), (), "mixture needs at least one component"),
+        ((1.0,), (0.0, 1.0), (1.0,), "mixture parameter arrays must have equal length"),
+        ((1.0,), (math.nan,), (1.0,), "mixture parameters must be finite"),
+        ((0.0, 1.0), (0.0, 1.0), (1.0, 1.0), "mixture proportions must lie in (0, 1]"),
+        ((0.5, 0.4), (0.0, 1.0), (1.0, 1.0), "mixture proportions must sum to 1, got 0.9"),
+        ((1.0,), (0.0,), (-0.1,), "mixture stds must be nonnegative"),
+    ])
+    def test_invalid_mixture_messages(self, proportions, means, stds, message):
+        with pytest.raises(InputError) as info:
+            GaussianMixture(proportions=proportions, means=means, stds=stds)
+        assert str(info.value) == message
 
     def test_invalid_mixtures_rejected(self):
         with pytest.raises(InputError):

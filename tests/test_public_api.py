@@ -57,9 +57,11 @@ def test_only_the_pipeline_is_public():
     # private to the theta* rule, and the kernel density is one function.
     # A Sample is the one standardization: its transform is also the
     # Gauss-Hermite fit.  The method names are the discretizers' keys.
+    # np-me's facet test is one closed form: no cached list of facets.
     removed = {
         "moments": ("MomentSequence", "standardized_mixture", "standardize"),
-        "baselines": ("maxent_grid", "maxent_dual", "KernelDensity", "fit_gaussian_mle"),
+        "baselines": ("maxent_grid", "maxent_dual", "KernelDensity", "fit_gaussian_mle",
+                      "_facets", "_attainable"),
         "quadrature": ("tridiagonal_eigen", "JacobiMatrix"),
         "portfolio": ("state_returns", "crra_objective", "PortfolioProblem"),
         "experiments": ("format_config", "METHOD_LABELS"),

@@ -48,6 +48,19 @@ class TestTypes:
         with pytest.raises(InputError):
             DiscreteDistribution(nodes=(0.0, 1.0), weights=(0.5, 0.0))
 
+    @pytest.mark.parametrize("nodes, weights, message", [
+        ((), (), "nodes and weights must be nonempty and equal-length"),
+        ((0.0, 1.0), (1.0,), "nodes and weights must be nonempty and equal-length"),
+        ((0.0, math.inf), (0.5, 0.5), "nodes and weights must be finite"),
+        ((0.0, 1.0), (0.5, math.nan), "nodes and weights must be finite"),
+        ((1.0, 1.0), (0.5, 0.5), "nodes must be strictly increasing"),
+        ((0.0, 1.0), (0.5, 0.0), "weights must be strictly positive"),
+    ])
+    def test_messages(self, nodes, weights, message):
+        with pytest.raises(InputError) as info:
+            DiscreteDistribution(nodes=nodes, weights=weights)
+        assert str(info.value) == message
+
 
 class TestHankelMatrix:
     """The Hankel moment matrix of the test-only moment route, observed
