@@ -2,8 +2,9 @@
 maximum-entropy moment matching on an even grid with a kernel-density prior.
 
 Both serve as comparison points for the moment-fed quadrature method.
-The Gauss-Hermite baseline is what one would use under a (log)normality
-assumption; the maximum-entropy baseline ("np-me") tilts a kernel density
+The Gauss-Hermite baseline, what one would use under a (log)normality
+assumption, moves quadrature's standard-normal rule to the fitted Gaussian;
+the maximum-entropy baseline ("np-me") tilts a kernel density
 estimate on a fixed grid until low-order sample moments match.  np-me
 reads those moments, m1..m4, from the first three Lanczos steps of the
 sample's Jacobi matrix, the same state np-gq builds its rules from.
@@ -12,9 +13,9 @@ Every data-taking function here also accepts a
 are then computed only once.
 
 np-me's tilting duals are solved many at a time, in one stacked damped
-Newton (:func:`_solve_duals`), and :func:`maxent_solve` is its
-one-problem case, the way :func:`~npgq.portfolio.solve_portfolio` is
-that of :func:`~npgq.portfolio.solve_portfolios`.  The Monte Carlo study
+Newton (:func:`_solve_duals`) on quadrature's stacked columns, and
+:func:`maxent_solve` is its one-problem case, as :func:`~npgq.portfolio.solve_portfolio`
+is that of :func:`~npgq.portfolio.solve_portfolios`.  The Monte Carlo study
 stacks every np-me problem of a block, and one closed-form facet test
 (:func:`_reach`) decides before Newton which targets each is solved on.
 A kernel term below the smallest normal double counts as 0 (:func:`kde_pdf`).
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError, NpgqError, NumericalError
 from .moments import _BLOCK, Sample, _as_clean_array
-from .quadrature import DiscreteDistribution, _gauss_rule, _node_count_error
+from .quadrature import DiscreteDistribution, _columns, _node_count_error, _standard_normal_rule, _sum0
 
 __all__ = [
     "MaxEntSolution",
@@ -48,14 +49,6 @@ _NEWTON_GRAD_TOL = 1e-10
 _LAMBDA_DIVERGENCE = 1e6
 # Moments a tilt matches at most: the width of the stacked duals.
 _MOMENTS = 4
-
-
-@lru_cache(maxsize=32)
-def _standard_normal_rule(n: int) -> DiscreteDistribution:
-    """N-point Gauss-Hermite rule of N(0, 1), from its exact Jacobi matrix:
-    the monic Hermite recurrence, diagonal 0 and off-diagonal sqrt(1..N-1)."""
-    nodes, weights = _gauss_rule(np.zeros(n), np.sqrt(np.arange(1.0, n)), 1.0)
-    return DiscreteDistribution(nodes=nodes, weights=weights)
 
 
 def gauss_hermite_discretize(data, n: int) -> DiscreteDistribution:
@@ -262,12 +255,6 @@ def _maxent_solutions(problems) -> list[MaxEntSolution | NpgqError]:
     return out
 
 
-def _sum0(a: np.ndarray) -> np.ndarray:
-    """Sum over the first axis in index order: the same grouping whatever
-    the other axes hold."""
-    return np.add.accumulate(a, axis=0)[-1]
-
-
 def _stack(grids, priors, targets) -> np.ndarray:
     """Tilting problems as one (grid points x terms x problems) array.
 
@@ -278,18 +265,16 @@ def _stack(grids, priors, targets) -> np.ndarray:
     on the diagonal.  A grid is padded to the longest with points of log
     prior -inf and all-zero terms.
     """
-    sizes = np.array([g.size for g in grids])
-    real = np.arange(sizes.max())[:, None] < sizes
+    log_prior = _columns([np.log(p) for p in priors], -np.inf)
+    real = np.arange(log_prior.shape[0])[:, None] < [g.size for g in grids]
     used = np.arange(_MOMENTS)[:, None] < [len(t) for t in targets]
     data = np.zeros((real.shape[0], 1 + _MOMENTS + _MOMENTS**2, real.shape[1]))
-    data[:, 0] = -np.inf
-    data[:, 0].T[real.T] = np.log(np.concatenate(priors))
+    data[:, 0] = log_prior
     feat = data[:, 1 : 1 + _MOMENTS]
-    feat.transpose(2, 0, 1)[real.T] = np.concatenate(grids)[:, None]
+    feat[:] = _columns(grids, 0.0)[:, None]
     np.multiply.accumulate(feat, axis=1, out=feat)
-    tbar = np.zeros(used.shape)
-    tbar.T[used.T] = np.concatenate(targets)
-    feat -= tbar
+    tbar = _columns(targets, 0.0)
+    feat[:, : tbar.shape[0]] -= tbar
     feat *= used & real[:, None]
     data[:, 1 + _MOMENTS :] = (feat[:, :, None] * feat[:, None]).reshape(feat.shape[0], -1, feat.shape[2])
     data[:, 1 + _MOMENTS :: _MOMENTS + 1] += ~used & real[:, None]
@@ -375,25 +360,20 @@ def _solve_duals(problems) -> list:
         # the dual value, and without the slack the full Newton steps that
         # drive the gradient to zero would be rejected.
         roundoff = 1e-15 * np.maximum(1.0, np.abs(value))
+        # Each column's full step, then halved until it decreases enough.
+        t, stalled = np.ones(slope.size), np.ones(slope.size, dtype=bool)
         cand = lam + step
-        c_value, c_w = _values(cand, data)
-        ok = c_value <= value + 1e-4 * slope + roundoff
-        stalled = ~ok
-        if not np.count_nonzero(stalled):  # the full step in every column
-            lam, value, w = cand, c_value, c_w
-        else:  # halve each column's step until it decreases enough
-            t = np.ones(ok.size)
-            for trial in range(1, 61):
-                np.copyto(lam, cand, where=ok)
-                np.copyto(value, c_value, where=ok)
-                np.copyto(w, c_w, where=ok)
-                stalled &= ~ok
-                if not np.count_nonzero(stalled) or trial == 60:
-                    break
-                t *= 0.5
-                cand = lam + t * step
-                c_value, c_w = _values(cand, data)
-                ok = stalled & (c_value <= value + 1e-4 * t * slope + roundoff)
+        for trial in range(1, 61):
+            c_value, c_w = _values(cand, data)
+            ok = stalled & (c_value <= value + 1e-4 * t * slope + roundoff)
+            np.copyto(lam, cand, where=ok)
+            np.copyto(value, c_value, where=ok)
+            np.copyto(w, c_w, where=ok)
+            stalled &= ~ok
+            if not np.count_nonzero(stalled) or trial == 60:
+                break
+            t *= 0.5
+            cand = lam + t * step
         failed = stalled | (np.sqrt(_sum0(lam * lam)) > _LAMBDA_DIVERGENCE)
         if np.count_nonzero(failed):
             for c in failed.nonzero()[0]:

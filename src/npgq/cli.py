@@ -162,6 +162,7 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_portfolio(args) -> int:
+    gammas = _gamma_grid(args.gamma)  # an input error, before any rule is built
     header, rows = _read_csv(args.input)
     stock = _column_values(header, rows, args.stock, args.input)
     riskfree = _column_values(header, rows, args.riskfree, args.input)
@@ -180,7 +181,6 @@ def cmd_portfolio(args) -> int:
     log_excess = Sample(np.log(stock) - math.log(risk_free))
     dist_np = _DISCRETIZERS[args.method](log_excess, args.n)
     dist_g = _DISCRETIZERS["gauss-hermite"](log_excess, args.n)
-    gammas = _gamma_grid(args.gamma)
     # A gamma the solver rejects is an error in both rows' column.
     rows_np, rows_g = solve_portfolios((dist_np, dist_g), risk_free, gammas)
     out_rows = []

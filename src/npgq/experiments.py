@@ -15,8 +15,8 @@ blocks of replications that span every sample size: a block builds all its
 rules, np-me's as one stacked solve of every tilting problem of the block,
 then solves them at every configured risk aversion in one call of
 :func:`~npgq.portfolio.solve_portfolios`, which returns one row of shares
-per rule.  The true optimal shares are one such call on the mixture's rule,
-made once per (mixture, rate, risk-aversion grid) per process.
+per rule.  The true optimal shares, :func:`~npgq.portfolio.theoretical_portfolio`
+at each risk aversion, are computed once per (mixture, rate, grid) per process.
 The summary is one array stage over (cell x replication) rows of errors.
 
 Reproducibility: every replication draws from its own counter-based
@@ -43,7 +43,7 @@ from scipy.special import ndtri
 from .baselines import _maxent_problems, _maxent_solutions, gauss_hermite_discretize, maxent_discretize
 from .errors import InputError, NpgqError
 from .moments import GaussianMixture, Sample
-from .portfolio import _THETA_RTOL, _mixture_rule, solve_portfolios
+from .portfolio import _THETA_RTOL, solve_portfolios, theoretical_portfolio
 from .quadrature import discretize_data
 
 __all__ = [
@@ -286,17 +286,14 @@ def _theta_star_table(mixture: GaussianMixture, risk_free: float, gammas: tuple[
     grid) per process.  A tuple, so no caller can change what the next one
     reads; a configuration that raises is not cached, and raises again."""
     try:
-        (row,) = solve_portfolios([_mixture_rule(mixture)], risk_free, gammas)
-        for solution in row:
-            if isinstance(solution, NpgqError):
-                raise solution
+        row = tuple(theoretical_portfolio(mixture, risk_free, g) for g in gammas)
     except NpgqError as exc:
         raise InputError(f"cannot compute the true optimal share for this configuration: {exc}") from exc
     # The solver cannot tell a share within _THETA_RTOL of 0 from 0.
-    zeros = [g for g, solution in zip(gammas, row) if abs(solution.theta) <= _THETA_RTOL]
+    zeros = [g for g, theta in zip(gammas, row) if abs(theta) <= _THETA_RTOL]
     if zeros:
         raise InputError(f"true optimal share is zero for gamma={zeros}; relative errors undefined")
-    return tuple(solution.theta for solution in row)
+    return row
 
 
 def _grid_tasks(cfg: ExperimentConfig, jobs: int):

@@ -16,10 +16,10 @@ Every caller has a grid: some discretized rules, some risk aversions,
 one risk-free rate.  :func:`solve_portfolios` solves the whole grid in
 one vectorized solve and returns one row per rule and one
 column per risk aversion; :func:`solve_portfolio` is its one-by-one case.
-The (rule, risk aversion) pairs are stacked as a (nodes x pairs) array,
-shorter rules padded with zero-weight nodes, and each pair's first-order
-terms are summed in node order, so a share is the same whatever else
-shares the call.
+The (rule, risk aversion) pairs are quadrature's padded (nodes x pairs)
+columns, summed in node order, so a share is the same whatever else
+shares the call.  This module builds no rule: :func:`theoretical_portfolio`
+solves on quadrature's mixture rule.
 """
 from __future__ import annotations
 
@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import _standard_normal_rule
 from .errors import InputError, NpgqError, NumericalError, UnboundedError
-from .moments import GaussianMixture, _Lanczos, _standardized_mixture
-from .quadrature import DiscreteDistribution, _gauss_rule
+from .moments import GaussianMixture
+from .quadrature import DiscreteDistribution, _columns, _mixture_rule, _sum0
 
 __all__ = [
     "PortfolioSolution",
@@ -42,11 +41,6 @@ __all__ = [
 ]
 
 _THETA_RTOL = 1e-12
-
-# Nodes of the rule the true optimal share is solved on.  For the default
-# mixture, eleven agree with a 2 x 200-node component-wise Gauss-Hermite
-# integration to 1.1e-12 (relative) at gamma 2, 4 and 6.
-_THETA_STAR_NODES = 11
 
 
 @dataclass(frozen=True)
@@ -100,13 +94,9 @@ def solve_portfolios(dists, risk_free: float, gammas) -> list[list[PortfolioSolu
     dists, gammas = list(dists), list(gammas)
     if not dists:
         return []
-    sizes = np.array([len(d.nodes) for d in dists])
     # (nodes x rules); shorter rules are padded with zero-weight nodes at
     # zero log excess return, whose excess return is exactly zero.
-    real = np.arange(sizes.max())[:, None] < sizes
-    nodes, weights = np.zeros(real.shape), np.zeros(real.shape)
-    nodes.T[real.T] = [x for d in dists for x in d.nodes]
-    weights.T[real.T] = [w for d in dists for w in d.weights]
+    nodes, weights = _columns([d.nodes for d in dists], 0.0), _columns([d.weights for d in dists], 0.0)
     with np.errstate(over="ignore"):  # inf past log(max double), about 709.78
         excess = np.expm1(nodes)
     d_min, d_max = excess.min(axis=0), excess.max(axis=0)
@@ -145,10 +135,10 @@ def _foc(theta, excess, wd, neg_gamma):
     """
     wealth = 1.0 + theta * excess
     terms = wd * wealth**neg_gamma
-    f = np.add.accumulate(terms, axis=0)[-1]
+    f = _sum0(terms)
     terms *= excess
     terms /= wealth
-    slope = neg_gamma[0] * np.add.accumulate(terms, axis=0)[-1]
+    slope = neg_gamma[0] * _sum0(terms)
     if not np.isfinite(f).all():
         bad = np.flatnonzero(~np.isfinite(f))
         d_bind = excess[np.argmin(wealth[:, bad], axis=0), bad]
@@ -206,7 +196,7 @@ def _newton_stack(excess, weights, gamma):
                 cols, x, t, lo, hi = cols[keep], x[keep], t[keep], lo[keep], hi[keep]
                 args = tuple(a[:, keep] for a in args)
             half_step, x = 0.5 * np.abs(t - x), t
-        scale = np.add.accumulate(np.abs(wd) * (1.0 + theta * excess) ** neg_gamma, axis=0)[-1]
+        scale = _sum0(np.abs(wd) * (1.0 + theta * excess) ** neg_gamma)
     return theta, residual, scale
 
 
@@ -219,26 +209,3 @@ def theoretical_portfolio(mix: GaussianMixture, risk_free: float, gamma: float) 
     fewer than 11 points is recovered exactly with its own support size.
     """
     return solve_portfolio(_mixture_rule(mix), risk_free, gamma).theta
-
-
-def _mixture_jacobi(mix: GaussianMixture, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi matrix ``(diag, offdiag)`` of a mixture, at most N steps.
-
-    Lanczos on the mixture's component N-point Gauss-Hermite nodes, each
-    of mass proportion times Gauss-Hermite weight.  That discrete measure
-    shares the mixture's moments up to order ``2N - 1``, which are all an
-    N-step Jacobi matrix depends on, so the matrix is the mixture's own.
-    A mixture with fewer than N support points gives a smaller matrix.
-    """
-    base = _standard_normal_rule(n)
-    x, w = np.asarray(base.nodes), np.asarray(base.weights)
-    points = np.concatenate([m + s * x for m, s in zip(mix.means, mix.stds)])
-    mass = np.concatenate([p * w for p in mix.proportions])
-    return _Lanczos(points, np.sqrt(mass / mass.sum())).jacobi(n)
-
-
-def _mixture_rule(mix: GaussianMixture) -> DiscreteDistribution:
-    """The quadrature rule :func:`theoretical_portfolio` solves on."""
-    transform, std_mix = _standardized_mixture(mix)
-    nodes, weights = _gauss_rule(*_mixture_jacobi(std_mix, _THETA_STAR_NODES), 1.0)
-    return DiscreteDistribution(nodes=transform.to_original(nodes), weights=weights)

@@ -1,4 +1,4 @@
-"""Gaussian quadrature from a Jacobi matrix, and the data-driven discretizer.
+"""Gaussian quadrature from a Jacobi matrix: every rule the package uses.
 
 One pipeline: a Jacobi matrix, held as its diagonal and off-diagonal
 float arrays, then one symmetric-tridiagonal eigensolve (Golub-Welsch):
@@ -13,19 +13,22 @@ and never forms their ill-conditioned high-order moments.
 :func:`discretize_data` takes the leading N steps of the Lanczos state a
 :class:`~npgq.moments.Sample` keeps for its standardized data, so the
 rule matches the first ``2N - 1`` sample moments and every node count
-shares one Lanczos run; the true optimal share's rule runs Lanczos on the
-component Gauss-Hermite nodes of a Gaussian mixture.  Lanczos breaks down
-after k steps when the measure has only k support points: that is the
-node limit for that measure.  The Gauss-Hermite baseline needs no
-Lanczos, since the standard normal's Jacobi matrix is known exactly.
+shares one Lanczos run; the true optimal share's rule (:func:`_mixture_rule`)
+runs Lanczos on the component Gauss-Hermite nodes of a Gaussian mixture.
+Lanczos breaks down after k steps when the measure has only k support
+points: that is the node limit for that measure.  The Gauss-Hermite rule
+(:func:`_standard_normal_rule`) needs no Lanczos: its Jacobi matrix is known.
 
-:func:`expectation` integrates a scalar function against a rule.
+:func:`expectation` integrates a scalar function against a rule.  Stacked
+solvers hold ragged rules or problems as the padded columns of one array
+(:func:`_columns`), summed down in index order (:func:`_sum0`).
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -37,13 +40,17 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalError,
 )
-from .moments import Sample
+from .moments import GaussianMixture, Sample, _Lanczos, _standardized_mixture
 
 __all__ = [
     "DiscreteDistribution",
     "discretize_data",
     "expectation",
 ]
+
+# Nodes of the true optimal share's rule: for the default mixture, eleven agree with a
+# 2 x 200-node component-wise Gauss-Hermite integration to 1.1e-12 (relative) at gamma 2, 4, 6.
+_THETA_STAR_NODES = 11
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
@@ -95,6 +102,53 @@ def _gauss_rule(diag, offdiag, mass: float) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(weights > 0.0):
         raise NumericalError(f"a weight of the {nodes.size}-node rule underflows to 0 -- reduce N")
     return nodes, weights
+
+
+@lru_cache(maxsize=32)
+def _standard_normal_rule(n: int) -> DiscreteDistribution:
+    """N-point Gauss-Hermite rule of N(0, 1), from its exact Jacobi matrix:
+    the monic Hermite recurrence, diagonal 0 and off-diagonal sqrt(1..N-1)."""
+    nodes, weights = _gauss_rule(np.zeros(n), np.sqrt(np.arange(1.0, n)), 1.0)
+    return DiscreteDistribution(nodes=nodes, weights=weights)
+
+
+def _mixture_jacobi(mix: GaussianMixture, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi matrix ``(diag, offdiag)`` of a mixture, at most N steps.
+
+    Lanczos on the mixture's component N-point Gauss-Hermite nodes, each
+    of mass proportion times Gauss-Hermite weight.  That discrete measure
+    shares the mixture's moments up to order ``2N - 1``, which are all an
+    N-step Jacobi matrix depends on, so the matrix is the mixture's own.
+    A mixture with fewer than N support points gives a smaller matrix.
+    """
+    base = _standard_normal_rule(n)
+    x, w = np.asarray(base.nodes), np.asarray(base.weights)
+    points = np.concatenate([m + s * x for m, s in zip(mix.means, mix.stds)])
+    mass = np.concatenate([p * w for p in mix.proportions])
+    return _Lanczos(points, np.sqrt(mass / mass.sum())).jacobi(n)
+
+
+def _mixture_rule(mix: GaussianMixture) -> DiscreteDistribution:
+    """The quadrature rule :func:`~npgq.portfolio.theoretical_portfolio` solves on."""
+    transform, std_mix = _standardized_mixture(mix)
+    nodes, weights = _gauss_rule(*_mixture_jacobi(std_mix, _THETA_STAR_NODES), 1.0)
+    return DiscreteDistribution(nodes=transform.to_original(nodes), weights=weights)
+
+
+def _columns(seqs, fill: float) -> np.ndarray:
+    """Ragged sequences as the columns of one (longest x count) float array,
+    each padded at its end with ``fill``."""
+    sizes = np.array([len(s) for s in seqs])
+    real = np.arange(sizes.max())[:, None] < sizes
+    out = np.full(real.shape, fill)
+    out.T[real.T] = [v for s in seqs for v in s]
+    return out
+
+
+def _sum0(a: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in index order: the same grouping whatever
+    the other axes hold."""
+    return np.add.accumulate(a, axis=0)[-1]
 
 
 def discretize_data(data, n: int) -> DiscreteDistribution:

@@ -28,9 +28,8 @@ from npgq.experiments import (
     sample_mixture,
 )
 
-from npgq.baselines import _maxent_problems, _standard_normal_rule
-from npgq.portfolio import _mixture_jacobi
-from npgq.quadrature import _gauss_rule
+from npgq.baselines import _maxent_problems
+from npgq.quadrature import _gauss_rule, _mixture_jacobi, _standard_normal_rule
 
 from _oracles import (
     gaussian_moments,

@@ -406,6 +406,12 @@ class TestPortfolio:
                      "--gamma", spec]) == 2
         assert capsys.readouterr().err.startswith("error: bad gamma range")
 
+    def test_bad_gamma_is_reported_before_the_rules_fail(self, tmp_path, capsys):
+        # Two rows support at most 2 nodes, so the default N = 5 rule would fail with exit 3.
+        src = write_csv(tmp_path / "tworows.csv", ["stock", "rf"], [[1.1, 0.95], [1.01, 1.01]])
+        assert main(["portfolio", src, "--stock", "stock", "--riskfree", "rf", "--gamma", "1:2:3:4"]) == 2
+        assert capsys.readouterr().err == "error: bad gamma range '1:2:3:4'; use start:stop[:step]\n"
+
 
 class TestExperimentCommand:
     def test_smoke_run_and_determinism(self, tmp_path):

@@ -8,8 +8,7 @@ from npgq import (
     InputError,
     NumericalError,
 )
-from npgq.portfolio import _mixture_jacobi
-from npgq.quadrature import _gauss_rule
+from npgq.quadrature import _gauss_rule, _mixture_jacobi
 
 from _oracles import MomentSequence, gaussian_moments, mixture_moments, random_mixture
 from _orthopoly import (

@@ -27,7 +27,8 @@ import npgq.cli
 import npgq.portfolio
 from npgq.experiments import DEFAULT_MIXTURE, DEFAULT_RISK_FREE, replication_rng, sample_mixture
 from npgq.moments import _standardized_mixture
-from npgq.portfolio import _THETA_RTOL, _mixture_rule
+from npgq.portfolio import _THETA_RTOL
+from npgq.quadrature import _mixture_rule
 
 from _oracles import (
     crra_foc,

@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import npgq
 
@@ -80,6 +82,40 @@ def test_only_the_pipeline_is_public():
     # targets from it, and exactly rounded moments are only the reference.
     assert not hasattr(npgq.Sample, "moments")
 
+
+def _is_sum_down_axis0(node):
+    """An ``add.accumulate`` call along axis 0, given or by default."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "accumulate" and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "add"):
+        return False
+    axis = [k.value for k in node.keywords if k.arg == "axis"] + node.args[1:2]
+    return not axis or (isinstance(axis[0], ast.Constant) and axis[0].value == 0)
+
+
+def test_each_rule_and_stack_helper_has_one_home():
+    # quadrature builds every Gaussian rule and owns the stacked-column
+    # layout; portfolio and baselines use them and keep no copy.
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(npgq.__file__).parent.glob("*.py")}
+    imports = [node for node in ast.walk(trees["portfolio"]) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not [n for n in imports if isinstance(n, ast.Import) and any("baselines" in a.name for a in n.names)]
+    assert not [n for n in imports if isinstance(n, ast.ImportFrom) and n.module == "baselines"]
+    assert not [a.name for n in imports if isinstance(n, ast.ImportFrom) and n.module == "moments"
+                for a in n.names if a.name.startswith("_")]
+    homes = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                homes.setdefault(node.name, []).append(module)
+    for name in ("_sum0", "_columns", "_standard_normal_rule", "_mixture_jacobi", "_mixture_rule"):
+        assert homes[name] == ["quadrature"], name
+    sums = [
+        (module, function.name)
+        for module, tree in trees.items()
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function) if _is_sum_down_axis0(node)
+    ]
+    assert sums == [("quadrature", "_sum0")]
 
 
 def test_an_np_me_rule_is_a_rule():

@@ -1,8 +1,10 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from npgq import (
@@ -17,10 +19,9 @@ from npgq import (
     maxent_solve,
     sample_moments,
 )
-from npgq.baselines import _standard_normal_rule
 from npgq.experiments import replication_rng, sample_mixture
 from npgq.moments import _Lanczos
-from npgq.quadrature import _gauss_rule
+from npgq.quadrature import _columns, _gauss_rule, _standard_normal_rule, _sum0
 
 from _oracles import (
     MomentSequence,
@@ -348,6 +349,34 @@ class TestDiscretizeData:
         nodes, weights = _gauss_rule(diag, offdiag, 1.0)
         np.testing.assert_allclose(nodes, [-1.0, 2.0], rtol=1e-14)
         np.testing.assert_allclose(weights, [0.25, 0.75], rtol=1e-14)
+
+
+class TestStackedColumns:
+    """The one stacked layout: ragged columns padded at their ends, summed
+    down in index order."""
+
+    COLUMNS = st.lists(st.lists(st.floats(-1e15, 1e15), min_size=1, max_size=20), min_size=1, max_size=8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(COLUMNS, st.sampled_from((0.0, -math.inf, 1.5)))
+    def test_columns_are_the_sequences_then_the_fill(self, seqs, fill):
+        stacked = _columns(seqs, fill)
+        longest = max(map(len, seqs))
+        assert stacked.shape == (longest, len(seqs))
+        for column, seq in zip(stacked.T, seqs):
+            assert column.tolist() == seq + [fill] * (longest - len(seq))
+
+    @settings(max_examples=100, deadline=None)
+    @given(COLUMNS)
+    @example([[-0.0], [1.0, 2.0]])
+    def test_a_padded_column_sums_as_it_would_alone(self, seqs):
+        # Bit for bit, as a left fold over the column on its own: its
+        # neighbours and its zero padding change nothing, except that a
+        # padding +0.0 added to a sum of -0.0 gives +0.0.
+        stacked = _sum0(_columns(seqs, 0.0))
+        alone = np.array([_sum0(np.array(seq)) for seq in seqs])
+        folds = np.array([functools.reduce(operator.add, seq) for seq in seqs])
+        assert (stacked + 0.0).tobytes() == (alone + 0.0).tobytes() == (folds + 0.0).tobytes()
 
 
 class TestExpectation:
