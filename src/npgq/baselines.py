@@ -319,7 +319,8 @@ def _solve_duals(problems) -> list:
     One column per problem (:func:`_stack`).  Every sum runs in index
     order, so padding adds exact zeros; each Hessian is solved on its own,
     and each column keeps its own line search, iteration count and stop.
-    So a problem's result does not depend on what shares the stack.  A
+    So a problem's result does not depend on what shares the stack, up to
+    the sign of a zero sum (``-0.0`` plus padding is ``+0.0``).  A
     column leaves the stack once: at the gradient test when it converges,
     right after the line search when it stalls or diverges, or at the cap.
     """

@@ -32,6 +32,9 @@ _BREAKDOWN_RTOL = 1e-12
 # A residual whose measured projection on the earlier Lanczos rows is at
 # most this fraction of its norm is orthogonal to them at rounding level.
 _ORTH_RTOL = 2.0**-47
+# Most bytes a Lanczos basis (N rows of T doubles) may take: a larger one
+# is refused before it is allocated.
+_MAX_BASIS_BYTES = 2**30
 
 # Values per block of a pass over the data: a block and the temporaries
 # built from it stay in cache, where a full-size temporary of a large
@@ -242,11 +245,15 @@ class _Lanczos:
 
     def jacobi(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``(diag, offdiag)`` after ``min(n, T)`` steps (``n >= 1``), or after
-        k steps when the measure has only k support points (breakdown)."""
+        k steps when the measure has only k support points (breakdown).  A
+        basis past :data:`_MAX_BASIS_BYTES` raises :class:`InputError`."""
         if n < 1:
             raise InputError(f"Jacobi matrix order must be >= 1, got {n}")
         n = min(n, self._support)
         if self._q.shape[0] < n:  # room for n rows, as a fresh n-step run has
+            if (size := 8 * n * self._x.size) > _MAX_BASIS_BYTES:
+                raise InputError(f"a {n}-step Lanczos basis on {self._x.size} points needs {size} bytes, "
+                                 f"past the {_MAX_BASIS_BYTES}-byte limit -- reduce N")
             self._q, rows = np.empty((n, self._x.size)), self._q
             self._q[: rows.shape[0]] = rows
         while len(self._diag) < n:
@@ -320,23 +327,3 @@ class Sample:
         """Jacobi matrix ``(diag, offdiag)`` of the empirical measure of
         :attr:`z` after ``min(n, T)`` steps, or fewer at a breakdown."""
         return self._lanczos.jacobi(n)
-
-
-def _standardized_mixture(mix: GaussianMixture) -> tuple[AffineTransform, GaussianMixture]:
-    """Affinely rescale a mixture to mean 0, variance 1.
-
-    If ``X`` follows the mixture then ``(X - shift)/scale`` follows the
-    returned one.  Requires positive mixture variance.
-    """
-    mu = mix.mean()
-    var = mix.variance()
-    if var <= 0.0:
-        raise DegenerateDataError("mixture has zero variance; cannot standardize")
-    scale = math.sqrt(var)
-    transform = AffineTransform(shift=mu, scale=scale)
-    rescaled = GaussianMixture(
-        proportions=mix.proportions,
-        means=tuple((m - mu) / scale for m in mix.means),
-        stds=tuple(s / scale for s in mix.stds),
-    )
-    return transform, rescaled

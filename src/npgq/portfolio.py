@@ -18,8 +18,8 @@ one vectorized solve and returns one row per rule and one
 column per risk aversion; :func:`solve_portfolio` is its one-by-one case.
 The (rule, risk aversion) pairs are quadrature's padded (nodes x pairs)
 columns, summed in node order, so a share is the same whatever else
-shares the call.  This module builds no rule: :func:`theoretical_portfolio`
-solves on quadrature's mixture rule.
+shares the call, up to the sign of a zero sum.  This module builds no
+rule: :func:`theoretical_portfolio` solves on quadrature's mixture rule.
 """
 from __future__ import annotations
 
@@ -86,7 +86,8 @@ def solve_portfolios(dists, risk_free: float, gammas) -> list[list[PortfolioSolu
     gammas[j])`` returns, or the :class:`NpgqError` it raises, as a value: a
     risk aversion that is not finite and positive is an :class:`InputError`
     in its own column.  A bad rate raises; a good one changes no share.  A
-    share does not depend on the other rules or risk aversions in the call.
+    share does not depend on the other rules or risk aversions in the call,
+    up to the sign of a zero sum.
     A node past ``log(max double)`` overflows its rule's condition.
     """
     if not (math.isfinite(risk_free) and risk_free > 0.0):
@@ -128,7 +129,9 @@ def _foc(theta, excess, wd, neg_gamma):
     slope ``-gamma * sum w d**2 u**(-gamma - 1)`` from the same powers; the
     condition falls in theta.
 
-    Terms are summed in node order, so trailing padding adds exact zeros.
+    Terms are summed in node order, so trailing padding adds exact zeros:
+    a column's sums do not depend on its stack, up to the sign of a zero
+    sum (``-0.0`` plus padding is ``+0.0``).
     Where the condition's sum is not finite (a term overflowed near a
     feasibility boundary) its sign is the binding state's: the one with the
     smallest portfolio return.
@@ -203,9 +206,11 @@ def _newton_stack(excess, weights, gamma):
 def theoretical_portfolio(mix: GaussianMixture, risk_free: float, gamma: float) -> float:
     """Optimal risky share when log excess returns follow a known mixture.
 
-    The mixture is discretized by its 11-point Gaussian quadrature rule
-    (standardized first for conditioning, nodes mapped back), and the
-    resulting discrete problem is solved exactly.  A mixture supported on
-    fewer than 11 points is recovered exactly with its own support size.
+    The mixture is discretized by its components' 11-point Gauss-Hermite
+    rules, each node at its component's mean plus its std times a standard
+    node, and the resulting discrete problem is solved exactly.  The rule
+    integrates polynomials up to degree 21 exactly; an atom is one node.
+    A mixture of one atom has no interior optimum
+    (:class:`UnboundedError`), or the degenerate share 0 at an atom at 0.
     """
     return solve_portfolio(_mixture_rule(mix), risk_free, gamma).theta

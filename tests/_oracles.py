@@ -27,6 +27,9 @@ validated :class:`MomentSequence`,
 ``jacobi_from_moments`` reads a Jacobi matrix off the Cholesky factor of
 their Hankel matrix, and ``golub_welsch`` takes its Gaussian rule.
 ``mp_data_rules`` and ``mp_mixture_rule`` run the same route in mpmath.
+``mixture_jacobi`` runs the library's Lanczos, with a weighted start
+vector, on a mixture's component Gauss-Hermite nodes, for those routes
+to check.
 """
 import math
 import sys
@@ -44,9 +47,9 @@ from npgq import (
     UnboundedError,
 )
 from npgq.baselines import _MOMENTS, _stack, _values
-from npgq.moments import _BREAKDOWN_RTOL, _ORTH_RTOL
+from npgq.moments import _BREAKDOWN_RTOL, _ORTH_RTOL, _Lanczos
 from npgq.portfolio import _THETA_RTOL
-from npgq.quadrature import _gauss_rule
+from npgq.quadrature import _gauss_rule, _standard_normal_rule
 
 # Relative pivot floor: a Cholesky pivot below this fraction of its own
 # row's diagonal entry is treated as loss of positive definiteness.  (The
@@ -177,8 +180,8 @@ def golub_welsch(m, n):
     ``2N - 1``.  Raises :class:`NotPositiveDefiniteError` when the
     underlying measure has fewer than N support points.
     """
-    nodes, weights = _gauss_rule(*jacobi_from_moments(m, n), m.values[0])
-    return DiscreteDistribution(nodes=tuple(nodes), weights=tuple(weights))
+    nodes, weights = _gauss_rule(*jacobi_from_moments(m, n))
+    return DiscreteDistribution(nodes=tuple(nodes), weights=tuple(m.values[0] * weights))
 
 
 def one_shot_lanczos(x, start, n):
@@ -536,6 +539,24 @@ def mp_data_rules(data, node_counts, dps=80):
             n: ([float(mean + std * v) for v in nodes], [float(w) for w in weights])
             for n, (nodes, weights) in _mp_moment_rules(moments, node_counts).items()
         }
+
+
+def mixture_jacobi(mix, n):
+    """Jacobi matrix ``(diag, offdiag)`` of a mixture, at most N steps: the
+    library's Lanczos on the mixture's component N-point Gauss-Hermite
+    nodes, each of mass proportion times Gauss-Hermite weight.
+
+    That discrete measure shares the mixture's moments up to order
+    ``2N - 1``, which are all an N-step Jacobi matrix depends on, so the
+    matrix is the mixture's own; a mixture with fewer than N support
+    points gives a smaller matrix.  It runs Lanczos with a weighted start
+    vector, for the moment-route and recurrence oracles to check.
+    """
+    base = _standard_normal_rule(n)
+    x, w = np.asarray(base.nodes), np.asarray(base.weights)
+    points = np.concatenate([m + s * x for m, s in zip(mix.means, mix.stds)])
+    mass = np.concatenate([p * w for p in mix.proportions])
+    return _Lanczos(points, np.sqrt(mass / mass.sum())).jacobi(n)
 
 
 def mp_mixture_rule(mix, n, dps=80):

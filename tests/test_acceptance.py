@@ -29,12 +29,13 @@ from npgq.experiments import (
 )
 
 from npgq.baselines import _maxent_problems
-from npgq.quadrature import _gauss_rule, _mixture_jacobi, _standard_normal_rule
+from npgq.quadrature import _gauss_rule, _standard_normal_rule
 
 from _oracles import (
     gaussian_moments,
     golden_section_theta,
     maxent_dual,
+    mixture_jacobi,
     mixture_moments,
     random_mixture,
     random_portfolio_problem,
@@ -108,8 +109,8 @@ def test_criterion_3_oracle_equivalence(announce):
         n = 2 + trial % 5
         ms = mixture_moments(mix, 2 * n)
         polys, (diag_recurrence, offdiag_recurrence) = ttrr_build(MomentFunctional(ms), n)
-        diag_lanczos, offdiag_lanczos = _mixture_jacobi(mix, n)
-        nodes, _ = _gauss_rule(diag_lanczos, offdiag_lanczos, 1.0)
+        diag_lanczos, offdiag_lanczos = mixture_jacobi(mix, n)
+        nodes, _ = _gauss_rule(diag_lanczos, offdiag_lanczos)
         roots = poly_roots_bracketed(polys[n])
         worst = max(
             worst,

@@ -397,6 +397,13 @@ class TestThetaStarTable:
             with pytest.raises(InputError, match="true optimal share is zero for gamma=.2.0, 4.0."):
                 run_experiment(cfg)
 
+    @pytest.mark.parametrize("mean", [0.0, 0.05])
+    def test_a_one_atom_mixture_is_an_input_error(self, mean):
+        # theta* is the degenerate 0 at an atom at 0, and unbounded elsewhere.
+        cfg = replace(self.CFG, mixture=GaussianMixture(proportions=(1.0,), means=(mean,), stds=(0.0,)))
+        with pytest.raises(InputError, match="true optimal share"):
+            run_experiment(cfg)
+
     def test_a_theta_star_within_bisection_resolution_of_zero_raises(self):
         # E[e^x] = 1: the true share is 0, and the solver, which stops at a
         # bracket of width _THETA_RTOL, lands within it of 0.

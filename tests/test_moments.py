@@ -15,7 +15,7 @@ from npgq import (
     sample_moments,
 )
 from npgq.experiments import DEFAULT_MIXTURE, ExperimentConfig, replication_rng, sample_mixture
-from npgq.moments import _BLOCK, _blocks, _exact_sum, _mean_std, _standardized_mixture
+from npgq.moments import _BLOCK, _blocks, _exact_sum, _mean_std
 
 from _oracles import (
     MomentSequence,
@@ -327,15 +327,3 @@ class TestMixtureMoments:
         with pytest.raises(InputError):
             GaussianMixture(proportions=(1.0,), means=(0.0,), stds=(-0.1,))
 
-
-class TestStandardizedMixture:
-    def test_produces_zero_mean_unit_variance(self):
-        transform, std_mix = _standardized_mixture(DEFAULT_MIXTURE)
-        assert std_mix.mean() == pytest.approx(0.0, abs=1e-14)
-        assert std_mix.variance() == pytest.approx(1.0, rel=1e-13)
-        assert transform.shift == pytest.approx(DEFAULT_MIXTURE.mean())
-
-    def test_degenerate_mixture_rejected(self):
-        point = GaussianMixture(proportions=(1.0,), means=(0.5,), stds=(0.0,))
-        with pytest.raises(DegenerateDataError):
-            _standardized_mixture(point)

@@ -8,9 +8,9 @@ from npgq import (
     InputError,
     NumericalError,
 )
-from npgq.quadrature import _gauss_rule, _mixture_jacobi
+from npgq.quadrature import _gauss_rule
 
-from _oracles import MomentSequence, gaussian_moments, mixture_moments, random_mixture
+from _oracles import MomentSequence, gaussian_moments, mixture_jacobi, mixture_moments, random_mixture
 from _orthopoly import (
     MomentFunctional,
     MonicPolynomial,
@@ -110,8 +110,8 @@ class TestPolyRoots:
 
 
 class TestRouteAgreement:
-    """The recurrence/bisection route must reproduce the library's mixture
-    route: Lanczos on component Gauss-Hermite nodes, then the eigensolve."""
+    """The recurrence/bisection route must reproduce the library's weighted
+    Lanczos on a mixture's component Gauss-Hermite nodes, then the eigensolve."""
 
     def test_coefficients_and_nodes_agree(self):
         rng = np.random.default_rng(53)
@@ -120,10 +120,10 @@ class TestRouteAgreement:
             n = int(rng.integers(2, 7))
             ms = mixture_moments(mix, 2 * n)
             polys, (diag_oracle, offdiag_oracle) = ttrr_build(MomentFunctional(ms), n)
-            diag_main, offdiag_main = _mixture_jacobi(mix, n)
+            diag_main, offdiag_main = mixture_jacobi(mix, n)
             np.testing.assert_allclose(diag_oracle, diag_main, rtol=1e-8, atol=1e-8)
             np.testing.assert_allclose(offdiag_oracle, offdiag_main, rtol=1e-8)
-            nodes, _ = _gauss_rule(diag_main, offdiag_main, 1.0)
+            nodes, _ = _gauss_rule(diag_main, offdiag_main)
             roots = poly_roots_bracketed(polys[n])
             np.testing.assert_allclose(roots, nodes, rtol=1e-8, atol=1e-8)
 

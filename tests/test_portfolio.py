@@ -26,9 +26,8 @@ import _oracles
 import npgq.cli
 import npgq.portfolio
 from npgq.experiments import DEFAULT_MIXTURE, DEFAULT_RISK_FREE, replication_rng, sample_mixture
-from npgq.moments import _standardized_mixture
 from npgq.portfolio import _THETA_RTOL
-from npgq.quadrature import _mixture_rule
+from npgq.quadrature import _gauss_rule, _mixture_rule
 
 from _oracles import (
     crra_foc,
@@ -36,7 +35,10 @@ from _oracles import (
     gaussian_moments,
     golub_welsch,
     golden_section_theta,
+    mixture_jacobi,
+    mixture_moments,
     mp_mixture_rule,
+    random_mixture,
     random_portfolio_problem,
     reference_solve_portfolio,
     state_returns,
@@ -192,22 +194,70 @@ class TestTheoreticalPortfolio:
         assert via_mixture == pytest.approx(direct, abs=1e-9)
 
     def test_default_mixture_rule_against_mpmath_moment_route(self):
-        # The 80-digit moment route on the same standardized mixture.
-        transform, std_mix = _standardized_mixture(DEFAULT_MIXTURE)
-        nodes, weights = mp_mixture_rule(std_mix, 11)
-        rule = _mixture_rule(DEFAULT_MIXTURE)
-        np.testing.assert_allclose(transform.to_standardized(rule.nodes), nodes, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(rule.weights, weights, rtol=1e-13)
+        # Weighted Lanczos at N = 11, on the default mixture's component
+        # Gauss-Hermite nodes in data units, against the 80-digit moment route.
+        nodes, weights = mp_mixture_rule(DEFAULT_MIXTURE, 11)
+        got_nodes, got_weights = _gauss_rule(*mixture_jacobi(DEFAULT_MIXTURE, 11))
+        std = math.sqrt(DEFAULT_MIXTURE.variance())
+        np.testing.assert_allclose(got_nodes, nodes, rtol=0, atol=1e-13 * std)
+        np.testing.assert_allclose(got_weights, weights, rtol=1e-13)
 
     @pytest.mark.parametrize("mix", [
         GaussianMixture(proportions=(0.3, 0.7), means=(-0.2, 0.1), stds=(0.0, 0.0)),
         GaussianMixture(proportions=(0.2, 0.5, 0.3), means=(-0.3, 0.05, 0.2), stds=(0.0,) * 3),
     ])
     def test_atom_mixture_rule_has_its_support_size(self, mix):
-        # Lanczos breaks down at the atom count, which sets the rule's size.
+        # An atom's eleven nodes are equal and merge into one node.
         rule = _mixture_rule(mix)
-        np.testing.assert_allclose(rule.nodes, mix.means, rtol=0, atol=1e-14)
+        assert rule.nodes == mix.means
         np.testing.assert_allclose(rule.weights, mix.proportions, rtol=1e-14)
+
+    def test_mixture_rule_matches_the_mixture_moments_to_degree_21(self):
+        # Random mixtures, some with atoms and some with a component given
+        # twice, whose nodes merge; errors relative to sum w |x|^k.
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for trial in range(200):
+            mix = random_mixture(rng)
+            p, m, s = (list(v) for v in (mix.proportions, mix.means, mix.stds))
+            if trial % 3 == 1:
+                s[0] = 0.0
+            if trial % 3 == 2:
+                p, m, s = [p[0] / 2, p[0] / 2] + p[1:], m[:1] + m, s[:1] + s
+            mix = GaussianMixture(proportions=tuple(p), means=tuple(m), stds=tuple(s))
+            rule = _mixture_rule(mix)
+            assert len(rule) == sum(1 if sd == 0.0 else 11 for _, sd in set(zip(m, s)))
+            x, w = np.array(rule.nodes), np.array(rule.weights)
+            target = mixture_moments(mix, 21).values
+            for k in range(22):
+                err = abs(math.fsum(w * x**k) - target[k]) / math.fsum(w * np.abs(x) ** k)
+                worst = max(worst, err)
+        assert worst <= 1e-13
+
+    def test_theta_star_against_a_200_node_component_reference(self):
+        # Each component by numpy's own 200-node Gauss-Hermite rule.
+        x, w = np.polynomial.hermite_e.hermegauss(200)
+        w /= math.sqrt(2.0 * math.pi)
+        mix = DEFAULT_MIXTURE
+        nodes = np.concatenate([m + s * x for m, s in zip(mix.means, mix.stds)])
+        weights = np.concatenate([p * w for p in mix.proportions])
+        order = np.argsort(nodes)
+        nodes, weights = nodes[order], weights[order]
+        keep = weights > 0.0
+        reference = DiscreteDistribution(nodes=nodes[keep], weights=weights[keep])
+        for gamma in (2.0, 4.0, 6.0):
+            expected = solve_portfolio(reference, DEFAULT_RISK_FREE, gamma).theta
+            got = theoretical_portfolio(mix, DEFAULT_RISK_FREE, gamma)
+            assert abs(got / expected - 1.0) <= 1e-13
+
+    def test_one_atom(self):
+        # One node: one-signed excess returns have no interior optimum, and
+        # an atom at 0 leaves the flat objective's degenerate share.
+        atom = GaussianMixture(proportions=(1.0,), means=(0.05,), stds=(0.0,))
+        with pytest.raises(UnboundedError):
+            theoretical_portfolio(atom, DEFAULT_RISK_FREE, 2.0)
+        zero = GaussianMixture(proportions=(1.0,), means=(0.0,), stds=(0.0,))
+        assert theoretical_portfolio(zero, DEFAULT_RISK_FREE, 2.0) == 0.0
 
     def test_golden_values_for_default_mixture(self):
         # Frozen after computation with the objective-only grid/golden-section

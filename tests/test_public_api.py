@@ -55,8 +55,8 @@ def test_data_route_plumbing_is_not_public():
 def test_only_the_pipeline_is_public():
     # Test-only wrappers, second routes and single-use plumbing are gone;
     # the tests keep their own copies in _oracles where they need them.
-    # Moments are plain float arrays, the mixture's standardization is
-    # private to the theta* rule, and the kernel density is one function.
+    # Moments are plain float arrays, no mixture is standardized, and the
+    # kernel density is one function.
     # A Sample is the one standardization: its transform is also the
     # Gauss-Hermite fit.  The method names are the discretizers' keys.
     # np-me's facet test is one closed form: no cached list of facets.
@@ -93,21 +93,29 @@ def _is_sum_down_axis0(node):
     return not axis or (isinstance(axis[0], ast.Constant) and axis[0].value == 0)
 
 
+def _src_trees():
+    return {path.stem: ast.parse(path.read_text()) for path in Path(npgq.__file__).parent.glob("*.py")}
+
+
+def _private_imports(tree, module):
+    """The private names ``tree`` imports from the package module ``module``."""
+    return [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == module
+            for a in n.names if a.name.startswith("_")]
+
+
 def test_each_rule_and_stack_helper_has_one_home():
     # quadrature builds every Gaussian rule and owns the stacked-column
     # layout; portfolio and baselines use them and keep no copy.
-    trees = {path.stem: ast.parse(path.read_text()) for path in Path(npgq.__file__).parent.glob("*.py")}
+    trees = _src_trees()
     imports = [node for node in ast.walk(trees["portfolio"]) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not [n for n in imports if isinstance(n, ast.Import) and any("baselines" in a.name for a in n.names)]
     assert not [n for n in imports if isinstance(n, ast.ImportFrom) and n.module == "baselines"]
-    assert not [a.name for n in imports if isinstance(n, ast.ImportFrom) and n.module == "moments"
-                for a in n.names if a.name.startswith("_")]
     homes = {}
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 homes.setdefault(node.name, []).append(module)
-    for name in ("_sum0", "_columns", "_standard_normal_rule", "_mixture_jacobi", "_mixture_rule"):
+    for name in ("_sum0", "_columns", "_standard_normal_rule", "_mixture_rule"):
         assert homes[name] == ["quadrature"], name
     sums = [
         (module, function.name)
@@ -116,6 +124,17 @@ def test_each_rule_and_stack_helper_has_one_home():
         for node in ast.walk(function) if _is_sum_down_axis0(node)
     ]
     assert sums == [("quadrature", "_sum0")]
+
+
+def test_the_mixture_rule_has_no_route_of_its_own():
+    # theta*'s rule is the mixture's component Gauss-Hermite rules: the
+    # mixture is not standardized and gets no Lanczos run of its own, and
+    # moments' private Lanczos state is the Sample's alone.
+    trees = _src_trees()
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"_standardized_mixture", "_mixture_jacobi"} & defined == set()
+    assert [_private_imports(trees[m], "moments") for m in ("quadrature", "portfolio")] == [[], []]
 
 
 def test_an_np_me_rule_is_a_rule():

@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,9 +139,9 @@ class TestTridiagonalEigen:
         rule = golub_welsch(MomentSequence((1.0, 2.5, 7.0)), 1)
         assert rule.nodes == (2.5,)
         assert rule.weights == (1.0,)
-        nodes, weights = _gauss_rule(np.array([2.5]), np.array([]), 3.0)
+        nodes, weights = _gauss_rule(np.array([2.5]), np.array([]))
         np.testing.assert_array_equal(nodes, [2.5])
-        np.testing.assert_array_equal(weights, [3.0])
+        np.testing.assert_array_equal(weights, [1.0])
 
     def test_char_poly_oracle_three_by_three(self):
         # The Jacobi matrix of N(0, 1) at N = 3 is diag 0, offdiag (1, sqrt(2)):
@@ -154,8 +155,7 @@ class TestTridiagonalEigen:
             n = int(rng.integers(1, 10))
             diag = rng.uniform(-2, 2, n)
             offdiag = rng.uniform(0.05, 2.0, max(n - 1, 0))
-            mass = float(rng.uniform(0.5, 2.0))
-            nodes, weights = _gauss_rule(diag, offdiag, mass)
+            nodes, weights = _gauss_rule(diag, offdiag)
             assert np.all(np.diff(nodes) > 0)
             dense = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
             scale = np.linalg.norm(dense)
@@ -166,8 +166,8 @@ class TestTridiagonalEigen:
                 resid = np.linalg.norm(dense @ vec - nodes[k] * vec)
                 assert resid <= 1e-10 * max(scale, 1.0)
                 assert weights[k] > 0.0
-                assert weights[k] == pytest.approx(mass * vec[0] ** 2, rel=1e-12, abs=1e-14)
-            assert weights.sum() == pytest.approx(mass, rel=1e-12)
+                assert weights[k] == pytest.approx(vec[0] ** 2, rel=1e-12, abs=1e-14)
+            assert weights.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 class TestGolubWelsch:
@@ -328,7 +328,7 @@ class TestDiscretizeData:
         x = np.array([-1.0, 2.0, 2.0, 2.0])
         diag, offdiag = _Lanczos(x, 0.5).jacobi(5)
         assert (diag.size, offdiag.size) == (2, 1)
-        nodes, weights = _gauss_rule(diag, offdiag, 1.0)
+        nodes, weights = _gauss_rule(diag, offdiag)
         np.testing.assert_allclose(nodes, [-1.0, 2.0], rtol=1e-14)
         np.testing.assert_allclose(weights, [0.25, 0.75], rtol=1e-14)
 
@@ -343,10 +343,27 @@ class TestDiscretizeData:
         with pytest.raises(NotPositiveDefiniteError, match="supports at most 5 nodes"):
             discretize_data(x, 10**12)
 
+    def test_a_basis_past_the_memory_limit_is_refused_before_allocation(self):
+        # N = 2000 on 200 000 points would be a 3.2 GB basis: an input error
+        # naming N, T and the bytes, raised before the basis is allocated.
+        x = np.random.default_rng(6).standard_normal(200_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError) as info:
+                discretize_data(x, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            "a 2000-step Lanczos basis on 200000 points needs 3200000000 bytes, "
+            "past the 1073741824-byte limit -- reduce N"
+        )
+        assert peak <= 16e6
+
     def test_lanczos_weighted_start_vector(self):
         # The same measure as one point per atom, its mass in the start vector.
         diag, offdiag = _Lanczos(np.array([-1.0, 2.0]), np.sqrt([0.25, 0.75])).jacobi(2)
-        nodes, weights = _gauss_rule(diag, offdiag, 1.0)
+        nodes, weights = _gauss_rule(diag, offdiag)
         np.testing.assert_allclose(nodes, [-1.0, 2.0], rtol=1e-14)
         np.testing.assert_allclose(weights, [0.25, 0.75], rtol=1e-14)
 
