@@ -83,15 +83,14 @@ def kde_pdf(data, bandwidth: float, x):
         raise InputError("evaluation points contain non-finite entries")
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
-    # Blocks of whole grid rows of about _BLOCK values (one row when the
-    # data is longer), each row summed as one contiguous run, with two
-    # in-place temporaries: a block stays in cache, and np-me's N = 3..9
-    # priors took 0.6 rather than 1.2 ms on 10 000 points, and peak at 2.3
-    # rather than 20.6 MB on 100 000, against blocks of 2**20 values.  numpy's
-    # exp leaves its vector path for a vector with one subnormal or 0 result,
-    # so those lanes take the argument 0 and then the term 0; every kept term
-    # and each row's summation order stay.  At 100 000 points, where the cut
-    # is 4.0 std, np-me's 19-point prior took 11-14 rather than 22-25 ms.
+    # Blocks of whole grid rows of about _BLOCK values (one row when the data
+    # is longer), each row summed as one contiguous run: a block stays in
+    # cache.  numpy's exp leaves its vector path for a vector with one
+    # subnormal or 0 result, so those lanes take the argument 0, then the
+    # term 0.  Rounding is monotone, so a block's lowest k is at its largest
+    # point less the data's min or its smallest less the data's max: a block
+    # with neither past the cut skips the search for far lanes.
+    lo, hi, points = float(data.min()), float(data.max()), pts.tolist()
     rows = max(1, _BLOCK // data.size)
     sums = np.empty(pts.size)
     for i in range(0, pts.size, rows):
@@ -99,7 +98,9 @@ def kde_pdf(data, bandwidth: float, x):
         z /= bandwidth
         k = -0.5 * z
         k *= z
-        far, flat = np.flatnonzero(k < _LOG_TINY), k.reshape(-1)
+        u, v = (max(points[i : i + rows]) - lo) / bandwidth, (min(points[i : i + rows]) - hi) / bandwidth
+        far = np.flatnonzero(k < _LOG_TINY) if min(-0.5 * u * u, -0.5 * v * v) < _LOG_TINY else slice(0)
+        flat = k.reshape(-1)
         flat[far] = 0.0
         np.exp(k, out=k)
         flat[far] = 0.0
@@ -265,15 +266,16 @@ def _stack(grids, priors, targets) -> np.ndarray:
     on the diagonal.  A grid is padded to the longest with points of log
     prior -inf and all-zero terms.
     """
-    log_prior = _columns([np.log(p) for p in priors], -np.inf)
-    real = np.arange(log_prior.shape[0])[:, None] < [g.size for g in grids]
-    used = np.arange(_MOMENTS)[:, None] < [len(t) for t in targets]
+    sizes, lengths = [g.size for g in grids], [len(t) for t in targets]
+    real = np.arange(max(sizes))[:, None] < sizes
+    used = np.arange(_MOMENTS)[:, None] < lengths
     data = np.zeros((real.shape[0], 1 + _MOMENTS + _MOMENTS**2, real.shape[1]))
-    data[:, 0] = log_prior
+    with np.errstate(divide="ignore"):  # a padding point's prior 0 has log -inf
+        data[:, 0] = np.log(_columns(np.concatenate(priors), sizes, 0.0))
     feat = data[:, 1 : 1 + _MOMENTS]
-    feat[:] = _columns(grids, 0.0)[:, None]
+    feat[:] = _columns(np.concatenate(grids), sizes, 0.0)[:, None]
     np.multiply.accumulate(feat, axis=1, out=feat)
-    tbar = _columns(targets, 0.0)
+    tbar = _columns([v for t in targets for v in t], lengths, 0.0)
     feat[:, : tbar.shape[0]] -= tbar
     feat *= used & real[:, None]
     data[:, 1 + _MOMENTS :] = (feat[:, :, None] * feat[:, None]).reshape(feat.shape[0], -1, feat.shape[2])

@@ -28,6 +28,7 @@ blocks differ) on one platform.
 """
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import math
@@ -260,6 +261,10 @@ def _replication_block(cfg: ExperimentConfig, start: int, stop: int) -> np.ndarr
     for i, m in enumerate(range(start, stop)):
         for s, t in enumerate(cfg.sample_sizes):
             sample = Sample(sample_mixture(cfg.mixture, t, replication_rng(cfg.seed, t, m)))
+            # np-gq's longest Lanczos run first (no step for an N past T): one basis, read by prefixes.
+            if "np-gq" in cfg.methods and (top := max((n for n in cfg.node_counts if n <= t), default=0)):
+                with contextlib.suppress(NpgqError):  # the rule calls raise it again
+                    sample.jacobi(top)
             for j, method in enumerate(cfg.methods):
                 if method == "np-me":
                     tilts += _maxent_problems(sample, cfg.node_counts)

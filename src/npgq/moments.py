@@ -325,5 +325,6 @@ class Sample:
 
     def jacobi(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Jacobi matrix ``(diag, offdiag)`` of the empirical measure of
-        :attr:`z` after ``min(n, T)`` steps, or fewer at a breakdown."""
+        :attr:`z` after ``min(n, T)`` steps, or fewer at a breakdown.  A longer
+        request reallocates the basis and copies its rows: ask for the largest N first."""
         return self._lanczos.jacobi(n)

@@ -97,7 +97,9 @@ def solve_portfolios(dists, risk_free: float, gammas) -> list[list[PortfolioSolu
         return []
     # (nodes x rules); shorter rules are padded with zero-weight nodes at
     # zero log excess return, whose excess return is exactly zero.
-    nodes, weights = _columns([d.nodes for d in dists], 0.0), _columns([d.weights for d in dists], 0.0)
+    sizes = [len(d) for d in dists]
+    nodes = _columns([v for d in dists for v in d.nodes], sizes, 0.0)
+    weights = _columns([w for d in dists for w in d.weights], sizes, 0.0)
     with np.errstate(over="ignore"):  # inf past log(max double), about 709.78
         excess = np.expm1(nodes)
     d_min, d_max = excess.min(axis=0), excess.max(axis=0)

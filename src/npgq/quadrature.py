@@ -126,13 +126,12 @@ def _mixture_rule(mix: GaussianMixture) -> DiscreteDistribution:
     return DiscreteDistribution(nodes=nodes, weights=weights)
 
 
-def _columns(seqs, fill: float) -> np.ndarray:
-    """Ragged sequences as the columns of one (longest x count) float array,
-    each padded at its end with ``fill``."""
-    sizes = np.array([len(s) for s in seqs])
-    real = np.arange(sizes.max())[:, None] < sizes
+def _columns(values, sizes, fill: float) -> np.ndarray:
+    """Ragged columns, end to end in the flat ``values`` with lengths ``sizes``,
+    as one (longest x count) float array, each padded at its end with ``fill``."""
+    real = np.arange(max(sizes))[:, None] < sizes
     out = np.full(real.shape, fill)
-    out.T[real.T] = [v for s in seqs for v in s]
+    out.T[real.T] = values
     return out
 
 

@@ -33,6 +33,7 @@ from npgq.baselines import (
     _reach,
     _silverman,
     _solve_duals,
+    _stack,
 )
 from npgq.moments import _BLOCK
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
@@ -195,6 +196,30 @@ class TestKernelDensity:
         for grid in (_even_grid(9), _grid_layout((3, 5, 7, 9))[1]):
             want = [np.exp(-0.5 * u * u).sum() / (size * h * _SQRT_2PI) for u in ((x - z) / h for x in grid)]
             assert [v.hex() for v in kde_pdf(z, h, grid)] == [v.hex() for v in want]
+
+    def test_blocks_with_and_without_far_lanes_keep_every_bit(self):
+        # 1000 points give blocks of 8 grid rows.  At h = 0.2 the cut is
+        # 7.53 from a data point, so the outer blocks of the +-12 grid hold
+        # far lanes and the inner ones none; each row must equal its own
+        # masked sum, whichever kind of block it is in.  The points 38 h past
+        # the data's ends have only far terms, all subnormal: they count as 0.
+        data = np.random.default_rng(10).standard_normal(1000)
+        h = 0.2
+        edges = [data.min() - 38.0 * h, data.max() + 38.0 * h]
+        grid = np.sort(np.concatenate([np.linspace(-12.0, 12.0, 62), edges]))
+        u = (grid[:, None] - data) / h
+        k = -0.5 * u
+        k *= u
+        cut = k < npgq.baselines._LOG_TINY
+        far = cut.reshape(-1, _BLOCK // data.size, data.size).any(axis=(1, 2))
+        assert far.any() and not far.all()
+        assert all(np.exp(k[grid == x]).sum() > 0.0 for x in edges)
+        terms = np.exp(np.where(cut, 0.0, k))
+        terms[cut] = 0.0
+        want = [row.sum() / (data.size * h * _SQRT_2PI) for row in terms]
+        vals = kde_pdf(data, h, grid)
+        assert [v.hex() for v in vals] == [v.hex() for v in want]
+        assert all(vals[grid == x] == 0.0 for x in edges)
 
     def test_terms_below_the_smallest_normal_are_zero(self):
         # A term exp(-u**2 / 2) past |u| = 37.64 is subnormal or 0; it
@@ -455,6 +480,16 @@ class TestStackedTilt:
                     grid[0] = 0.0
         grids, points, indices = _grid_layout(node_counts)
         assert not any(a.flags.writeable for a in (*grids, points, *indices))
+
+    def test_the_stack_takes_each_priors_log(self):
+        # One log over the padded columns: a column's points hold np.log of
+        # its own prior, bit for bit, and its padding -inf.
+        grids, priors, targets = zip(*(p[1:] for p in self._problems() if not isinstance(p, NpgqError) and p[2].all()))
+        data = _stack(grids, priors, targets)
+        for column, prior in zip(data[:, 0].T, priors):
+            assert column[: prior.size].tobytes() == np.log(prior).tobytes()
+            assert (column[prior.size :] == -np.inf).all()
+        assert len({p.size for p in priors}) > 1
 
     def test_maxent_solve_is_the_batch_of_one(self):
         sample = Sample(sample_mixture(DEFAULT_MIXTURE, 100, replication_rng(5, 100, 0)))

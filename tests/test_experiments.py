@@ -456,6 +456,9 @@ class TestConfigFiles:
 
 
 REFERENCE_CFG = ExperimentConfig(sample_sizes=(100, 1000), replications=3, seed=31337)
+# N above T: np-gq fails at N = 9 and 44 on 5 points, and at N = 44 Lanczos
+# runs 44 steps on 100 points.
+PAST_T_CFG = replace(REFERENCE_CFG, sample_sizes=(5, 100), node_counts=(3, 9, 44))
 
 
 def _fresh_theta_hats(cfg, sample_size):
@@ -482,6 +485,25 @@ def _fresh_theta_hats(cfg, sample_size):
     return out
 
 
+def _lanczos_requests(monkeypatch, cfg):
+    """(T, the n of each ``jacobi(n)`` call in order) per Lanczos state of one serial study."""
+    requests = {}
+    init, jacobi = moments._Lanczos.__init__, moments._Lanczos.jacobi
+
+    def spy_init(self, x, start):
+        init(self, x, start)
+        requests[self] = (x.size, [])
+
+    def spy_jacobi(self, n):
+        requests[self][1].append(n)
+        return jacobi(self, n)
+
+    monkeypatch.setattr(moments._Lanczos, "__init__", spy_init)
+    monkeypatch.setattr(moments._Lanczos, "jacobi", spy_jacobi)
+    run_experiment(cfg, jobs=1)
+    return list(requests.values())
+
+
 class TestSharedSampleStudy:
     def test_theta_hats_match_fresh_calls(self, monkeypatch):
         blocks = []
@@ -493,10 +515,34 @@ class TestSharedSampleStudy:
             return block
 
         monkeypatch.setattr(experiments, "_replication_block", recording)
-        run_experiment(REFERENCE_CFG, jobs=1)
-        study = np.concatenate([b for _, b in sorted(blocks, key=lambda x: x[0])])
-        for s, t in enumerate(REFERENCE_CFG.sample_sizes):
-            assert np.array_equal(study[:, s], _fresh_theta_hats(REFERENCE_CFG, t), equal_nan=True)
+        for cfg in (REFERENCE_CFG, PAST_T_CFG):
+            blocks.clear()
+            report = run_experiment(cfg, jobs=1)
+            study = np.concatenate([b for _, b in sorted(blocks, key=lambda x: x[0])])
+            for s, t in enumerate(cfg.sample_sizes):
+                assert np.array_equal(study[:, s], _fresh_theta_hats(cfg, t), equal_nan=True)
+            # NaN for NaN, so every failure count is a fresh call's too.
+            assert sum(c.failures for c in report.cells) == np.count_nonzero(np.isnan(study))
+        assert report.cell("np-gq", 5, 9, 2.0).failures == PAST_T_CFG.replications
+
+    @pytest.mark.parametrize("cfg", [REFERENCE_CFG, PAST_T_CFG], ids=["default-grid", "n-past-t"])
+    def test_each_sample_steps_to_its_longest_n_first(self, monkeypatch, cfg):
+        # One basis per sample: np-gq's largest N that Lanczos steps to (no
+        # step is taken for an N past T) comes first, and every later
+        # request, np-me's three steps included, reads a prefix of it.
+        requests = _lanczos_requests(monkeypatch, cfg)
+        assert len(requests) == cfg.replications * len(cfg.sample_sizes)
+        for t, seq in requests:
+            top = max(n for n in cfg.node_counts if n <= t)
+            assert seq[0] == top and max(seq) == top and 3 in seq
+
+    def test_np_me_alone_takes_three_steps(self, monkeypatch):
+        requests = _lanczos_requests(monkeypatch, replace(REFERENCE_CFG, methods=("np-me",)))
+        assert len(requests) == REFERENCE_CFG.replications * len(REFERENCE_CFG.sample_sizes)
+        assert all(seq == [3] for _, seq in requests)
+
+    def test_gauss_hermite_alone_runs_no_lanczos(self, monkeypatch):
+        assert _lanczos_requests(monkeypatch, replace(REFERENCE_CFG, methods=("gauss-hermite",))) == []
 
     def test_one_standardization_and_moment_pass_per_sample(self, monkeypatch):
         # The one pass of moments is the sample's Lanczos state: np-gq and

@@ -377,7 +377,7 @@ class TestStackedColumns:
     @settings(max_examples=100, deadline=None)
     @given(COLUMNS, st.sampled_from((0.0, -math.inf, 1.5)))
     def test_columns_are_the_sequences_then_the_fill(self, seqs, fill):
-        stacked = _columns(seqs, fill)
+        stacked = _columns([v for s in seqs for v in s], [len(s) for s in seqs], fill)
         longest = max(map(len, seqs))
         assert stacked.shape == (longest, len(seqs))
         for column, seq in zip(stacked.T, seqs):
@@ -390,7 +390,7 @@ class TestStackedColumns:
         # Bit for bit, as a left fold over the column on its own: its
         # neighbours and its zero padding change nothing, except that a
         # padding +0.0 added to a sum of -0.0 gives +0.0.
-        stacked = _sum0(_columns(seqs, 0.0))
+        stacked = _sum0(_columns([v for s in seqs for v in s], [len(s) for s in seqs], 0.0))
         alone = np.array([_sum0(np.array(seq)) for seq in seqs])
         folds = np.array([functools.reduce(operator.add, seq) for seq in seqs])
         assert (stacked + 0.0).tobytes() == (alone + 0.0).tobytes() == (folds + 0.0).tobytes()
