@@ -63,8 +63,7 @@ def gauss_hermite_discretize(data, n: int) -> DiscreteDistribution:
         raise error
     fit = Sample.of(data).transform
     base = _standard_normal_rule(n)
-    nodes = tuple(fit.shift + fit.scale * x for x in base.nodes)
-    return DiscreteDistribution(nodes=nodes, weights=base.weights)
+    return DiscreteDistribution(nodes=fit.to_original(base.nodes), weights=base.weights)
 
 
 def _silverman(std: float, size: int) -> float:
@@ -93,18 +92,19 @@ def kde_pdf(data, bandwidth: float, x):
     lo, hi, points = float(data.min()), float(data.max()), pts.tolist()
     rows = max(1, _BLOCK // data.size)
     sums = np.empty(pts.size)
-    for i in range(0, pts.size, rows):
-        z = pts[i : i + rows, None] - data[None, :]
-        z /= bandwidth
-        k = -0.5 * z
-        k *= z
-        u, v = (max(points[i : i + rows]) - lo) / bandwidth, (min(points[i : i + rows]) - hi) / bandwidth
-        far = np.flatnonzero(k < _LOG_TINY) if min(-0.5 * u * u, -0.5 * v * v) < _LOG_TINY else slice(0)
-        flat = k.reshape(-1)
-        flat[far] = 0.0
-        np.exp(k, out=k)
-        flat[far] = 0.0
-        sums[i : i + rows] = k.sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflowed lane is a far lane: its term is 0
+        for i in range(0, pts.size, rows):
+            z = pts[i : i + rows, None] - data[None, :]
+            z /= bandwidth
+            k = -0.5 * z
+            k *= z
+            u, v = (max(points[i : i + rows]) - lo) / bandwidth, (min(points[i : i + rows]) - hi) / bandwidth
+            far = np.flatnonzero(k < _LOG_TINY) if min(-0.5 * u * u, -0.5 * v * v) < _LOG_TINY else slice(0)
+            flat = k.reshape(-1)
+            flat[far] = 0.0
+            np.exp(k, out=k)
+            flat[far] = 0.0
+            sums[i : i + rows] = k.sum(axis=1)
     vals = sums / (data.size * bandwidth * _SQRT_2PI)
     return float(vals[0]) if scalar else vals
 

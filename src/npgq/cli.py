@@ -61,7 +61,10 @@ def _open_output(path: str):
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    rows = list(csv.reader(io.StringIO(_read_text(path, newline=""))))
+    try:
+        rows = list(csv.reader(io.StringIO(_read_text(path, newline=""))))
+    except csv.Error as exc:  # e.g. a field past csv's length limit
+        raise InputError(f"{path}: {exc}") from exc
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one data row")
     header, data = rows[0], rows[1:]

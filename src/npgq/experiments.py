@@ -28,7 +28,6 @@ blocks differ) on one platform.
 """
 from __future__ import annotations
 
-import contextlib
 import io
 import itertools
 import math
@@ -261,16 +260,14 @@ def _replication_block(cfg: ExperimentConfig, start: int, stop: int) -> np.ndarr
     for i, m in enumerate(range(start, stop)):
         for s, t in enumerate(cfg.sample_sizes):
             sample = Sample(sample_mixture(cfg.mixture, t, replication_rng(cfg.seed, t, m)))
-            # np-gq's longest Lanczos run first (no step for an N past T): one basis, read by prefixes.
-            if "np-gq" in cfg.methods and (top := max((n for n in cfg.node_counts if n <= t), default=0)):
-                with contextlib.suppress(NpgqError):  # the rule calls raise it again
-                    sample.jacobi(top)
             for j, method in enumerate(cfg.methods):
                 if method == "np-me":
                     tilts += _maxent_problems(sample, cfg.node_counts)
                     tilt_slots += [(i, s, j, k) for k in range(len(cfg.node_counts))]
                     continue
-                for k, n in enumerate(cfg.node_counts):
+                # Largest N first: np-gq's first Lanczos run (none for an N
+                # past T) allocates the one basis, and the rest read prefixes.
+                for n, k in sorted(zip(cfg.node_counts, itertools.count()), reverse=True):
                     try:
                         rules.append(_DISCRETIZERS[method](sample, n))
                     except NpgqError:

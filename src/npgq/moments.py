@@ -104,26 +104,17 @@ class GaussianMixture:
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "stds", sd)
 
-    def mean(self) -> float:
-        return math.fsum(p * m for p, m in zip(self.proportions, self.means))
 
-    def variance(self) -> float:
-        mu = self.mean()
-        second = math.fsum(
-            p * (m * m + s * s)
-            for p, m, s in zip(self.proportions, self.means, self.stds)
-        )
-        return second - mu * mu
-
-
-def _as_clean_array(data, *, name: str = "data") -> np.ndarray:
+def _as_clean_array(data) -> np.ndarray:
+    if np.iscomplexobj(data):  # a cast to float would drop the imaginary parts
+        raise InputError("data must be real, not complex")
     x = np.asarray(data, dtype=float)
     if x.ndim != 1:
         x = x.reshape(-1)
     if x.size == 0:
-        raise InputError(f"{name} must be nonempty")
+        raise InputError("data must be nonempty")
     if not np.all(np.isfinite(x)):
-        raise InputError(f"{name} contains non-finite entries")
+        raise InputError("data contains non-finite entries")
     return x
 
 

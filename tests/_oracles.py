@@ -23,7 +23,8 @@ reachable by a linear program, in place of the cyclic polytope's facets.
 
 The moment route is the reference for the library's Lanczos route:
 ``gaussian_moments`` and ``mixture_moments`` give raw moments as a
-validated :class:`MomentSequence`,
+validated :class:`MomentSequence` (``mixture_mean`` and
+``mixture_variance`` its mean and variance),
 ``jacobi_from_moments`` reads a Jacobi matrix off the Cholesky factor of
 their Hankel matrix, and ``golub_welsch`` takes its Gaussian rule.
 ``mp_data_rules`` and ``mp_mixture_rule`` run the same route in mpmath.
@@ -128,6 +129,16 @@ def mixture_moments(mix, max_order):
     ]
     out[0] = 1.0
     return MomentSequence(tuple(out))
+
+
+def mixture_mean(mix):
+    return math.fsum(p * m for p, m in zip(mix.proportions, mix.means))
+
+
+def mixture_variance(mix):
+    mu = mixture_mean(mix)
+    second = math.fsum(p * (m * m + s * s) for p, m, s in zip(mix.proportions, mix.means, mix.stds))
+    return second - mu * mu
 
 
 def jacobi_from_moments(m, n):
@@ -456,8 +467,8 @@ def random_mixture(rng, max_components=3, standardized=False):
     )
     if not standardized:
         return mix
-    mu = mix.mean()
-    sd = math.sqrt(mix.variance())
+    mu = mixture_mean(mix)
+    sd = math.sqrt(mixture_variance(mix))
     return GaussianMixture(
         proportions=mix.proportions,
         means=tuple((m - mu) / sd for m in mix.means),

@@ -158,6 +158,15 @@ class TestKernelDensity:
         with pytest.raises(InputError):
             kde_pdf(data, 1.0, 0.0)
 
+    @pytest.mark.parametrize("data, bandwidth, x, expected", [
+        ([1.0, 2.0], 1e-300, [1e300], [0.0]),  # (x - x_i) / h overflows
+        ([-1e308, 0.0], 1.0, [1e308], [0.0]),  # x - x_i overflows
+        ([-0.5, 0.5], 1.0, [1e200, 0.0], [0.0, PHI0 * math.exp(-0.125)]),  # (x - x_i)^2 overflows
+    ], ids=["divide", "subtract", "multiply"])
+    def test_an_overflowing_lane_is_a_far_lane(self, data, bandwidth, x, expected):
+        # Its kernel term is 0, with no overflow warning: pytest makes one an error.
+        np.testing.assert_allclose(kde_pdf(data, bandwidth, x), expected, rtol=1e-15, atol=0)
+
     @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_bandwidth(self, bandwidth):
         with pytest.raises(InputError, match="bandwidth must be positive"):

@@ -592,6 +592,8 @@ class TestInputErrorMessages:
         (RETURNS, PORTFOLIO + ["--gamma", ","], "empty gamma grid"),
         (RETURNS, PORTFOLIO + ["--inflation", "c"], "gross inflation must be positive"),
         ("x\n1\n2\n", ["plotdata", "--column", "x", "--bins", "0"], "bins must be >= 1"),
+        pytest.param("x\n" + "1" * 200_000 + "\n", ["discretize", "--column", "x"],
+                     "{path}: field larger than field limit (131072)", id="field-past-csv-limit"),
     ])
     def test_exits_2_with_its_message(self, tmp_path, capsys, text, args, message):
         path = tmp_path / "in.csv"

@@ -19,7 +19,7 @@ from npgq import (
     maxent_solve,
     sample_moments,
 )
-from npgq.baselines import _jacobi_moments
+from npgq.baselines import _jacobi_moments, kde_pdf
 from npgq.moments import _BLOCK, _ORTH_RTOL, _Lanczos
 from npgq.experiments import DEFAULT_MIXTURE, ExperimentConfig, replication_rng, run_experiment, sample_mixture
 
@@ -297,3 +297,15 @@ class TestSampleErrors:
     def test_empty_data(self):
         with pytest.raises(InputError):
             discretize_data(Sample([]), 1)
+
+    @pytest.mark.parametrize("data", [np.array([1 + 1j, 2, 3, 4]), [1 + 1j, 2, 3, 4], np.arange(4) + 0j],
+                             ids=["array", "list", "zero-imaginary"])
+    def test_complex_data(self, data):
+        # Not the rule of the real parts: every data-taking entry point
+        # rejects a complex dtype, even with all imaginary parts zero.
+        for fn in DISCRETIZERS.values():
+            with pytest.raises(InputError, match="data must be real, not complex"):
+                fn(data, 3)
+        for check in (lambda: Sample(data).x, lambda: sample_moments(data, 2), lambda: kde_pdf(data, 1.0, 0.0)):
+            with pytest.raises(InputError, match="data must be real, not complex"):
+                check()
