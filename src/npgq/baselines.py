@@ -72,11 +72,13 @@ def _silverman(std: float, size: int) -> float:
 
 def kde_pdf(data, bandwidth: float, x):
     """Gaussian-kernel density value(s) ``(1/(I h)) sum_i phi((x - x_i)/h)``
-    of nonempty, finite data, at a positive bandwidth ``h`` and finite ``x``;
-    a kernel term below the smallest normal double (``|u| > 37.64``) is 0."""
+    of nonempty, finite data, at a finite normal bandwidth ``h > 0`` and real, finite
+    ``x``; a kernel term below the smallest normal double (``|u| > 37.64``) is 0."""
     data = _as_clean_array(data)
-    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
-        raise InputError(f"bandwidth must be positive, got {bandwidth}")
+    if not (np.finfo(float).tiny <= bandwidth < math.inf):  # so each value, <= 1/(h sqrt(2 pi)), is finite
+        raise InputError(f"bandwidth must be positive, finite and a normal float, got {bandwidth}")
+    if np.iscomplexobj(x):  # a cast to float would drop the imaginary parts
+        raise InputError("evaluation points must be real, not complex")
     pts = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise InputError("evaluation points contain non-finite entries")
@@ -322,9 +324,9 @@ def _solve_duals(problems) -> list:
     order, so padding adds exact zeros; each Hessian is solved on its own,
     and each column keeps its own line search, iteration count and stop.
     So a problem's result does not depend on what shares the stack, up to
-    the sign of a zero sum (``-0.0`` plus padding is ``+0.0``).  A
-    column leaves the stack once: at the gradient test when it converges,
-    right after the line search when it stalls or diverges, or at the cap.
+    the sign of a zero sum (``-0.0`` plus padding is ``+0.0``).  Columns
+    leave at the top of a step, with the first that holds of: the last line
+    search stalled, the multipliers diverged, the gradient test, the cap.
     """
     if not problems:
         return []
@@ -336,20 +338,28 @@ def _solve_duals(problems) -> list:
     cols = np.arange(len(problems))
     lam = np.zeros((_MOMENTS, cols.size))
     value, w = _values(lam, data)
+    stalled = np.zeros(cols.size, dtype=bool)
     # One gradient test after each of the _NEWTON_MAX_ITER steps, and one before them.
     for iteration in range(_NEWTON_MAX_ITER + 1):
         # Tilted means of the features and of their pair products.
         sums = _sum0(data[:, 1:] * w[:, None])
-        done = np.sqrt(_sum0(sums[:_MOMENTS] ** 2)) <= _NEWTON_GRAD_TOL
-        for c in done.nonzero()[0]:
+        converged = np.sqrt(_sum0(sums[:_MOMENTS] ** 2)) <= _NEWTON_GRAD_TOL
+        diverged = np.sqrt(_sum0(lam * lam)) > _LAMBDA_DIVERGENCE
+        leave = stalled | diverged | converged | (iteration == _NEWTON_MAX_ITER)
+        for c in leave.nonzero()[0]:
             p = cols[c]
-            out[p] = (tuple(lam[: n_match[p], c].tolist()), tuple(w[: sizes[p], c].tolist()), iteration)
-        if np.count_nonzero(done):
-            if done.all():
+            if stalled[c]:
+                out[p] = NumericalError("tilting dual line search stalled")
+            elif diverged[c]:
+                out[p] = InfeasibleError("tilting dual diverged; moment targets are unattainable on the grid")
+            elif converged[c]:
+                out[p] = (tuple(lam[: n_match[p], c].tolist()), tuple(w[: sizes[p], c].tolist()), iteration)
+            else:
+                out[p] = NumericalError(f"tilting dual did not converge within {_NEWTON_MAX_ITER} iterations")
+        if np.count_nonzero(leave):
+            if leave.all():
                 return out
-            cols, lam, value, w, sums, data = (a[..., ~done] for a in (cols, lam, value, w, sums, data))
-        if iteration == _NEWTON_MAX_ITER:
-            break
+            cols, lam, value, w, sums, data = (a[..., ~leave] for a in (cols, lam, value, w, sums, data))
         grad = sums[:_MOMENTS]
         hess = sums[_MOMENTS:].reshape(_MOMENTS, _MOMENTS, -1) - grad[:, None] * grad
         step = _newton_steps(hess, grad, n_match[cols])
@@ -377,20 +387,6 @@ def _solve_duals(problems) -> list:
                 break
             t *= 0.5
             cand = lam + t * step
-        failed = stalled | (np.sqrt(_sum0(lam * lam)) > _LAMBDA_DIVERGENCE)
-        if np.count_nonzero(failed):
-            for c in failed.nonzero()[0]:
-                out[cols[c]] = (
-                    NumericalError("tilting dual line search stalled")
-                    if stalled[c]
-                    else InfeasibleError("tilting dual diverged; moment targets are unattainable on the grid")
-                )
-            if failed.all():
-                return out
-            cols, lam, value, w, data = (a[..., ~failed] for a in (cols, lam, value, w, data))
-    for p in cols:
-        out[p] = NumericalError(f"tilting dual did not converge within {_NEWTON_MAX_ITER} iterations")
-    return out
 
 
 def maxent_solve(data, n: int) -> MaxEntSolution:

@@ -312,6 +312,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     results are reassembled in replication order, so serial and parallel
     runs produce identical reports.
     """
+    try:
+        jobs = operator.index(jobs)
+    except TypeError:
+        raise InputError(f"jobs must be an integer, got {jobs!r}") from None
     if jobs < 1:
         raise InputError("jobs must be >= 1")
     theta_star = _theta_star_table(cfg.mixture, cfg.risk_free, cfg.gammas)

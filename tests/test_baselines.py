@@ -167,10 +167,23 @@ class TestKernelDensity:
         # Its kernel term is 0, with no overflow warning: pytest makes one an error.
         np.testing.assert_allclose(kde_pdf(data, bandwidth, x), expected, rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, math.inf])
+    # A subnormal bandwidth: a value, up to 1/(h sqrt(2 pi)), would overflow.
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, math.inf, 5e-324])
+    @pytest.mark.filterwarnings("error")
     def test_rejects_bad_bandwidth(self, bandwidth):
         with pytest.raises(InputError, match="bandwidth must be positive"):
             kde_pdf([1.0, 2.0], bandwidth, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_smallest_normal_bandwidth_gives_a_finite_value(self):
+        tiny = np.finfo(float).tiny
+        np.testing.assert_allclose(kde_pdf([0.0], tiny, [0.0]), [PHI0 / tiny], rtol=1e-15, atol=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_complex_points(self):
+        # A cast to float would give the density at the real part.
+        with pytest.raises(InputError, match="evaluation points must be real, not complex"):
+            kde_pdf([0.0, 1.0], 1.0, np.array([0.5 + 3j]))
 
     @pytest.mark.parametrize("x", [math.nan, -math.inf, [0.0, math.nan], [[1.0], [math.inf]]])
     def test_rejects_non_finite_points(self, x):
@@ -410,8 +423,33 @@ def _outcome(result):
     return [w.hex() for w in result.weights], result.iterations, result.downgraded, result.n_matched
 
 
+def _near_facet(rng):
+    """A ``(grid, prior, targets)`` tilting problem whose four targets lie
+    just inside a facet of the moment hull: the moments of one to three
+    grid points plus a mass of 1e-14 to 1e-3 on every other point."""
+    n = int(rng.integers(5, 26))
+    grid, prior = _even_grid(n), rng.random(n) + 0.01
+    mass = np.full(n, 10.0 ** rng.uniform(-14, -3))
+    points = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+    mass[points] = rng.random(points.size)
+    mass /= mass.sum()
+    return grid, prior / prior.sum(), [float(mass @ grid**k) for k in range(1, 5)]
+
+
 class TestStackedTilt:
     """Every np-me problem of a stacked solve gets what it gets alone."""
+
+    # The four-target problem of TestSolveDualsPinned whose line search stalls.
+    STALLED = (
+        _even_grid(5),
+        np.array([float.fromhex(v) for v in (
+            "0x1.d85c7c570796cp-5", "0x1.9c02d017b7ef6p-7", "0x1.6773bd636eca7p-2",
+            "0x1.7f5b3be3e78e8p-4", "0x1.f0c9cd97f89f8p-2",
+        )]),
+        [float.fromhex(v) for v in (
+            "0x1.63a5d463c7ae4p-3", "0x1.ab221d86d5777p+2", "0x1.42da5e16de9a7p+1", "0x1.fb97ef9f184d3p+4",
+        )],
+    )
 
     def _problems(self):
         problems = []
@@ -432,6 +470,10 @@ class TestStackedTilt:
         # Mass on two points: zero prior weights are a failure before any
         # Newton step, so only the batch of whole problems sees this one.
         problems.append((unit, grid, np.array([0.5, 0.0, 0.0, 0.0, 0.5]), [0.0, 1.0]))
+        # Its four targets are out of reach, where its dual stalls: a downgrade.
+        problems.append((unit, *self.STALLED))
+        # Near a facet, no tilt meets the gradient test within the cap.
+        problems.append((unit, *_near_facet(np.random.default_rng(141))))
         return problems
 
     def test_shuffled_mixed_batch_matches_each_problem_alone(self):
@@ -443,12 +485,15 @@ class TestStackedTilt:
             assert [_outcome(r) for r in batch] == [alone[i] for i in order]
         # The cases the batch mixes: an input error passed through, a
         # downgrade, targets out of reach on two moments too, a singular
-        # Hessian, and a zero prior weight.
+        # Hessian, a zero prior weight, a downgrade whose four targets
+        # stall, and a column at the cap.
         assert alone[0][0] == "InputError"
-        assert alone[-4][2] is True and alone[-4][3] == 2
-        assert alone[-3][0] in ("InfeasibleError", "NumericalError")
-        assert alone[-2][1:] == (25, False, 2)
-        assert alone[-1] == ("NumericalError", "a weight of the 5-point np-me rule underflows to 0 -- reduce N")
+        assert alone[-6][2] is True and alone[-6][3] == 2
+        assert alone[-5][0] in ("InfeasibleError", "NumericalError")
+        assert alone[-4][1:] == (25, False, 2)
+        assert alone[-3] == ("NumericalError", "a weight of the 5-point np-me rule underflows to 0 -- reduce N")
+        assert alone[-2][2] is True and alone[-2][3] == 2
+        assert alone[-1] == ("NumericalError", "tilting dual did not converge within 200 iterations")
         assert sum(o[2] is True for o in alone if len(o) == 4) > 1
 
     def test_shuffled_dual_batch_matches_each_dual_alone(self):
@@ -463,6 +508,13 @@ class TestStackedTilt:
             batch = _solve_duals([duals[i] for i in order])
             assert [_outcome(r) for r in batch] == [alone[i] for i in order]
         assert sum(len(o) == 3 and len(o[0]) == 4 for o in alone) > 1
+        # Every way a column leaves the stack but convergence, which the
+        # line above counts.
+        assert {o[1] for o in alone if len(o) == 2} == {
+            "tilting dual line search stalled",
+            "tilting dual diverged; moment targets are unattainable on the grid",
+            "tilting dual did not converge within 200 iterations",
+        }
 
     @pytest.mark.parametrize("size", [100, 1000, 10_000])
     def test_a_prior_does_not_depend_on_the_other_grids(self, size):

@@ -587,6 +587,8 @@ class TestInputErrorMessages:
         (lambda: ExperimentConfig(node_counts=(0,)), "node counts must be >= 1"),
         (lambda: sample_mixture(DEFAULT_MIXTURE, 0, replication_rng(1, 0, 0)), "sample size must be >= 1, got 0"),
         (lambda: run_experiment(SMALL_CFG, jobs=0), "jobs must be >= 1"),
+        (lambda: run_experiment(SMALL_CFG, jobs=1.5), "jobs must be an integer, got 1.5"),
+        (lambda: run_experiment(SMALL_CFG, jobs="2"), "jobs must be an integer, got '2'"),
         (lambda: parse_config("seed = x"),
          "config line 1: bad value for 'seed': invalid literal for int() with base 10: 'x'"),
         # Every log excess return of N(0.5, 0.01^2) is above the rate's 0.0045.
