@@ -71,9 +71,9 @@ def _silverman(std: float, size: int) -> float:
 
 
 def kde_pdf(data, bandwidth: float, x):
-    """Gaussian-kernel density value(s) ``(1/(I h)) sum_i phi((x - x_i)/h)``
-    of nonempty, finite data, at a finite normal bandwidth ``h > 0`` and real, finite
-    ``x``; a kernel term below the smallest normal double (``|u| > 37.64``) is 0."""
+    """Gaussian-kernel density values ``(1/(I h)) sum_i phi((x - x_i)/h)``, in the shape
+    of ``x``, of nonempty, finite data, at a finite normal bandwidth ``h > 0`` and real,
+    finite ``x``; a kernel term below the smallest normal double (``|u| > 37.64``) is 0."""
     data = _as_clean_array(data)
     if not (np.finfo(float).tiny <= bandwidth < math.inf):  # so each value, <= 1/(h sqrt(2 pi)), is finite
         raise InputError(f"bandwidth must be positive, finite and a normal float, got {bandwidth}")
@@ -82,8 +82,7 @@ def kde_pdf(data, bandwidth: float, x):
     pts = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise InputError("evaluation points contain non-finite entries")
-    scalar = pts.ndim == 0
-    pts = np.atleast_1d(pts)
+    shape, pts = pts.shape, pts.ravel()
     # Blocks of whole grid rows of about _BLOCK values (one row when the data
     # is longer), each row summed as one contiguous run: a block stays in
     # cache.  numpy's exp leaves its vector path for a vector with one
@@ -108,7 +107,7 @@ def kde_pdf(data, bandwidth: float, x):
             flat[far] = 0.0
             sums[i : i + rows] = k.sum(axis=1)
     vals = sums / (data.size * bandwidth * _SQRT_2PI)
-    return float(vals[0]) if scalar else vals
+    return vals.reshape(shape) if shape else float(vals[0])
 
 
 def _jacobi_moments(diag, offdiag) -> list[float]:

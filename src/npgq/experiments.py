@@ -230,13 +230,13 @@ def sample_mixture(mix: GaussianMixture, size: int, rng: np.random.Generator) ->
 
     Consumes exactly two uniform arrays (component picks, then normal
     quantiles) regardless of the mixture, so the draw sequence is stable
-    across mixtures and platforms.
+    across mixtures and platforms.  A draw ``u`` picks the component whose index is the count
+    of inner cumulative-proportion edges at or below ``u``: a capped binary search's index.
     """
     if size < 1:
         raise InputError(f"sample size must be >= 1, got {size}")
-    edges = np.cumsum(np.asarray(mix.proportions))
-    comp = np.searchsorted(edges, rng.random(size), side="right")
-    comp = np.minimum(comp, len(edges) - 1)
+    inner = np.cumsum(mix.proportions)[:-1]
+    comp = (rng.random(size) >= inner[:, None]).sum(axis=0)
     u = np.clip(rng.random(size), 1e-300, None)
     z = ndtri(u)
     means = np.asarray(mix.means)[comp]

@@ -1,11 +1,11 @@
 """Gaussian quadrature from a Jacobi matrix: every rule the package uses.
 
 One pipeline: a Jacobi matrix, held as its diagonal and off-diagonal
-float arrays, then one symmetric-tridiagonal eigensolve (Golub-Welsch):
-the eigenvalues are the nodes, and the squared first eigenvector
-components are the weights.  The rule integrates polynomials up to
-degree ``2N - 1`` exactly, so it depends only on the first ``2N``
-moments of the measure.
+float arrays, then one symmetric-tridiagonal eigensolve (Golub-Welsch, one
+LAPACK ``dstevd`` call): the eigenvalues are the nodes, and the squared
+first eigenvector components are the weights.  The rule integrates
+polynomials up to degree ``2N - 1`` exactly, so it depends only on the
+first ``2N`` moments of the measure.
 
 One route to a data set's Jacobi matrix: Lanczos on its empirical
 measure (:class:`~npgq.moments.Sample`), which works on the points
@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 
 from .errors import (
     DegenerateDataError,
@@ -63,15 +63,15 @@ class DiscreteDistribution:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        nodes = tuple(float(v) for v in self.nodes)
-        weights = tuple(float(v) for v in self.weights)
+        nodes, weights = (tuple(map(float, v.tolist() if isinstance(v, np.ndarray) else v))
+                          for v in (self.nodes, self.weights))
         if len(nodes) == 0 or len(nodes) != len(weights):
             raise InputError("nodes and weights must be nonempty and equal-length")
-        if not all(math.isfinite(v) for v in nodes + weights):
+        if not all(map(math.isfinite, nodes + weights)):
             raise InputError("nodes and weights must be finite")
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
+        if not all(map(operator.lt, nodes, nodes[1:])):
             raise InputError("nodes must be strictly increasing")
-        if any(w <= 0.0 for w in weights):
+        if not min(weights) > 0.0:
             raise InputError("weights must be strictly positive")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -92,15 +92,15 @@ def _node_count_error(n, least: int) -> InputError | None:
 def _gauss_rule(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the Gaussian rule of a Jacobi matrix, of total mass 1.
 
-    The nodes are the eigenvalues, ascending; the weights are the squared
-    first components of the unit eigenvectors.
+    The nodes are the eigenvalues, ascending; the weights are the squared first
+    components of the unit eigenvectors, by LAPACK ``dstevd``: the bytes of
+    ``scipy.linalg.eigh_tridiagonal``, which runs it, without that wrapper's checks.
     An outer weight underflowing to 0 (large N) or the eigensolver not
     converging (unreachable for positive off-diagonals) raises :class:`NumericalError`.
     """
-    try:
-        nodes, vecs = eigh_tridiagonal(diag, offdiag)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
+    nodes, vecs, info = dstevd(diag, offdiag if len(diag) > 1 else (0.0,), compute_v=1)  # f2py wants max(N-1, 1)
+    if info:  # pragma: no cover - defensive
+        raise NumericalError(f"tridiagonal eigensolver failed: LAPACK dstevd info {info}")
     weights = vecs[0, :] ** 2
     if not np.all(weights > 0.0):
         raise NumericalError(f"a weight of the {nodes.size}-node rule underflows to 0 -- reduce N")

@@ -20,6 +20,11 @@ passes the blocked exact sum of the standardization replaced.
 ``summarize_cell`` is the per-cell summary the study's array stage
 replaced, and ``interior_margin`` decides whether np-me's targets are
 reachable by a linear program, in place of the cyclic polytope's facets.
+``eigh_tridiagonal_rule`` is the Gaussian rule by scipy's
+``eigh_tridiagonal``, which ``_gauss_rule``'s direct LAPACK ``dstevd``
+call replaced, and ``searchsorted_components`` the binary-search component
+pick that ``sample_mixture``'s edge count replaced: each is kept as its
+bit-for-bit reference.
 
 The moment route is the reference for the library's Lanczos route:
 ``gaussian_moments`` and ``mixture_moments`` give raw moments as a
@@ -37,6 +42,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import linprog
 
 from npgq import (
@@ -193,6 +199,21 @@ def golub_welsch(m, n):
     """
     nodes, weights = _gauss_rule(*jacobi_from_moments(m, n))
     return DiscreteDistribution(nodes=tuple(nodes), weights=tuple(m.values[0] * weights))
+
+
+def eigh_tridiagonal_rule(diag, offdiag):
+    """Nodes and weights (squared first eigenvector components) of a Jacobi
+    matrix's Gaussian rule by ``scipy.linalg.eigh_tridiagonal``, with no
+    underflow check: a weight may be 0."""
+    nodes, vecs = eigh_tridiagonal(diag, offdiag)
+    return nodes, vecs[0, :] ** 2
+
+
+def searchsorted_components(proportions, u):
+    """Component index of each uniform ``u``: the first cumulative-proportion
+    edge above it, by binary search, capped at the last component."""
+    edges = np.cumsum(np.asarray(proportions))
+    return np.minimum(np.searchsorted(edges, u, side="right"), len(edges) - 1)
 
 
 def one_shot_lanczos(x, start, n):

@@ -147,6 +147,20 @@ class TestKernelDensity:
         _, std = fit(data)
         assert silverman(data) == pytest.approx(1.06 * std * 500 ** (-0.2), rel=1e-12)
 
+    @pytest.mark.parametrize("x", [
+        np.array([[0.5, 3.0]]),
+        [[0.5], [3.0]],
+        np.array([[0.5, 3.0, -1.0], [2.0, 9.0, 4.5]], order="F"),
+        np.zeros((2, 0)),
+    ], ids=["row", "nested-list", "fortran", "empty"])
+    def test_values_take_the_shape_of_the_points(self, x):
+        data = [1.0, 2.0, 4.0, 8.0]
+        points = np.asarray(x, dtype=float)
+        values = kde_pdf(data, 0.5, x)
+        assert values.shape == points.shape
+        flat = [kde_pdf(data, 0.5, v) for v in points.ravel().tolist()]
+        assert values.ravel().tolist() == flat == kde_pdf(data, 0.5, points.ravel()).tolist()
+
     def test_reads_data_of_any_shape_without_writing_it(self):
         data = np.array([[1.0, 2.0], [4.0, 8.0]])
         data.setflags(write=False)

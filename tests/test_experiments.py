@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import pickle
@@ -7,6 +8,9 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import npgq.experiments as experiments
 import npgq.moments as moments
@@ -28,7 +32,7 @@ from npgq import (
 from npgq.experiments import DEFAULT_MIXTURE, DEFAULT_RISK_FREE
 from npgq.portfolio import _THETA_RTOL
 
-from _oracles import mixture_mean, summarize_cell
+from _oracles import mixture_mean, searchsorted_components, summarize_cell
 
 TWO_ATOM = GaussianMixture(proportions=(0.4, 0.6), means=(-0.15, 0.12), stds=(0.0, 0.0))
 
@@ -70,6 +74,64 @@ class TestSampleMixture:
         a = sample_mixture(DEFAULT_MIXTURE, 100, replication_rng(7, 100, 0))
         b = sample_mixture(DEFAULT_MIXTURE, 100, replication_rng(7, 100, 1))
         assert not np.array_equal(a, b)
+
+
+class _Uniforms:
+    """Stands in for a Generator: ``random(size)`` returns the given arrays in turn."""
+
+    def __init__(self, *arrays):
+        self._arrays = iter(arrays)
+
+    def random(self, size):
+        out = next(self._arrays)
+        assert out.size == size
+        return out
+
+
+def _searchsorted_draws(mix, picks, quantiles):
+    """sample_mixture's draws with the reference component pick."""
+    comp = searchsorted_components(mix.proportions, picks)
+    return np.asarray(mix.means)[comp] + np.asarray(mix.stds)[comp] * ndtri(np.clip(quantiles, 1e-300, None))
+
+
+@st.composite
+def _mixtures_and_picks(draw):
+    """A mixture of 1..6 components whose proportions sum to within the 1e-10
+    the mixture allows of 1, either side, and uniforms in [0, 1) with each
+    cumulative edge, and its neighbouring doubles, among them."""
+    k = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))
+    drift = draw(st.sampled_from([0.0, -9e-11, 9e-11]) | st.floats(-9e-11, 9e-11))
+    total = math.fsum(raw)
+    proportions = tuple(min(1.0, v / total * (1.0 + drift)) for v in raw)
+    mix = GaussianMixture(proportions=proportions, means=tuple(10.0 * i for i in range(k)), stds=(1.0,) * k)
+    near = [v for e in np.cumsum(proportions).tolist() for v in (e, math.nextafter(e, 0.0), math.nextafter(e, 2.0))]
+    points = st.sampled_from([v for v in near if 0.0 <= v < 1.0] + [0.0, 1.0 - 2.0**-53])
+    picks = draw(st.lists(points | st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40))
+    return mix, np.array(picks)
+
+
+class TestComponentPick:
+    """sample_mixture counts the inner edges at or below each uniform: the
+    index of a binary search, capped at the last component."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mixtures_and_picks())
+    def test_edge_count_is_the_capped_binary_search(self, case):
+        mix, picks = case
+        quantiles = np.linspace(0.01, 0.99, picks.size)
+        draws = sample_mixture(mix, picks.size, _Uniforms(picks, quantiles))
+        assert draws.tobytes() == _searchsorted_draws(mix, picks, quantiles).tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_generator_draws_are_the_reference_bytes(self, k):
+        # The same two uniform arrays are consumed, in the same order.
+        proportions = tuple(np.full(k, 1.0 / k).tolist())
+        mix = GaussianMixture(proportions=proportions, means=tuple(range(k)), stds=tuple(range(1, k + 1)))
+        draws = sample_mixture(mix, 10_000, replication_rng(29, 10_000, k))
+        rng = replication_rng(29, 10_000, k)
+        picks = rng.random(10_000)
+        assert draws.tobytes() == _searchsorted_draws(mix, picks, rng.random(10_000)).tobytes()
 
 
 def _single_cell(cfg, method, sample_size, node_count, gamma):
@@ -135,6 +197,16 @@ class TestRunExperiment:
         a = run_experiment(SMALL_CFG).to_csv()
         b = run_experiment(SMALL_CFG).to_csv()
         assert a == b
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_default_study_tables_keep_their_digest(self, jobs):
+        # The paper's tables at 20 replications of the default grid.  Unlike
+        # to_csv() they read the same under AVX-512 and AVX2 dispatch, so a
+        # change that moves a reported digit fails here on any x86 CPU.
+        report = run_experiment(ExperimentConfig(replications=20), jobs=jobs)
+        assert hashlib.sha256(report.format_tables().encode()).hexdigest() == (
+            "6b55b7fdaca4f1a4aaa7a378f301bccb9ab3f05312886d5a818f7d6a31246ee5"
+        )
 
     def test_parallel_matches_serial(self):
         serial = run_experiment(SMALL_CFG, jobs=1)

@@ -12,7 +12,9 @@ from npgq import (
     DegenerateDataError,
     DiscreteDistribution,
     InputError,
+    MaxEntSolution,
     NotPositiveDefiniteError,
+    NumericalError,
     discretize_data,
     expectation,
     gauss_hermite_discretize,
@@ -20,12 +22,13 @@ from npgq import (
     maxent_solve,
     sample_moments,
 )
-from npgq.experiments import replication_rng, sample_mixture
-from npgq.moments import _Lanczos
+from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
+from npgq.moments import Sample, _Lanczos
 from npgq.quadrature import _columns, _gauss_rule, _standard_normal_rule, _sum0
 
 from _oracles import (
     MomentSequence,
+    eigh_tridiagonal_rule,
     gaussian_moments,
     golub_welsch,
     jacobi_from_moments,
@@ -62,6 +65,78 @@ class TestTypes:
         with pytest.raises(InputError) as info:
             DiscreteDistribution(nodes=nodes, weights=weights)
         assert str(info.value) == message
+
+
+# Each way a caller may hand over the nodes and weights of a rule.
+_FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "ndarray": np.array,
+    "float32": lambda v: np.array(v, dtype=np.float32),
+    "int": lambda v: np.array(v, dtype=np.int64),
+    "strided": lambda v: np.repeat(np.asarray(v, dtype=float), 2)[::2],
+}
+# Rules whose values are dyadic, so every form holds them exactly.
+_RULES = [((-1.5, 0.25, 2.0), (0.25, 0.5, 0.25)), ((-3.0, 0.0, 1.0, 7.0), (1.0, 2.0, 3.0, 4.0)), ((5.0,), (1.0,))]
+_SOLUTION = functools.partial(MaxEntSolution, n_matched=4, downgraded=False, iterations=3)
+
+
+class TestValidatedInput:
+    """One validation, whatever container the values arrive in."""
+
+    @pytest.mark.parametrize("make", [DiscreteDistribution, _SOLUTION], ids=["rule", "maxent"])
+    @pytest.mark.parametrize("form, nodes, weights", [
+        (form, nodes, weights) for nodes, weights in _RULES for form in _FORMS
+        if form != "int" or all(float(v).is_integer() for v in nodes + weights)
+    ])
+    def test_every_form_stores_the_same_float_tuples(self, make, form, nodes, weights):
+        stored = make(nodes=_FORMS[form](nodes), weights=_FORMS[form](weights))
+        assert stored.nodes == tuple(map(float, nodes)) and stored.weights == tuple(map(float, weights))
+        assert {type(v) for v in stored.nodes + stored.weights} == {float}
+
+    def test_float32_values_are_widened_exactly(self):
+        nodes = np.array([-0.1, 0.3, 0.7], dtype=np.float32)
+        weights = np.array([0.2, 0.5, 0.3], dtype=np.float32)
+        rule = DiscreteDistribution(nodes=nodes, weights=weights)
+        assert rule.nodes == tuple(float(v) for v in nodes) == tuple(nodes.astype(float).tolist())
+        assert rule.weights == tuple(float(v) for v in weights)
+
+    # Inputs with more than one fault: the first check in the documented order
+    # (length, finiteness, order, sign) names the fault.
+    @pytest.mark.parametrize("nodes, weights, message", [
+        ((), (), "nodes and weights must be nonempty and equal-length"),
+        ((math.nan, 1.0), (0.0,), "nodes and weights must be nonempty and equal-length"),
+        ((2.0, 1.0, math.inf), (0.5, 0.5, 0.0), "nodes and weights must be finite"),
+        ((0.0, 1.0), (-math.inf, 0.5), "nodes and weights must be finite"),
+        ((2.0, 1.0), (math.nan, 0.5), "nodes and weights must be finite"),
+        ((1.0, 0.0), (0.5, 0.0), "nodes must be strictly increasing"),
+        ((0.0, 1.0, 1.0), (-0.5, 0.5, 0.5), "nodes must be strictly increasing"),
+        ((0.0, -0.0), (1.0, 1.0), "nodes must be strictly increasing"),
+        ((0.0, 1.0), (0.5, -0.0), "weights must be strictly positive"),
+        ((0.0, 1.0, 2.0), (0.5, -1.0, 0.5), "weights must be strictly positive"),
+    ])
+    @pytest.mark.parametrize("make", [DiscreteDistribution, _SOLUTION], ids=["rule", "maxent"])
+    @pytest.mark.parametrize("form", ["tuple", "list", "ndarray", "float32"])
+    def test_each_fault_keeps_its_message_and_precedence(self, make, form, nodes, weights, message):
+        with pytest.raises(InputError) as info:
+            make(nodes=_FORMS[form](nodes), weights=_FORMS[form](weights))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("nodes, weights, message", [
+        ((0, 0), (1, 1), "nodes must be strictly increasing"),
+        ((0, 1), (1, 0), "weights must be strictly positive"),
+    ])
+    def test_integer_faults_keep_their_messages(self, nodes, weights, message):
+        for form in ("tuple", "int"):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                DiscreteDistribution(nodes=_FORMS[form](nodes), weights=_FORMS[form](weights))
+
+    def test_complex_values_are_a_type_error_in_every_form(self):
+        # float() of a Python complex is a TypeError; an array's values are
+        # Python scalars before the cast, so an array gives the same error.
+        for nodes in ((0.0, 1.0 + 0.0j), np.array([0.0, 1.0 + 0.0j])):
+            with pytest.raises(TypeError, match="not 'complex'"):
+                DiscreteDistribution(nodes=nodes, weights=(0.5, 0.5))
 
 
 class TestHankelMatrix:
@@ -168,6 +243,51 @@ class TestTridiagonalEigen:
                 assert weights[k] > 0.0
                 assert weights[k] == pytest.approx(vec[0] ** 2, rel=1e-12, abs=1e-14)
             assert weights.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+class TestDirectEigensolve:
+    """``_gauss_rule`` calls LAPACK ``dstevd`` itself: the bytes of scipy's
+    ``eigh_tridiagonal``, which calls that routine for the whole spectrum."""
+
+    @staticmethod
+    def _assert_reference_bytes(diag, offdiag) -> bool:
+        """The reference's nodes and weights, or, where one of its weights is
+        0, the underflow error; says whether the error was raised."""
+        ref_nodes, ref_weights = eigh_tridiagonal_rule(diag, offdiag)
+        if min(ref_weights) == 0.0:
+            with pytest.raises(NumericalError) as info:
+                _gauss_rule(diag, offdiag)
+            assert str(info.value) == f"a weight of the {len(diag)}-node rule underflows to 0 -- reduce N"
+            return True
+        nodes, weights = _gauss_rule(diag, offdiag)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+        return False
+
+    def test_random_jacobi_matrices(self):
+        # Positive off-diagonals over many scales, one in three matrices with
+        # a near split; N past 25 takes dstevd's divide and conquer.  Random
+        # entries localize the eigenvectors, so some outer weights underflow.
+        rng = np.random.default_rng(29)
+        underflows = 0
+        for n in [*range(1, 41), *rng.integers(41, 201, 160).tolist()]:
+            scale = 10.0 ** rng.uniform(-3, 3)
+            diag = scale * 0.05 * rng.standard_normal(n)
+            offdiag = scale * rng.uniform(0.3, 0.7, n - 1)
+            if n % 3 == 0:
+                offdiag[rng.integers(n - 1)] *= 1e-6
+            underflows += self._assert_reference_bytes(diag, offdiag)
+        assert 0 < underflows < 60
+
+    def test_hermite_recurrence(self):
+        underflows = [n for n in range(1, 201) if self._assert_reference_bytes(np.zeros(n), np.sqrt(np.arange(1.0, n)))]
+        assert underflows[0] == 147 and underflows[-1] == 200
+
+    def test_lanczos_matrices_of_study_samples(self):
+        for t in (100, 1000, 10000):
+            sample = Sample(sample_mixture(DEFAULT_MIXTURE, t, replication_rng(0, t, 0)))
+            for n in (1, 3, 5, 7, 9, 20):
+                self._assert_reference_bytes(*sample.jacobi(n))
 
 
 class TestGolubWelsch:
