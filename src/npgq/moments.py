@@ -3,9 +3,9 @@
 Data is standardized (mean 0, std 1, population divisor ``1/I``) before
 any rule is built; Gaussian quadrature commutes with affine maps, so
 nodes are mapped back afterwards at no cost in accuracy.  The mean and
-variance are exactly rounded sums, taken by :func:`_exact_sum`: integer
-mantissa halves summed per binary exponent over cache-sized blocks of
-the data (a superaccumulator), which gives ``math.fsum``'s value bit for
+variance are exactly rounded sums, taken by :func:`_exact_sum`: error-free
+extraction splits blocks of the data into parts on power-of-two grids
+whose sums are exact, added as one integer: ``math.fsum``'s value bit for
 bit.  A :class:`Sample` keeps, on first use, its data's standardization
 (``transform`` and ``z``, the package's one route to it) and the Lanczos
 state of its empirical measure (:class:`_Lanczos`), shared by every
@@ -40,9 +40,6 @@ _MAX_BASIS_BYTES = 2**30
 # built from it stay in cache, where a full-size temporary of a large
 # sample is a fresh allocation per pass.
 _BLOCK = 2**13
-# frexp exponents of nonzero doubles run from -1073 to 1024.
-_EXP_BIAS = 1073
-_EXP_BINS = _EXP_BIAS + 1025
 
 __all__ = [
     "AffineTransform",
@@ -149,59 +146,61 @@ def _blocks(x: np.ndarray):
     return (x[i : i + _BLOCK] for i in range(0, x.size, _BLOCK))
 
 
-def _exact_sum(blocks) -> float:
+def _exact_sum(blocks, bound: float) -> float:
     """Exactly rounded sum of the finite values in ``blocks``, arrays of at
-    most :data:`_BLOCK` float64 values: the value ``math.fsum`` gives, bit
-    for bit.  Raises :class:`OverflowError` when the sum is past the float
-    range.
+    most :data:`_BLOCK` float64 values of magnitude at most ``bound``: the
+    value ``math.fsum`` gives, bit for bit.  Raises :class:`OverflowError`
+    when the sum is past the float range.
 
-    Each value is ``m * 2**e`` with ``0.5 <= |m| < 1`` (``np.frexp``), and
-    ``m * 2**27`` splits into an integer below 2**27 and a fraction on the
-    2**-26 grid.  ``np.bincount`` sums each part per exponent ``e``, over
-    the exponents the block holds only; a sum of at most 2**13 such terms
-    needs fewer than 53 bits, so it is exact, and the block totals are
-    kept as integers (``hi``, and ``lo`` in units of 2**-26; int64 holds
-    them for any array below 2**36 values).  The per-exponent totals are
-    then added as one Python integer and divided by a power of two once,
-    which rounds correctly.
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
+    2008): for values within ``2**e``, ``hi = (v + 2**(e+13)) - 2**(e+13)``
+    puts each on the ``2**(e-40)`` grid, ``v - hi`` is exact and within
+    ``2**(e-40)``, and 2**13 such ``hi`` sum exactly in any order.  Each
+    pass peels the remainders 40 bits lower; two finish every value within
+    2**27 of the bound, so later passes take only the nonzero ones.  The
+    pass sums add up as one integer in units of 2**-1074, rounded once.
+    Where ``2**(e+13)`` would overflow, a block's values from 2**1000 up
+    are summed in units of 2**-100 apart from the rest.
     """
-    hi = np.zeros(_EXP_BINS, np.int64)
-    lo = np.zeros(_EXP_BINS, np.int64)
-    first, last = _EXP_BINS, 0
+    top = math.frexp(bound)[1]  # 2**(top-1) <= bound < 2**top
+    high, low = np.empty(_BLOCK), np.empty(_BLOCK)
+    total = 0
     for block in blocks:
-        part, e = np.frexp(block)
-        part *= 2.0**27
-        whole = np.trunc(part)
-        part -= whole
-        low = int(np.minimum.reduce(e))
-        e -= low
-        span = int(np.maximum.reduce(e)) + 1
-        bins = slice(low + _EXP_BIAS, low + _EXP_BIAS + span)
-        hi[bins] += np.bincount(e, whole, span).astype(np.int64)
-        lo[bins] += (np.bincount(e, part, span) * 2.0**26).astype(np.int64)
-        first, last = min(first, bins.start), max(last, bins.stop)
-    # Bucket j holds (hi * 2**26 + lo) * 2**(j - _EXP_BIAS - 53).
-    total = sum(
-        ((h << 26) + l) << j
-        for j, h, l in zip(range(first, last), hi[first:last].tolist(), lo[first:last].tolist())
-    )
-    return total / (1 << (_EXP_BIAS + 53))
+        parts = ((block, top, 0),)
+        if top > 1010:
+            big = np.abs(block) >= 2.0**1000
+            parts = ((block[big] * 2.0**-100, 924, 100), (block[~big], 1000, 0))
+        for v, e, scale in parts:
+            while v.size:
+                sigma = 2.0 ** (e + 13)
+                hi = np.add(v, sigma, out=high[: v.size])
+                hi -= sigma
+                num, den = float(np.add.reduce(hi)).as_integer_ratio()
+                total += num << (1075 + scale - den.bit_length())  # den is a power of two
+                v = np.subtract(v, hi, out=low[: v.size])
+                if e < top:  # from the second pass on, few remainders are left
+                    v = v[v != 0]
+                e -= 40
+    return total / (1 << 1074)
 
 
 def _mean_std(x: np.ndarray) -> tuple[float, float]:
     """Sample mean and population std (divisor ``I``) of a clean array.
 
-    Both sums are exactly rounded (:func:`_exact_sum`); the squared
-    deviations are formed one block at a time.
+    Both sums are exactly rounded (:func:`_exact_sum`), bounded by the
+    extremes; the squared deviations are formed one block at a time.
     """
     n = x.size
+    xmax, xmin = float(x.max()), float(x.min())
     try:
-        mean = _exact_sum(_blocks(x)) / n
-        # Every squared deviation is finite when the widest one is.
-        widest = max(float(x.max()) - mean, mean - float(x.min()))
-        if math.isinf(widest * widest):
+        mean = _exact_sum(_blocks(x), max(xmax, -xmin)) / n
+        widest = max(xmax - mean, mean - xmin)
+        # Every squared deviation is finite, and at most ``bound``, when the widest one is.
+        if math.isinf(bound := widest * widest):
             raise OverflowError
-        var = _exact_sum((b - mean) ** 2 for b in _blocks(x)) / n
+        d = np.empty(min(n, _BLOCK))
+        squares = (np.square(np.subtract(b, mean, out=d[: b.size]), out=d[: b.size]) for b in _blocks(x))
+        var = _exact_sum(squares, bound) / n
     except OverflowError:  # a sum or a square past the float range
         var = math.inf
     if not math.isfinite(var):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -121,10 +122,11 @@ _ADVERSARIAL = {
     "near-1.7e308": lambda rng, n: 1.7e308 * (1.0 - 1e-3 * rng.random(n)) * np.resize([1.0, -1.0], n),
     "zeros-and-5e-324": lambda rng, n: rng.choice([0.0, -0.0, 5e-324, -5e-324], n),
 }
+_DBL_MAX = float(np.finfo(float).max)
 
 
 class TestExactSum:
-    """The blocked superaccumulator gives ``math.fsum``'s value bit for bit."""
+    """Error-free extraction gives ``math.fsum``'s value bit for bit."""
 
     @staticmethod
     def assert_fsum_bits(values):
@@ -132,7 +134,8 @@ class TestExactSum:
             want = math.fsum(values)
         except OverflowError:  # fsum's partials left the float range
             return
-        got = _exact_sum(_blocks(np.asarray(values, dtype=float)))
+        values = np.asarray(values, dtype=float)
+        got = _exact_sum(_blocks(values), np.max(np.abs(values), initial=0.0))
         assert got.hex() == want.hex()
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60))
@@ -147,9 +150,80 @@ class TestExactSum:
         self.assert_fsum_bits(values)
 
     def test_sums_past_the_float_range_overflow(self):
+        values = np.array([1.7e308, 1.7e308])
         with pytest.raises(OverflowError):
-            _exact_sum(_blocks(np.array([1.7e308, 1.7e308])))
-        assert _exact_sum(_blocks(np.array([1.7e308, 1.7e308, -1.7e308]))) == 1.7e308
+            _exact_sum(_blocks(values), np.max(np.abs(values)))
+        values = np.array([1.7e308, 1.7e308, -1.7e308])
+        assert _exact_sum(_blocks(values), np.max(np.abs(values))) == 1.7e308
+
+    def test_a_block_spanning_every_exponent(self):
+        # One value in each binade from 2**-1074 to 2**1023, signs alternating
+        # so that fsum's partials stay in range: about 50 peels of 40 bits.
+        k = np.arange(-1074, 1024)
+        rng = np.random.default_rng(30)
+        values = np.ldexp(rng.uniform(0.5, 1.0, k.size), k + 1) * np.resize([1.0, -1.0], k.size)
+        assert math.isfinite(math.fsum(values))
+        self.assert_fsum_bits(values)
+        self.assert_fsum_bits(rng.permutation(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [2.0**1010, -(2.0**1010), 5e-324],
+            [2.0**1000, -np.nextafter(2.0**1000, 0.0), 3e-300, -5e-324],
+            [_DBL_MAX, -_DBL_MAX, 5e-324, -2.2e-308, 1e-310],
+            [2.0**1011, -_DBL_MAX, 2.2250738585072e-308, -5e-324, _DBL_MAX, -(2.0**1011)],
+        ],
+    )
+    def test_bounds_near_the_float_limit_split_the_block(self, values):
+        tiled = np.tile(values, _BLOCK // len(values) + 1)  # a block of both parts, then a short one
+        for v in (values, tiled):
+            assert math.isfinite(math.fsum(v))
+            self.assert_fsum_bits(v)
+
+    def test_sums_next_to_the_largest_double(self):
+        # The largest double's ulp is 2**971: a sum below the halfway point
+        # rounds down to it, and the halfway point itself rounds to 2**1024.
+        for values in ([_DBL_MAX, 2.0**969, 5e-324], [_DBL_MAX, 2.0**970, -5e-324], [-_DBL_MAX, -(2.0**970), 1e-300]):
+            self.assert_fsum_bits(values)
+            assert abs(_exact_sum(_blocks(np.array(values)), _DBL_MAX)) == _DBL_MAX
+        with pytest.raises(OverflowError):
+            _exact_sum(_blocks(np.array([_DBL_MAX, 2.0**970])), _DBL_MAX)
+
+    @pytest.mark.parametrize("top", [2.0**-1074, 2.0**-1000, 1.0, 2.0**52, 2.0**1009, 2.0**1010])
+    def test_a_bound_that_is_a_power_of_two(self, top):
+        # A full block at the bound itself, around finer values.
+        rng = np.random.default_rng(31)
+        values = np.concatenate([np.full(_BLOCK - 8, top), -top * rng.random(8)])
+        assert np.max(np.abs(values)) == top
+        self.assert_fsum_bits(values)
+        self.assert_fsum_bits(-values)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_full_blocks_of_one_sign(self, split):
+        # Negative values within a factor of 2 of the bound land on the finest
+        # grid an extraction gives, so a full block of them sums to 53 bits.
+        # Each block is followed by its negation in another order: the total is
+        # 0, and a rounded block sum would show.  With ``split``, two values at
+        # 2**1010 make the bound take the near-limit split, under which the
+        # values from 2**1000 up are summed apart.
+        rng = np.random.default_rng(33)
+        scale = 2.0**1000 if split else 1.0
+        for _ in range(8):
+            block = -scale * rng.uniform(1.0, 2.0, _BLOCK)
+            values = np.concatenate([block, -rng.permutation(block)] + [[2.0**1010, -(2.0**1010)]] * split)
+            assert math.fsum(values) == 0.0
+            self.assert_fsum_bits(values)
+
+    @pytest.mark.parametrize("bound", [1e3, 1e150, 1e300, 1.7e308])
+    def test_a_bound_far_above_the_data(self, bound):
+        values = np.random.default_rng(32).standard_normal(_BLOCK + 5)
+        assert _exact_sum(_blocks(values), bound).hex() == math.fsum(values).hex()
+
+    def test_zeros_of_either_sign(self):
+        for values in ([0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0] * _BLOCK):
+            self.assert_fsum_bits(values)
+            assert _exact_sum(_blocks(np.array(values)), 1.0).hex() == "0x0.0p+0"
 
 
 class TestMeanStd:
@@ -166,6 +240,30 @@ class TestMeanStd:
         x = sample_mixture(DEFAULT_MIXTURE, 100_000, np.random.default_rng(seed))
         got, want = _mean_std(x), fsum_mean_std(x)
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @given(
+        pool=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+        size=st.integers(1, 3 * _BLOCK + 7),
+        draw=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_array_matches_fsum(self, pool, size, draw):
+        x = np.array(pool)[np.random.default_rng(draw).integers(0, len(pool), size)]
+        try:
+            with np.errstate(over="ignore"):  # a square past the float range makes fsum's std inf
+                want = fsum_mean_std(x)
+        except OverflowError:  # fsum's partials left the float range
+            want = (math.inf, math.inf)
+        if not math.isfinite(want[1]):
+            # Past fsum's range: an InputError, or a finite result where only
+            # fsum's partials overflowed.
+            with contextlib.suppress(InputError):
+                assert all(map(math.isfinite, _mean_std(x)))
+        elif want[1] == 0.0:
+            with pytest.raises(DegenerateDataError):
+                _mean_std(x)
+        else:
+            assert [v.hex() for v in _mean_std(x)] == [v.hex() for v in want]
 
     def test_memory_is_bounded_by_the_block(self):
         # A full-size (x - mean) ** 2 on a million points alone is 8 MB.
