@@ -89,15 +89,18 @@ def kde_pdf(data, bandwidth: float, x):
     # subnormal or 0 result, so those lanes take the argument 0, then the
     # term 0.  Rounding is monotone, so a block's lowest k is at its largest
     # point less the data's min or its smallest less the data's max: a block
-    # with neither past the cut skips the search for far lanes.
+    # with neither past the cut skips the search for far lanes.  The two
+    # block buffers are allocated once per call: a fresh pair per row of a
+    # long sample is fresh memory from the allocator, page faults and all.
     lo, hi, points = float(data.min()), float(data.max()), pts.tolist()
     rows = max(1, _BLOCK // data.size)
     sums = np.empty(pts.size)
+    zbuf, kbuf = np.empty((2, min(rows, pts.size), data.size))
     with np.errstate(over="ignore"):  # an overflowed lane is a far lane: its term is 0
         for i in range(0, pts.size, rows):
-            z = pts[i : i + rows, None] - data[None, :]
+            z = np.subtract(pts[i : i + rows, None], data[None, :], out=zbuf[: min(rows, pts.size - i)])
             z /= bandwidth
-            k = -0.5 * z
+            k = np.multiply(-0.5, z, out=kbuf[: z.shape[0]])
             k *= z
             u, v = (max(points[i : i + rows]) - lo) / bandwidth, (min(points[i : i + rows]) - hi) / bandwidth
             far = np.flatnonzero(k < _LOG_TINY) if min(-0.5 * u * u, -0.5 * v * v) < _LOG_TINY else slice(0)

@@ -7,23 +7,28 @@ variance are exactly rounded sums, taken by :func:`_exact_sum`: error-free
 extraction splits blocks of the data into parts on power-of-two grids
 whose sums are exact, added as one integer: ``math.fsum``'s value bit for
 bit.  A :class:`Sample` keeps, on first use, its data's standardization
-(``transform`` and ``z``, the package's one route to it) and the Lanczos
-state of its empirical measure (:class:`_Lanczos`), shared by every
-discretizer handed the same ``Sample``.  k Lanczos steps fix the first
-2k moments, so np-gq's rules and np-me's moment targets read one Jacobi
-matrix; a shorter request is a prefix of it, a longer one extends it.
+(``transform`` and ``z``, the package's one route to it) and, up to
+:data:`_LANCZOS_BLOCK` points, the Lanczos state of its empirical measure
+(:class:`_Lanczos`), shared by every discretizer handed the same
+``Sample``.  k Lanczos steps fix the first 2k moments, so np-gq's rules
+and np-me's moment targets read one Jacobi matrix; a shorter request is a
+prefix of it, a longer one extends it.  A longer sample's matrix is
+merged from its blocks' Gauss rules (:func:`_merged_jacobi`), which is
+why the Golub-Welsch eigensolve (:func:`_gauss_rule`) lives here.
 :func:`sample_moments` (raw moments summed by ``math.fsum``) is the
 independent reference ``npgq discretize --verify`` checks against.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dstevd
 
-from .errors import DegenerateDataError, InputError
+from .errors import DegenerateDataError, InputError, NumericalError
 
 # Lanczos breakdown floor: an off-diagonal entry at or below this fraction
 # of max|x| (the norm of diag(x)) is rounding noise, meaning the measure's
@@ -35,6 +40,12 @@ _ORTH_RTOL = 2.0**-47
 # Most bytes a Lanczos basis (N rows of T doubles) may take: a larger one
 # is refused before it is allocated.
 _MAX_BASIS_BYTES = 2**30
+# Most data points one Lanczos run takes (C): a longer sample is split into
+# blocks of C values, merged through their Gauss rules (:func:`_merged_jacobi`).
+# At 10 000 every study sample is one block, run directly, and C is below the
+# size from which the bundled OpenBLAS splits a product's sum over threads,
+# so the bits do not depend on the thread count.  Not a user option.
+_LANCZOS_BLOCK = 10_000
 
 # Values per block of a pass over the data: a block and the temporaries
 # built from it stay in cache, where a full-size temporary of a large
@@ -212,6 +223,24 @@ def _mean_std(x: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
+def _gauss_rule(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gaussian rule of a Jacobi matrix, of total mass 1.
+
+    The nodes are the eigenvalues, ascending; the weights are the squared first
+    components of the unit eigenvectors, by LAPACK ``dstevd``: the bytes of
+    ``scipy.linalg.eigh_tridiagonal``, which runs it, without that wrapper's checks.
+    An outer weight underflowing to 0 (large N) or the eigensolver not
+    converging (unreachable for positive off-diagonals) raises :class:`NumericalError`.
+    """
+    nodes, vecs, info = dstevd(diag, offdiag if len(diag) > 1 else (0.0,), compute_v=1)  # f2py wants max(N-1, 1)
+    if info:  # pragma: no cover - defensive
+        raise NumericalError(f"tridiagonal eigensolver failed: LAPACK dstevd info {info}")
+    weights = vecs[0, :] ** 2
+    if not np.all(weights > 0.0):
+        raise NumericalError(f"a weight of the {nodes.size}-node rule underflows to 0 -- reduce N")
+    return nodes, weights
+
+
 class _Lanczos:
     """Jacobi matrix of the discrete measure with point ``x[i]`` of mass
     ``start[i]**2``, extended step by step as longer prefixes are asked for.
@@ -224,26 +253,21 @@ class _Lanczos:
     projection is above :data:`_ORTH_RTOL` of its norm (Parlett & Scott's
     selective reorthogonalization).  A step is the same arithmetic whatever
     the requests before it, so every prefix equals a fresh run bit for bit.
+    The caller bounds the basis (``N`` rows of ``T`` doubles) it may build.
     """
 
     def __init__(self, x: np.ndarray, start):
         self._x, self._support = x, x.size  # a measure on T points has at most T
-        self._floor = _BREAKDOWN_RTOL * float(np.max(np.abs(x)))
+        self._floor = _BREAKDOWN_RTOL * max(float(x.max()), -float(x.min()))  # max|x|, with no temporary
         self._q = np.full((1, x.size), start)
         self._diag, self._offdiag = [], []
         self._w, self._s = np.empty(x.size), np.empty(x.size)  # x * q[k] of the last row k; scratch
 
     def jacobi(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``(diag, offdiag)`` after ``min(n, T)`` steps (``n >= 1``), or after
-        k steps when the measure has only k support points (breakdown).  A
-        basis past :data:`_MAX_BASIS_BYTES` raises :class:`InputError`."""
-        if n < 1:
-            raise InputError(f"Jacobi matrix order must be >= 1, got {n}")
+        k steps when the measure has only k support points (breakdown)."""
         n = min(n, self._support)
         if self._q.shape[0] < n:  # room for n rows, as a fresh n-step run has
-            if (size := 8 * n * self._x.size) > _MAX_BASIS_BYTES:
-                raise InputError(f"a {n}-step Lanczos basis on {self._x.size} points needs {size} bytes, "
-                                 f"past the {_MAX_BASIS_BYTES}-byte limit -- reduce N")
             self._q, rows = np.empty((n, self._x.size)), self._q
             self._q[: rows.shape[0]] = rows
         while len(self._diag) < n:
@@ -269,6 +293,45 @@ class _Lanczos:
             np.multiply(self._x, self._q[k], out=self._w)
             self._diag.append(self._q[k] @ self._w)
         return np.array(self._diag[:n]), np.array(self._offdiag[: n - 1])
+
+
+def _check_basis(n: int, points: int) -> None:
+    """Refuse an ``n``-row Lanczos basis on ``points`` points past :data:`_MAX_BASIS_BYTES`."""
+    if (size := 8 * n * points) > _MAX_BASIS_BYTES:
+        raise InputError(f"a {n}-step Lanczos basis on {points} points needs {size} bytes, "
+                         f"past the {_MAX_BASIS_BYTES}-byte limit -- reduce N")
+
+
+def _merged_jacobi(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi matrix of the empirical measure of the concatenated ``blocks``
+    after at most ``n`` steps, with no Lanczos run on more than one block.
+
+    A block's n-point Gauss rule has the block's moments up to order
+    ``2n - 1``, so the union of the block rules, each weight scaled by its
+    block's share of the points, has the data's; an n-step Jacobi matrix
+    depends on nothing else (Gautschi, *Orthogonal Polynomials*, 2004,
+    section 2.2).  A block of at most n points, or whose Lanczos breaks down
+    before n steps, or whose rule has a weight underflowing to 0, enters as
+    its atoms instead, each of mass count / T: a rule rounded from tied
+    data would spread each atom into a cluster that no longer breaks down.
+    Equal points of the union are merged, and Lanczos runs on the union.
+    """
+    total = sum(block.size for block in blocks)
+    points, masses = [], []
+    for block in blocks:
+        rule = None
+        if block.size > n and (jacobi := _Lanczos(block, 1.0 / math.sqrt(block.size)).jacobi(n))[0].size == n:
+            with contextlib.suppress(NumericalError):  # a weight underflowed
+                nodes, weights = _gauss_rule(*jacobi)
+                rule = nodes, weights * (block.size / total)
+        if rule is None:
+            atoms, counts = np.unique(block, return_counts=True)
+            rule = atoms, counts / total
+        points.append(rule[0])
+        masses.append(rule[1])
+    nodes, at = np.unique(np.concatenate(points), return_inverse=True)
+    _check_basis(n, nodes.size)  # past the caller's count only where a rule underflowed
+    return _Lanczos(nodes, np.sqrt(np.bincount(at, np.concatenate(masses)))).jacobi(n)
 
 
 class Sample:
@@ -315,6 +378,26 @@ class Sample:
 
     def jacobi(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Jacobi matrix ``(diag, offdiag)`` of the empirical measure of
-        :attr:`z` after ``min(n, T)`` steps, or fewer at a breakdown.  A longer
-        request reallocates the basis and copies its rows: ask for the largest N first."""
-        return self._lanczos.jacobi(n)
+        :attr:`z` after ``min(n, T)`` steps, or fewer at a breakdown.
+
+        Up to :data:`_LANCZOS_BLOCK` points (C) it is the sample's one kept
+        Lanczos run, so a shorter request is a prefix of a longer one bit
+        for bit; a longer request reallocates the basis and copies its rows:
+        ask for the largest N first.  Past C, every call merges the blocks'
+        rules afresh (:func:`_merged_jacobi`), depends only on the data and
+        ``n``, and takes ``n * C`` doubles plus the union of the rules: at
+        most ``n`` points per block, so at most C points while ``T * n`` is
+        below about ``C**2`` (10**8).  A basis past :data:`_MAX_BASIS_BYTES`
+        (``n`` rows of T points up to C, of the union past it) raises
+        :class:`InputError` before it is allocated.
+        """
+        if n < 1:
+            raise InputError(f"Jacobi matrix order must be >= 1, got {n}")
+        z = self.z
+        n = min(n, z.size)
+        if z.size <= _LANCZOS_BLOCK:
+            _check_basis(n, z.size)
+            return self._lanczos.jacobi(n)
+        blocks = [z[i : i + _LANCZOS_BLOCK] for i in range(0, z.size, _LANCZOS_BLOCK)]
+        _check_basis(n, sum(min(n, block.size) for block in blocks))
+        return _merged_jacobi(blocks, n)

@@ -2,21 +2,23 @@
 
 One pipeline: a Jacobi matrix, held as its diagonal and off-diagonal
 float arrays, then one symmetric-tridiagonal eigensolve (Golub-Welsch, one
-LAPACK ``dstevd`` call): the eigenvalues are the nodes, and the squared
-first eigenvector components are the weights.  The rule integrates
-polynomials up to degree ``2N - 1`` exactly, so it depends only on the
-first ``2N`` moments of the measure.
+LAPACK ``dstevd`` call, :func:`~npgq.moments._gauss_rule`, which sits next
+to Lanczos because merging a long sample's blocks needs it too): the
+eigenvalues are the nodes, and the squared first eigenvector components
+are the weights.  The rule integrates polynomials up to degree ``2N - 1``
+exactly, so it depends only on the first ``2N`` moments of the measure.
 
 One route to a data set's Jacobi matrix: Lanczos on its empirical
 measure (:class:`~npgq.moments.Sample`), which works on the points
 themselves and never forms their ill-conditioned high-order moments.
-:func:`discretize_data` takes the leading N steps of the Lanczos state a
-:class:`~npgq.moments.Sample` keeps for its standardized data, so the
-rule matches the first ``2N - 1`` sample moments and every node count
-shares one Lanczos run.  Lanczos breaks down after k steps when the
-measure has only k support points: that is the node limit for that
-measure.  The Gauss-Hermite rule (:func:`_standard_normal_rule`) needs
-no Lanczos: its Jacobi matrix is known.  The true optimal share's rule
+:func:`discretize_data` takes the N-step Jacobi matrix of a
+:class:`~npgq.moments.Sample`'s standardized data, so the rule matches the
+first ``2N - 1`` sample moments; up to 10 000 points every node count
+shares one Lanczos run, and past that the matrix is merged from blocks.
+Lanczos breaks down after k steps when the measure has only k support
+points: that is the node limit for that measure.  The Gauss-Hermite rule
+(:func:`_standard_normal_rule`) needs no Lanczos: its Jacobi matrix is
+known.  The true optimal share's rule
 (:func:`_mixture_rule`) needs neither: it is the union of the mixture's
 component Gauss-Hermite rules, exact for each component and so for the
 mixture.
@@ -34,15 +36,13 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dstevd
 
 from .errors import (
     DegenerateDataError,
     InputError,
     NotPositiveDefiniteError,
-    NumericalError,
 )
-from .moments import GaussianMixture, Sample
+from .moments import GaussianMixture, Sample, _gauss_rule
 
 __all__ = [
     "DiscreteDistribution",
@@ -87,24 +87,6 @@ def _node_count_error(n, least: int) -> InputError | None:
     except TypeError:
         return InputError(f"node count must be an integer, got {n!r}")
     return InputError(f"node count must be >= {least}, got {n}") if n < least else None
-
-
-def _gauss_rule(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gaussian rule of a Jacobi matrix, of total mass 1.
-
-    The nodes are the eigenvalues, ascending; the weights are the squared first
-    components of the unit eigenvectors, by LAPACK ``dstevd``: the bytes of
-    ``scipy.linalg.eigh_tridiagonal``, which runs it, without that wrapper's checks.
-    An outer weight underflowing to 0 (large N) or the eigensolver not
-    converging (unreachable for positive off-diagonals) raises :class:`NumericalError`.
-    """
-    nodes, vecs, info = dstevd(diag, offdiag if len(diag) > 1 else (0.0,), compute_v=1)  # f2py wants max(N-1, 1)
-    if info:  # pragma: no cover - defensive
-        raise NumericalError(f"tridiagonal eigensolver failed: LAPACK dstevd info {info}")
-    weights = vecs[0, :] ** 2
-    if not np.all(weights > 0.0):
-        raise NumericalError(f"a weight of the {nodes.size}-node rule underflows to 0 -- reduce N")
-    return nodes, weights
 
 
 @lru_cache(maxsize=32)

@@ -12,7 +12,8 @@ derivative at rate 1, which checks a share whatever steps found it;
 ``maxent_dual`` exposes np-me's tilting dual for finite-difference
 checks.  ``one_shot_lanczos`` is the
 fixed-length Lanczos run the incremental Lanczos state replaced, kept as
-its bit-for-bit reference; ``cgs2_lanczos`` is the same run with full
+its bit-for-bit reference, and ``merged_lanczos`` the block-merged route
+past ``_LANCZOS_BLOCK`` points built from it; ``cgs2_lanczos`` is the same run with full
 reorthogonalization (classical Gram-Schmidt twice against every earlier
 row) in place of the three-term recurrence and its measured projections,
 kept as the accuracy reference; and ``fsum_mean_std`` the two ``math.fsum``
@@ -54,7 +55,7 @@ from npgq import (
     UnboundedError,
 )
 from npgq.baselines import _MOMENTS, _stack, _values
-from npgq.moments import _BREAKDOWN_RTOL, _ORTH_RTOL, _Lanczos
+from npgq.moments import _BREAKDOWN_RTOL, _LANCZOS_BLOCK, _ORTH_RTOL, _Lanczos
 from npgq.portfolio import _THETA_RTOL
 from npgq.quadrature import _gauss_rule, _standard_normal_rule
 
@@ -250,6 +251,34 @@ def one_shot_lanczos(x, start, n):
         offdiag[k] = b
         q[k + 1] = w / b
     return diag, offdiag
+
+
+def merged_lanczos(z, n):
+    """Jacobi matrix of the empirical measure of ``z`` after at most ``n``
+    steps, merged from blocks of ``_LANCZOS_BLOCK`` values: each block's
+    :func:`one_shot_lanczos` run and :func:`eigh_tridiagonal_rule`, its
+    weights times the block's share of the points; a block of at most ``n``
+    points, broken down before ``n`` steps or with a zero weight, as its
+    atoms, each of mass count / T.  Equal points add their masses in block
+    order, and :func:`one_shot_lanczos` runs on the sorted union.
+    """
+    union = {}
+    for i in range(0, z.size, _LANCZOS_BLOCK):
+        block = z[i : i + _LANCZOS_BLOCK]
+        rule = None
+        if block.size > n:
+            diag, offdiag = one_shot_lanczos(block, 1.0 / math.sqrt(block.size), n)
+            if diag.size == n:
+                nodes, weights = eigh_tridiagonal_rule(diag, offdiag)
+                if min(weights) > 0.0:
+                    rule = zip(nodes.tolist(), (weights * (block.size / z.size)).tolist())
+        if rule is None:
+            atoms, counts = np.unique(block, return_counts=True)
+            rule = zip(atoms.tolist(), (counts / z.size).tolist())
+        for point, mass in rule:
+            union[point] = union.get(point, 0.0) + mass
+    points = sorted(union)
+    return one_shot_lanczos(np.array(points), np.sqrt([union[p] for p in points]), n)
 
 
 def cgs2_lanczos(x, start, n):

@@ -10,7 +10,7 @@ def paper_report():
     """The full accuracy-study grid at 1000 replications.
 
     Shared by the acceptance criteria and the experiment invariants; this
-    is the long-running piece of the suite (a few minutes).
+    is the longest single piece of the suite (about 2 s on two CPUs).
     """
     cfg = ExperimentConfig()
     jobs = min(2, os.cpu_count() or 1)

@@ -139,19 +139,19 @@ class TestDiscretize:
         assert err == "error: the data has 4 distinct values, so it supports at most 4 nodes -- reduce N\n"
 
     def test_a_basis_past_the_memory_limit_exits_2(self, tmp_path, capsys):
-        # 2000 Lanczos rows of 200 000 doubles would take 3.2 GB; the peak
-        # here is the CSV reader's.
+        # 3000 Lanczos rows on the union of 20 blocks' 3000-point rules
+        # would take 1.44 GB; the peak here is the CSV reader's.
         data = np.random.default_rng(6).standard_normal(200_000)
         src = write_csv(tmp_path / "in.csv", ["x"], [data.tolist()])
         tracemalloc.start()
         try:
-            code = main(["discretize", src, "--column", "x", "--n", "2000"])
+            code = main(["discretize", src, "--column", "x", "--n", "3000"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: a 2000-step Lanczos basis on 200000 points needs 3200000000 bytes")
+        assert err.startswith("error: a 3000-step Lanczos basis on 60000 points needs 1440000000 bytes")
         assert err.count("\n") == 1
         assert peak <= 128e6
 

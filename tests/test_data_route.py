@@ -8,12 +8,23 @@ import pytest
 from npgq import NotPositiveDefiniteError, Sample, discretize_data
 from npgq.cli import main
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
+from npgq.moments import _LANCZOS_BLOCK
 
 from _oracles import mp_data_rules
 
 
 def test_matches_80_digit_moment_route():
-    data = sample_mixture(DEFAULT_MIXTURE, 2000, replication_rng(7, 2000, 0))
+    assert_matches_80_digits(2000)
+
+
+def test_merged_blocks_match_80_digit_moment_route():
+    # Past _LANCZOS_BLOCK points the matrix is merged from the blocks'
+    # rules, here one full block and a partial one of 2345 points.
+    assert_matches_80_digits(_LANCZOS_BLOCK + 2345)
+
+
+def assert_matches_80_digits(size):
+    data = sample_mixture(DEFAULT_MIXTURE, size, replication_rng(7, size, 0))
     node_counts = (9, 15, 20)
     oracle = mp_data_rules(data, node_counts)
     sample = Sample(data)
@@ -64,7 +75,19 @@ SUPPORT = {"ties-heavy": 11, "atoms-4": 4, "T-7": 7}
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
 def test_adversarial_data_gives_a_matching_rule_or_a_typed_error(name):
-    data = ADVERSARIAL[name]
+    assert_rules_or_typed_errors(name, 1)
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_tiled_adversarial_data_keeps_its_support_through_the_merge(name):
+    # Tiled just past _LANCZOS_BLOCK points, each set keeps its empirical
+    # measure, and so its support, through the block merge; the last block
+    # holds a partial copy.
+    assert_rules_or_typed_errors(name, _LANCZOS_BLOCK // ADVERSARIAL[name].size + 1)
+
+
+def assert_rules_or_typed_errors(name, copies):
+    data = np.tile(ADVERSARIAL[name], copies)
     support = SUPPORT.get(name, len(np.unique(data)))
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 20):
         if n > support:

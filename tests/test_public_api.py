@@ -131,12 +131,13 @@ def test_each_rule_and_stack_helper_has_one_home():
 def test_the_mixture_rule_has_no_route_of_its_own():
     # theta*'s rule is the mixture's component Gauss-Hermite rules: the
     # mixture is not standardized and gets no Lanczos run of its own, and
-    # moments' private Lanczos state is the Sample's alone.
+    # moments' private Lanczos state is the Sample's alone.  quadrature
+    # takes only the eigensolve from moments, whose block merge needs it too.
     trees = _src_trees()
     defined = {node.name for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert {"_standardized_mixture", "_mixture_jacobi"} & defined == set()
-    assert [_private_imports(trees[m], "moments") for m in ("quadrature", "portfolio")] == [[], []]
+    assert [_private_imports(trees[m], "moments") for m in ("quadrature", "portfolio")] == [["_gauss_rule"], []]
 
 
 def test_an_np_me_rule_is_a_rule():

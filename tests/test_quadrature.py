@@ -464,18 +464,19 @@ class TestDiscretizeData:
             discretize_data(x, 10**12)
 
     def test_a_basis_past_the_memory_limit_is_refused_before_allocation(self):
-        # N = 2000 on 200 000 points would be a 3.2 GB basis: an input error
-        # naming N, T and the bytes, raised before the basis is allocated.
+        # N = 3000 on 200 000 points: 20 blocks' rules of 3000 points each,
+        # a 1.44 GB basis on their union: an input error naming N, the
+        # union's size and the bytes, raised before any basis is allocated.
         x = np.random.default_rng(6).standard_normal(200_000)
         tracemalloc.start()
         try:
             with pytest.raises(InputError) as info:
-                discretize_data(x, 2000)
+                discretize_data(x, 3000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert str(info.value) == (
-            "a 2000-step Lanczos basis on 200000 points needs 3200000000 bytes, "
+            "a 3000-step Lanczos basis on 60000 points needs 1440000000 bytes, "
             "past the 1073741824-byte limit -- reduce N"
         )
         assert peak <= 16e6

@@ -1,17 +1,24 @@
 """A shared :class:`Sample` must give exactly what fresh calls on raw data give."""
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import npgq
 from npgq import (
     AffineTransform,
     DegenerateDataError,
     InputError,
     NotPositiveDefiniteError,
     NpgqError,
+    NumericalError,
     Sample,
     discretize_data,
     gauss_hermite_discretize,
@@ -20,10 +27,10 @@ from npgq import (
     sample_moments,
 )
 from npgq.baselines import _jacobi_moments, kde_pdf
-from npgq.moments import _BLOCK, _ORTH_RTOL, _Lanczos
+from npgq.moments import _BLOCK, _LANCZOS_BLOCK, _ORTH_RTOL, _Lanczos
 from npgq.experiments import DEFAULT_MIXTURE, ExperimentConfig, replication_rng, run_experiment, sample_mixture
 
-from _oracles import cgs2_lanczos, fsum_mean_std, one_shot_lanczos
+from _oracles import cgs2_lanczos, fsum_mean_std, merged_lanczos, one_shot_lanczos
 
 DISCRETIZERS = {
     "np-gq": discretize_data,
@@ -90,15 +97,18 @@ class TestSampleMoments:
                 want = one_shot_lanczos(z, 1.0 / math.sqrt(z.size), n)
                 assert [a.tolist() for a in got] == [a.tolist() for a in want], n
 
-    @pytest.mark.parametrize("size", [100, _BLOCK + 1, 100_000])
+    @pytest.mark.parametrize("size", [100, _BLOCK + 1, _LANCZOS_BLOCK, _LANCZOS_BLOCK + 1, 100_000])
     def test_large_samples_match_one_shot_lanczos(self, size):
         # The reference takes each step's products in one fixed-length run;
         # the state's must give the same bits, at every N and in the one-
-        # and three-step prefixes np-me reads from a longer run.
+        # and three-step prefixes np-me reads from a longer run.  Past
+        # _LANCZOS_BLOCK points, the blocks' runs and the union's are each
+        # such a run (a one-point last block at _LANCZOS_BLOCK + 1), and a
+        # shared sample's every call is a fresh merge.
         data = mixture_data(size)
         z, shared = Sample(data).z, Sample(data)
         for n in (*range(1, 10), 3, 1):
-            want = one_shot_lanczos(z, 1.0 / math.sqrt(size), n)
+            want = one_shot_lanczos(z, 1.0 / math.sqrt(size), n) if size <= _LANCZOS_BLOCK else merged_lanczos(z, n)
             for got in (Sample(data).jacobi(n), shared.jacobi(n)):
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want], n
 
@@ -218,6 +228,94 @@ class TestSampleMoments:
         for n in (0, -1):
             with pytest.raises(InputError, match="must be >= 1"):
                 Sample([1.0, 2.0]).jacobi(n)
+
+
+class TestMergedLanczos:
+    """Past _LANCZOS_BLOCK points the Jacobi matrix is merged from the
+    blocks' Gauss rules: the same matrix, in bounded memory, with bits that
+    do not depend on the BLAS thread count."""
+
+    DIGESTS = """
+import hashlib
+from npgq import Sample
+from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
+for size in (20_000, 100_000):
+    diag, offdiag = Sample(sample_mixture(DEFAULT_MIXTURE, size, replication_rng(11, size, 0))).jacobi(9)
+    print(hashlib.sha256(diag.tobytes() + offdiag.tobytes()).hexdigest())
+"""
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # Every Lanczos run takes at most _LANCZOS_BLOCK points, below the
+        # size at which the bundled OpenBLAS splits a product over threads;
+        # the direct run on these sizes differs in its last bits between one
+        # thread and the default (two or more on a multi-core machine).
+        package = os.path.dirname(os.path.dirname(npgq.__file__))
+        digests = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [package, env.get("PYTHONPATH")]))
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            run = subprocess.run([sys.executable, "-c", self.DIGESTS], env=env, capture_output=True, text=True,
+                                 check=True, timeout=120)
+            digests.append(run.stdout.split())
+        assert len(digests[0]) == 2 and digests[0] == digests[1]
+        # The children computed what this process computes.
+        here = [hashlib.sha256(b"".join(a.tobytes() for a in Sample(mixture_data(size)).jacobi(9))).hexdigest()
+                for size in (20_000, 100_000)]
+        assert here == digests[0]
+
+    @pytest.mark.parametrize("atoms", [3, 4, 11, 24])
+    def test_tied_data_breaks_down_at_its_atom_count(self, atoms):
+        # Every block's rule would hold the atoms only to rounding, a cluster
+        # per atom; a block that breaks down enters as its exact atoms, so
+        # the union breaks down where the direct run does, with the same
+        # matrix to rounding.
+        rng = np.random.default_rng(atoms)
+        data = rng.choice(rng.standard_normal(atoms), 30_000)
+        sample = Sample(data)
+        diag, offdiag = sample.jacobi(atoms + 5)
+        want_diag, want_offdiag = _Lanczos(sample.z, 1.0 / math.sqrt(data.size)).jacobi(atoms + 5)
+        assert diag.size == want_diag.size == atoms
+        assert np.max(np.abs(diag - want_diag)) <= 1e-13
+        assert np.max(np.abs(offdiag - want_offdiag) / want_offdiag, initial=0.0) <= 1e-12
+        with pytest.raises(NotPositiveDefiniteError, match=f"supports at most {atoms} nodes"):
+            discretize_data(sample, atoms + 1)
+
+    def test_a_block_whose_rule_underflows_enters_as_its_atoms(self, monkeypatch):
+        # Forced here, as no block of this size is known to underflow: every
+        # block then enters as its atoms, the union is the data itself and
+        # its matrix the direct run's to rounding.  A union past the
+        # up-front count of 9 points per block gets the basis check again.
+        data = mixture_data(20_000)
+        sample = Sample(data)
+
+        def underflow(diag, offdiag):
+            raise NumericalError("a weight underflows")
+
+        monkeypatch.setattr("npgq.moments._gauss_rule", underflow)
+        diag, offdiag = sample.jacobi(9)
+        want_diag, want_offdiag = _Lanczos(sample.z, 1.0 / math.sqrt(data.size)).jacobi(9)
+        assert np.max(np.abs(diag - want_diag)) <= 1e-13
+        assert np.max(np.abs(offdiag - want_offdiag) / want_offdiag) <= 1e-13
+        monkeypatch.setattr("npgq.moments._MAX_BASIS_BYTES", 8 * 9 * 18)
+        with pytest.raises(InputError, match="^a 9-step Lanczos basis on 20000 points needs 1440000 bytes"):
+            sample.jacobi(9)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # A million points at N = 20: the direct run's basis alone is 160 MB
+        # (184 MB peak); merged, one block's 20 rows of _LANCZOS_BLOCK
+        # doubles and a few block-sized buffers.
+        sample = Sample(np.random.default_rng(8).standard_normal(1_000_000))
+        sample.z
+        tracemalloc.start()
+        try:
+            diag, _ = sample.jacobi(20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.size == 20
+        assert peak <= 8 * (20 + 10) * _LANCZOS_BLOCK
 
 
 class TestSharedSampleMatchesFreshCalls:
