@@ -6,7 +6,10 @@ nodes are mapped back afterwards at no cost in accuracy.  The mean and
 variance are exactly rounded sums, taken by :func:`_exact_sum`: error-free
 extraction splits blocks of the data into parts on power-of-two grids
 whose sums are exact, added as one integer: ``math.fsum``'s value bit for
-bit.  A :class:`Sample` keeps, on first use, its data's standardization
+bit.  One pass usually settles the rounding: the remainders' float sums,
+widened by a rigorous bound on their error, enclose the exact sum, and
+only an enclosure that straddles a rounding boundary takes further
+passes.  A :class:`Sample` keeps, on first use, its data's standardization
 (``transform`` and ``z``, the package's one route to it) and, up to
 :data:`_LANCZOS_BLOCK` points, the Lanczos state of its empirical measure
 (:class:`_Lanczos`), shared by every discretizer handed the same
@@ -157,38 +160,67 @@ def _blocks(x: np.ndarray):
     return (x[i : i + _BLOCK] for i in range(0, x.size, _BLOCK))
 
 
+def _units(value) -> int:
+    """A float as an integer in units of 2**-1074, of which every double is a whole number."""
+    num, den = float(value).as_integer_ratio()
+    return num << (1075 - den.bit_length())  # den is a power of two
+
+
 def _exact_sum(blocks, bound: float) -> float:
-    """Exactly rounded sum of the finite values in ``blocks``, arrays of at
-    most :data:`_BLOCK` float64 values of magnitude at most ``bound``: the
-    value ``math.fsum`` gives, bit for bit.  Raises :class:`OverflowError`
-    when the sum is past the float range.
+    """Exactly rounded sum of the finite values in the arrays that each call
+    of ``blocks()`` yields afresh, each of at most :data:`_BLOCK` float64
+    values of magnitude at most ``bound``: the value ``math.fsum`` gives,
+    bit for bit.  Raises :class:`OverflowError` when the sum is past the
+    float range.
 
     Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
     2008): for values within ``2**e``, ``hi = (v + 2**(e+13)) - 2**(e+13)``
     puts each on the ``2**(e-40)`` grid, ``v - hi`` is exact and within
-    ``2**(e-40)``, and 2**13 such ``hi`` sum exactly in any order.  Each
-    pass peels the remainders 40 bits lower; two finish every value within
-    2**27 of the bound, so later passes take only the nonzero ones.  The
-    pass sums add up as one integer in units of 2**-1074, rounded once.
-    Where ``2**(e+13)`` would overflow, a block's values from 2**1000 up
-    are summed in units of 2**-100 apart from the rest.
+    ``2**(e-40)``, and 2**13 such ``hi`` sum exactly in any order.  The
+    sums are added as one integer in units of 2**-1074, rounded once.
+
+    The first pass adds each block's ``m`` remainders as one float sum,
+    which in any order errs by less than ``m**2 * 2**(e-92)`` (an addition
+    that lands in the subnormal range is exact).  With that slack, rounded
+    up to whole units, the exact sum lies between two bounds; where both
+    round to the same double, that double is the result.  Otherwise (the
+    bounds round apart or past the float range, or ``bound`` is past
+    2**1010) the blocks are taken again, and each pass peels the remainders
+    40 bits lower; two finish every value within 2**27 of the bound, so
+    later passes take only the nonzero ones.  Where ``2**(e+13)`` would
+    overflow, a block's values from 2**1000 up are summed in units of
+    2**-100 apart from the rest.
     """
     top = math.frexp(bound)[1]  # 2**(top-1) <= bound < 2**top
     high, low = np.empty(_BLOCK), np.empty(_BLOCK)
+
+    def peel(v, e):  # the sum of v's parts on the 2**(e-40) grid, in units, and the remainders
+        sigma = 2.0 ** (e + 13)
+        hi = np.add(v, sigma, out=high[: v.size])
+        hi -= sigma
+        return _units(np.add.reduce(hi)), np.subtract(v, hi, out=low[: v.size])
+
+    if top <= 1010:
+        total = squares = 0
+        for block in blocks():
+            exact, rest = peel(block, top)
+            total += exact + _units(np.add.reduce(rest))
+            squares += block.size * block.size
+        shift = top + 982  # the slack squares * 2**(top-92) in units, rounded up
+        slack = squares << shift if shift >= 0 else -(-squares >> -shift)
+        with contextlib.suppress(OverflowError):  # a bound past the float range
+            if (lower := (total - slack) / (1 << 1074)) == (total + slack) / (1 << 1074):
+                return lower
     total = 0
-    for block in blocks:
+    for block in blocks():
         parts = ((block, top, 0),)
         if top > 1010:
             big = np.abs(block) >= 2.0**1000
             parts = ((block[big] * 2.0**-100, 924, 100), (block[~big], 1000, 0))
         for v, e, scale in parts:
             while v.size:
-                sigma = 2.0 ** (e + 13)
-                hi = np.add(v, sigma, out=high[: v.size])
-                hi -= sigma
-                num, den = float(np.add.reduce(hi)).as_integer_ratio()
-                total += num << (1075 + scale - den.bit_length())  # den is a power of two
-                v = np.subtract(v, hi, out=low[: v.size])
+                exact, v = peel(v, e)
+                total += exact << scale
                 if e < top:  # from the second pass on, few remainders are left
                     v = v[v != 0]
                 e -= 40
@@ -199,19 +231,21 @@ def _mean_std(x: np.ndarray) -> tuple[float, float]:
     """Sample mean and population std (divisor ``I``) of a clean array.
 
     Both sums are exactly rounded (:func:`_exact_sum`), bounded by the
-    extremes; the squared deviations are formed one block at a time.
+    extremes; each is settled by one pass over the data unless its
+    remainders could move the rounding.  The squared deviations are formed
+    one block at a time in one buffer, and formed again for a further pass.
     """
     n = x.size
     xmax, xmin = float(x.max()), float(x.min())
     try:
-        mean = _exact_sum(_blocks(x), max(xmax, -xmin)) / n
+        mean = _exact_sum(lambda: _blocks(x), max(xmax, -xmin)) / n
         widest = max(xmax - mean, mean - xmin)
         # Every squared deviation is finite, and at most ``bound``, when the widest one is.
         if math.isinf(bound := widest * widest):
             raise OverflowError
         d = np.empty(min(n, _BLOCK))
-        squares = (np.square(np.subtract(b, mean, out=d[: b.size]), out=d[: b.size]) for b in _blocks(x))
-        var = _exact_sum(squares, bound) / n
+        var = _exact_sum(lambda: (np.square(np.subtract(b, mean, out=d[: b.size]), out=d[: b.size])
+                                  for b in _blocks(x)), bound) / n
     except OverflowError:  # a sum or a square past the float range
         var = math.inf
     if not math.isfinite(var):
@@ -262,6 +296,7 @@ class _Lanczos:
         self._q = np.full((1, x.size), start)
         self._diag, self._offdiag = [], []
         self._w, self._s = np.empty(x.size), np.empty(x.size)  # x * q[k] of the last row k; scratch
+        self.passes = 0  # reorthogonalization passes taken
 
     def jacobi(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``(diag, offdiag)`` after ``min(n, T)`` steps (``n >= 1``), or after
@@ -277,14 +312,15 @@ class _Lanczos:
                 w -= np.multiply(q[k - 1], self._diag[k - 1], out=s)
                 if k > 1:
                     w -= np.multiply(q[k - 2], self._offdiag[k - 2], out=s)
-                b = float(np.linalg.norm(w))
+                b = math.sqrt(w.dot(w))  # np.linalg.norm's bits, without its dispatch
                 for _ in range(2):
                     # Not q.T @ (q @ w): matmul loops itself on the k = 1 view.
                     c = q.dot(w)
                     if c.dot(c) <= (_ORTH_RTOL * b) ** 2:
                         break
                     w -= c.dot(q, out=s)
-                    b = float(np.linalg.norm(w))
+                    self.passes += 1
+                    b = math.sqrt(w.dot(w))
                 if b <= self._floor:
                     self._support = n = k
                     break

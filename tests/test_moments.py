@@ -135,7 +135,7 @@ class TestExactSum:
         except OverflowError:  # fsum's partials left the float range
             return
         values = np.asarray(values, dtype=float)
-        got = _exact_sum(_blocks(values), np.max(np.abs(values), initial=0.0))
+        got = _exact_sum(lambda: _blocks(values), np.max(np.abs(values), initial=0.0))
         assert got.hex() == want.hex()
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60))
@@ -152,9 +152,9 @@ class TestExactSum:
     def test_sums_past_the_float_range_overflow(self):
         values = np.array([1.7e308, 1.7e308])
         with pytest.raises(OverflowError):
-            _exact_sum(_blocks(values), np.max(np.abs(values)))
+            _exact_sum(lambda: _blocks(values), np.max(np.abs(values)))
         values = np.array([1.7e308, 1.7e308, -1.7e308])
-        assert _exact_sum(_blocks(values), np.max(np.abs(values))) == 1.7e308
+        assert _exact_sum(lambda: _blocks(values), np.max(np.abs(values))) == 1.7e308
 
     def test_a_block_spanning_every_exponent(self):
         # One value in each binade from 2**-1074 to 2**1023, signs alternating
@@ -186,9 +186,9 @@ class TestExactSum:
         # rounds down to it, and the halfway point itself rounds to 2**1024.
         for values in ([_DBL_MAX, 2.0**969, 5e-324], [_DBL_MAX, 2.0**970, -5e-324], [-_DBL_MAX, -(2.0**970), 1e-300]):
             self.assert_fsum_bits(values)
-            assert abs(_exact_sum(_blocks(np.array(values)), _DBL_MAX)) == _DBL_MAX
+            assert abs(_exact_sum(lambda: _blocks(np.array(values)), _DBL_MAX)) == _DBL_MAX
         with pytest.raises(OverflowError):
-            _exact_sum(_blocks(np.array([_DBL_MAX, 2.0**970])), _DBL_MAX)
+            _exact_sum(lambda: _blocks(np.array([_DBL_MAX, 2.0**970])), _DBL_MAX)
 
     @pytest.mark.parametrize("top", [2.0**-1074, 2.0**-1000, 1.0, 2.0**52, 2.0**1009, 2.0**1010])
     def test_a_bound_that_is_a_power_of_two(self, top):
@@ -218,12 +218,23 @@ class TestExactSum:
     @pytest.mark.parametrize("bound", [1e3, 1e150, 1e300, 1.7e308])
     def test_a_bound_far_above_the_data(self, bound):
         values = np.random.default_rng(32).standard_normal(_BLOCK + 5)
-        assert _exact_sum(_blocks(values), bound).hex() == math.fsum(values).hex()
+        assert _exact_sum(lambda: _blocks(values), bound).hex() == math.fsum(values).hex()
 
     def test_zeros_of_either_sign(self):
         for values in ([0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0] * _BLOCK):
             self.assert_fsum_bits(values)
-            assert _exact_sum(_blocks(np.array(values)), 1.0).hex() == "0x0.0p+0"
+            assert _exact_sum(lambda: _blocks(np.array(values)), 1.0).hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("tail, want", [(2.0**-110, 1.0 + 2.0**-52), (-(2.0**-110), 1.0)], ids=["above", "below"])
+    def test_sums_next_to_a_rounding_midpoint_take_the_remainder_passes(self, tail, want):
+        # The exact sum lies just off the midpoint 1 + 2**-53, and the
+        # remainders' float sum drops the tail, so the first pass's bounds
+        # round apart: the blocks are iterated a second time.
+        values = np.array([1.0, 2.0**-53, tail])
+        sources = []
+        got = _exact_sum(lambda: sources.append(values) or _blocks(values), 1.0)
+        assert got.hex() == math.fsum(values).hex() == want.hex()
+        assert len(sources) == 2
 
 
 class TestMeanStd:
@@ -264,6 +275,25 @@ class TestMeanStd:
                 _mean_std(x)
         else:
             assert [v.hex() for v in _mean_std(x)] == [v.hex() for v in want]
+
+    def test_study_samples_and_a_long_series_take_one_pass(self, monkeypatch):
+        # The mean and the variance of 20 default-study samples per T, and of
+        # a 100 000-point mixture series, are certified by their first pass:
+        # each sum takes its blocks once.
+        seed = ExperimentConfig().seed
+        samples = [sample_mixture(DEFAULT_MIXTURE, size, replication_rng(seed, size, m))
+                   for size in (100, 1000, 10000) for m in range(20)]
+        samples.append(sample_mixture(DEFAULT_MIXTURE, 100_000, np.random.default_rng(1)))
+        sources = []
+        monkeypatch.setattr("npgq.moments._blocks", lambda x: sources.append(x) or _blocks(x))
+        for x in samples:
+            sources.clear()
+            _mean_std(x)
+            assert len(sources) == 2, x.size
+
+    def test_offset_data_over_many_blocks_matches_fsum(self):
+        x = 1e8 + np.random.default_rng(1).standard_normal(200_000)
+        assert [v.hex() for v in _mean_std(x)] == [v.hex() for v in fsum_mean_std(x)]
 
     def test_memory_is_bounded_by_the_block(self):
         # A full-size (x - mean) ** 2 on a million points alone is 8 MB.
