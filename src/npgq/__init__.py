@@ -12,7 +12,6 @@ from .errors import (
     DegenerateDataError,
     InfeasibleError,
     InputError,
-    NotPositiveDefiniteError,
     NpgqError,
     NumericalError,
     UnboundedError,

@@ -57,7 +57,7 @@ def gauss_hermite_discretize(data, n: int) -> DiscreteDistribution:
     The fit is the data's standardization: the sample mean and the
     population std (divisor I).  The standard-normal rule scaled to
     ``N(mean, std^2)`` is the Gaussian rule of the fitted Gaussian.
-    Raises :class:`DegenerateDataError` for constant data.
+    Raises :class:`DegenerateDataError` for data of zero variance.
     """
     if error := _node_count_error(n, 1):
         raise error

@@ -9,8 +9,8 @@ The parser is built once per process; a program that calls :func:`main`
 many times pays for it once.
 
 Exit codes: 0 on success, 2 for input/parse/config problems, 3 when the
-numerics reject the request (degenerate data, fewer support points than
-nodes, infeasible tilting).  Numbers are printed with 12
+numerics reject the request (too few support points for the nodes,
+constant data included; infeasible tilting).  Numbers are printed with 12
 significant digits, except the nodes and weights ``discretize`` writes:
 those are written at round-trip precision, so the file holds exactly the
 rule that ``--verify`` checks.

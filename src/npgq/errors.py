@@ -11,21 +11,19 @@ class InputError(NpgqError):
 
 
 class DegenerateDataError(NpgqError):
-    """Data carries too little variation for the requested operation."""
+    """The data supports too few nodes: fewer than requested, or just one.
 
-
-class NotPositiveDefiniteError(NpgqError):
-    """The measure has fewer support points than the nodes requested.
-
-    Raised when Lanczos on data breaks down before N steps: its next
-    off-diagonal entry is rounding noise.  ``pivot``, one more than the
-    steps completed, is ``i`` when the data has fewer than ``i`` effective
-    support points, so ``i - 1`` nodes is the usual remedy.
+    ``support`` is the most nodes the data supports, as the message says:
+    1 for zero variance, the count of distinct values for N past the data
+    size, and k for a Lanczos breakdown at step k.
     """
 
-    def __init__(self, message: str, pivot: int):
+    def __init__(self, message: str, support: int):
         super().__init__(message)
-        self.pivot = pivot
+        self.support = support
+
+    def __reduce__(self):  # so the error crosses a worker boundary whole
+        return type(self), (*self.args, self.support)
 
 
 class InfeasibleError(NpgqError):
@@ -37,4 +35,6 @@ class UnboundedError(NpgqError):
 
 
 class NumericalError(NpgqError):
-    """An iterative routine failed to converge within its cap."""
+    """A numerical routine failed: an iteration hit its cap or its line
+    search stalled, a rule's weight underflows to 0, LAPACK reported a
+    failure, or a first-order condition overflows at the optimum."""

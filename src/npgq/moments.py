@@ -251,9 +251,7 @@ def _mean_std(x: np.ndarray) -> tuple[float, float]:
     if not math.isfinite(var):
         raise InputError("standardizing the data overflows; rescale the data")
     if var <= 0.0:
-        raise DegenerateDataError(
-            "data has zero sample variance; cannot standardize"
-        )
+        raise DegenerateDataError("data has zero sample variance; cannot standardize", support=1)
     return mean, math.sqrt(var)
 
 
@@ -423,16 +421,15 @@ class Sample:
         rules afresh (:func:`_merged_jacobi`), depends only on the data and
         ``n``, and takes ``n * C`` doubles plus the union of the rules: at
         most ``n`` points per block, so at most C points while ``T * n`` is
-        below about ``C**2`` (10**8).  A basis past :data:`_MAX_BASIS_BYTES`
-        (``n`` rows of T points up to C, of the union past it) raises
-        :class:`InputError` before it is allocated.
+        below about ``C**2`` (10**8).  A basis on that union past
+        :data:`_MAX_BASIS_BYTES` raises :class:`InputError` before it is
+        allocated.
         """
         if n < 1:
             raise InputError(f"Jacobi matrix order must be >= 1, got {n}")
         z = self.z
         n = min(n, z.size)
-        if z.size <= _LANCZOS_BLOCK:
-            _check_basis(n, z.size)
+        if z.size <= _LANCZOS_BLOCK:  # a basis of at most 8 * C**2 bytes, under the limit
             return self._lanczos.jacobi(n)
         blocks = [z[i : i + _LANCZOS_BLOCK] for i in range(0, z.size, _LANCZOS_BLOCK)]
         _check_basis(n, sum(min(n, block.size) for block in blocks))

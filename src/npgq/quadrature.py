@@ -37,11 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateDataError,
-    InputError,
-    NotPositiveDefiniteError,
-)
+from .errors import DegenerateDataError, InputError
 from .moments import GaussianMixture, Sample, _gauss_rule
 
 __all__ = [
@@ -135,8 +131,8 @@ def discretize_data(data, n: int) -> DiscreteDistribution:
     ----------
     data : array_like or Sample
         Observations; need at least N distinct values, otherwise
-        :class:`NotPositiveDefiniteError` says how many nodes the data
-        supports.  A :class:`~npgq.moments.Sample` reuses its
+        :class:`DegenerateDataError` says how many nodes the data supports
+        (its ``support``).  A :class:`~npgq.moments.Sample` reuses its
         standardization and Lanczos state across calls.
     n : int
         Number of nodes.
@@ -147,25 +143,27 @@ def discretize_data(data, n: int) -> DiscreteDistribution:
     try:
         transform = sample.transform
     except DegenerateDataError:
-        # Constant data carries a single support point: representable
-        # exactly when one node is requested.
+        # Zero variance: a single support point, which one node represents
+        # exactly when the data is constant (not when squares underflow).
+        if (x := sample.x).min() != x.max():
+            raise
         if n == 1:
-            return DiscreteDistribution(nodes=(float(sample.x[0]),), weights=(1.0,))
+            return DiscreteDistribution(nodes=(float(x[0]),), weights=(1.0,))
         raise DegenerateDataError(
-            "data is constant; only a single node is representable -- reduce N to 1"
+            "data is constant; only a single node is representable -- reduce N to 1", support=1
         )
     if n > sample.z.size:  # d distinct values bound the support, with no Lanczos step
         d = np.unique(sample.z).size
-        raise NotPositiveDefiniteError(
+        raise DegenerateDataError(
             f"the data has {d} distinct values, so it supports at most {d} nodes -- reduce N",
-            pivot=d + 1,
+            support=d,
         )
     diag, offdiag = sample.jacobi(n)
     if diag.size < n:
-        raise NotPositiveDefiniteError(
+        raise DegenerateDataError(
             f"Lanczos broke down at step {diag.size}; the data supports at "
             f"most {diag.size} nodes -- reduce N",
-            pivot=diag.size + 1,
+            support=diag.size,
         )
     nodes, weights = _gauss_rule(diag, offdiag)
     return DiscreteDistribution(nodes=transform.to_original(nodes), weights=weights)

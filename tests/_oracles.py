@@ -47,10 +47,10 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import linprog
 
 from npgq import (
+    DegenerateDataError,
     DiscreteDistribution,
     GaussianMixture,
     InputError,
-    NotPositiveDefiniteError,
     PortfolioSolution,
     UnboundedError,
 )
@@ -159,9 +159,9 @@ def jacobi_from_moments(m, n):
     ``offdiag[k] = r_{k+2,k+2}/r_{k+1,k+1}``.  The last pivot ``r_{N+1,N+1}``
     is never used, which is what lets a measure with exactly N support
     points give an N-point rule.  A pivot at or below ``_PIVOT_RTOL`` times
-    its row's diagonal entry raises :class:`NotPositiveDefiniteError`
-    carrying its 1-based index: the measure supports fewer nodes than that
-    index.
+    its row's diagonal entry raises :class:`DegenerateDataError`: the
+    measure supports fewer nodes than that pivot's 1-based index, its
+    ``support``.
     """
     if n < 1:
         raise InputError(f"node count must be >= 1, got {n}")
@@ -174,10 +174,10 @@ def jacobi_from_moments(m, n):
     for i in range(n):
         pivot = hank[i, i] - r[:i, i] @ r[:i, i]
         if pivot <= _PIVOT_RTOL * hank[i, i]:
-            raise NotPositiveDefiniteError(
+            raise DegenerateDataError(
                 f"moment matrix is not positive definite at pivot {i + 1}; "
                 f"the measure supports at most {i} nodes -- reduce N",
-                pivot=i + 1,
+                support=i,
             )
         r[i, i] = math.sqrt(pivot)
         r[i, i + 1 :] = (hank[i, i + 1 :] - r[:i, i] @ r[:i, i + 1 :]) / r[i, i]
@@ -195,7 +195,7 @@ def golub_welsch(m, n):
     Nodes are the eigenvalues of :func:`jacobi_from_moments`; the weight
     at node k is ``m_0`` times the squared first component of the k-th
     unit eigenvector.  The rule reproduces the input moments up to order
-    ``2N - 1``.  Raises :class:`NotPositiveDefiniteError` when the
+    ``2N - 1``.  Raises :class:`DegenerateDataError` when the
     underlying measure has fewer than N support points.
     """
     nodes, weights = _gauss_rule(*jacobi_from_moments(m, n))

@@ -123,7 +123,8 @@ def ttrr_build(
             if norm2 <= 1e-12 * norms2[k]:
                 raise DegenerateDataError(
                     f"measure supports at most {k + 1} points; cannot build "
-                    f"orthogonal polynomial of degree {k + 2}"
+                    f"orthogonal polynomial of degree {k + 2}",
+                    support=k + 1,
                 )
             norms2.append(norm2)
             offdiag.append(math.sqrt(norm2 / norms2[k]))

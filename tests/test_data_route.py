@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from npgq import NotPositiveDefiniteError, Sample, discretize_data
+from npgq import DegenerateDataError, Sample, discretize_data
 from npgq.cli import main
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
 from npgq.moments import _LANCZOS_BLOCK
@@ -91,9 +91,9 @@ def assert_rules_or_typed_errors(name, copies):
     support = SUPPORT.get(name, len(np.unique(data)))
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 20):
         if n > support:
-            with pytest.raises(NotPositiveDefiniteError, match="reduce N") as err:
+            with pytest.raises(DegenerateDataError, match="reduce N") as err:
                 discretize_data(data, n)
-            assert err.value.pivot == support + 1
+            assert err.value.support == support
         else:
             dist = discretize_data(data, n)
             assert len(dist) == n

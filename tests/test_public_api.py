@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import inspect
 import os
 import subprocess
@@ -50,6 +51,17 @@ def test_data_route_plumbing_is_not_public():
         or name in getattr(npgq, mod).__all__
     ]
     assert left == []
+
+
+def test_the_node_limit_has_one_error():
+    # DegenerateDataError, with its support, is the one error for too few
+    # support points; the Cholesky route's name for it is gone.
+    modules = [npgq] + [importlib.import_module(f"npgq.{m}") for m in
+                        ("errors", "moments", "quadrature", "baselines", "portfolio", "experiments", "cli")]
+    assert [m.__name__ for m in modules if hasattr(m, "NotPositiveDefiniteError")
+            or "NotPositiveDefiniteError" in getattr(m, "__all__", ())] == []
+    public = [n for n in dir(npgq) if not n.startswith("_") and not inspect.ismodule(getattr(npgq, n))]
+    assert len(public) == 31
 
 
 def test_only_the_pipeline_is_public():

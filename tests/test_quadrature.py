@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,6 @@ from npgq import (
     DiscreteDistribution,
     InputError,
     MaxEntSolution,
-    NotPositiveDefiniteError,
     NumericalError,
     discretize_data,
     expectation,
@@ -23,7 +23,7 @@ from npgq import (
     sample_moments,
 )
 from npgq.experiments import DEFAULT_MIXTURE, replication_rng, sample_mixture
-from npgq.moments import Sample, _Lanczos
+from npgq.moments import _LANCZOS_BLOCK, _MAX_BASIS_BYTES, Sample, _Lanczos
 from npgq.quadrature import _columns, _gauss_rule, _standard_normal_rule, _sum0
 
 from _oracles import (
@@ -157,9 +157,9 @@ class TestHankelMatrix:
 
     def test_point_mass_is_rank_one(self):
         m = MomentSequence((1.0, 1.0, 1.0, 1.0, 1.0))
-        with pytest.raises(NotPositiveDefiniteError) as err:
+        with pytest.raises(DegenerateDataError) as err:
             golub_welsch(m, 2)
-        assert err.value.pivot == 2
+        assert err.value.support == 1
 
     def test_overflowing_recurrence_is_an_input_error(self):
         # m_1 * m_2 overflows in the factor's second row: diag[1] is inf.
@@ -176,9 +176,9 @@ class TestCholesky:
     def test_rank_one_fails_at_second_pivot(self):
         # Moments of a point mass at 2: the Hankel matrix is rank one.
         m = MomentSequence((1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
-        with pytest.raises(NotPositiveDefiniteError) as err:
+        with pytest.raises(DegenerateDataError) as err:
             golub_welsch(m, 3)
-        assert err.value.pivot == 2
+        assert err.value.support == 1
         assert "at most 1 nodes" in str(err.value)
 
 
@@ -359,8 +359,44 @@ class TestDiscretizeData:
         assert dist.weights == (1.0,)
 
     def test_constant_data_multiple_nodes_rejected(self):
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(DegenerateDataError, match="^data is constant; only a single node"):
             discretize_data([5.0, 5.0, 5.0], 2)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_distinct_data_of_zero_variance_is_not_called_constant(self, n):
+        # 500 distinct values whose squared deviations underflow: the exact
+        # variance is 0, so the error is the standardization's, at any N.
+        data = 1e-170 * np.random.default_rng(0).standard_normal(500)
+        assert np.unique(data).size == 500
+        with pytest.raises(DegenerateDataError, match="^data has zero sample variance; cannot standardize$") as err:
+            discretize_data(data, n)
+        assert err.value.support == 1
+
+    @pytest.mark.parametrize(
+        ("call", "support"),
+        [
+            (lambda: Sample([2.0] * 3).transform, 1),
+            (lambda: discretize_data([2.0] * 8, 3), 1),
+            (lambda: discretize_data([0.5, 1.5, 2.0, 4.0], 10**12), 4),
+            (lambda: discretize_data([0.0, 1.0, 0.0, 1.0], 3), 2),
+            (lambda: discretize_data(np.tile([0.5, 1.5, 2.0, 4.0], 5250), 6), 4),  # merged blocks
+        ],
+        ids=["zero-variance", "constant", "past-T", "breakdown", "merged-breakdown"],
+    )
+    def test_each_support_error_carries_its_node_limit(self, call, support):
+        with pytest.raises(DegenerateDataError) as err:
+            call()
+        assert err.value.support == support
+        if support > 1:
+            assert f"supports at most {support} nodes" in str(err.value)
+
+    def test_the_support_error_pickles_whole(self):
+        # A worker's error crosses the process boundary with its message and support.
+        with pytest.raises(DegenerateDataError) as err:
+            discretize_data([0.0, 1.0, 0.0, 1.0], 3)
+        back = pickle.loads(pickle.dumps(err.value))
+        assert type(back) is DegenerateDataError
+        assert (str(back), back.support) == (str(err.value), 2)
 
     def test_mixture_sample_matches_all_ten_moments(self):
         from npgq.experiments import DEFAULT_MIXTURE
@@ -428,11 +464,11 @@ class TestDiscretizeData:
             np.testing.assert_allclose(dist.weights, counts / counts.sum(), rtol=1e-8)
 
     def test_too_few_support_points_suggests_remedy(self):
-        with pytest.raises(NotPositiveDefiniteError) as err:
+        with pytest.raises(DegenerateDataError) as err:
             discretize_data([0.0, 1.0, 0.0, 1.0], 3)
         assert "reduce N" in str(err.value)
         assert "at most 2 nodes" in str(err.value)
-        assert err.value.pivot == 3
+        assert err.value.support == 2
 
     def test_close_atoms_are_the_support_error(self):
         # 75 draws of 7 atoms, two of them 0.0046 apart: the residual at
@@ -440,7 +476,7 @@ class TestDiscretizeData:
         rng = np.random.default_rng(25)
         data = rng.choice(rng.standard_normal(rng.integers(2, 13)), 75)
         for n in (8, 9):
-            with pytest.raises(NotPositiveDefiniteError, match="supports at most 7 nodes"):
+            with pytest.raises(DegenerateDataError, match="supports at most 7 nodes"):
                 discretize_data(data, n)
 
     def test_lanczos_breakdown_returns_the_smaller_matrix(self):
@@ -460,7 +496,7 @@ class TestDiscretizeData:
         full = _Lanczos(x, 1.0 / math.sqrt(x.size)).jacobi(x.size)
         huge = _Lanczos(x, 1.0 / math.sqrt(x.size)).jacobi(10**12)
         assert all(np.array_equal(a, b) for a, b in zip(full, huge))
-        with pytest.raises(NotPositiveDefiniteError, match="supports at most 5 nodes"):
+        with pytest.raises(DegenerateDataError, match="supports at most 5 nodes"):
             discretize_data(x, 10**12)
 
     def test_a_basis_past_the_memory_limit_is_refused_before_allocation(self):
@@ -480,6 +516,12 @@ class TestDiscretizeData:
             "past the 1073741824-byte limit -- reduce N"
         )
         assert peak <= 16e6
+
+    def test_one_block_basis_is_always_under_the_memory_limit(self):
+        # Up to C points the basis (at most C rows of C doubles) is under the
+        # limit, so only the merged route checks it: a change of either
+        # constant must revisit that.
+        assert 8 * _LANCZOS_BLOCK**2 <= _MAX_BASIS_BYTES
 
     def test_lanczos_weighted_start_vector(self):
         # The same measure as one point per atom, its mass in the start vector.

@@ -16,7 +16,6 @@ from npgq import (
     AffineTransform,
     DegenerateDataError,
     InputError,
-    NotPositiveDefiniteError,
     NpgqError,
     NumericalError,
     Sample,
@@ -272,7 +271,7 @@ for size in (20_000, 100_000):
         assert diag.size == want_diag.size == atoms
         assert np.max(np.abs(diag - want_diag)) <= 1e-13
         assert np.max(np.abs(offdiag - want_offdiag) / want_offdiag, initial=0.0) <= 1e-12
-        with pytest.raises(NotPositiveDefiniteError, match=f"supports at most {atoms} nodes"):
+        with pytest.raises(DegenerateDataError, match=f"supports at most {atoms} nodes"):
             discretize_data(sample, atoms + 1)
 
     def test_a_block_whose_rule_underflows_enters_as_its_atoms(self, monkeypatch):
@@ -360,7 +359,7 @@ class TestSampleErrors:
     def test_fewer_observations_than_nodes(self):
         data = np.array([0.1, -0.4, 0.9, 0.3])
         sample = Sample(data)
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(DegenerateDataError):
             discretize_data(sample, 5)
         assert discretize_data(sample, 2) == discretize_data(data.copy(), 2)
         assert gauss_hermite_discretize(sample, 5) == gauss_hermite_discretize(data.copy(), 5)
