@@ -17,7 +17,8 @@ passes.  A :class:`Sample` keeps, on first use, its data's standardization
 and np-me's moment targets read one Jacobi matrix; a shorter request is a
 prefix of it, a longer one extends it.  A longer sample's matrix is
 merged from its blocks' Gauss rules (:func:`_merged_jacobi`), which is
-why the Golub-Welsch eigensolve (:func:`_gauss_rule`) lives here.
+why the Golub-Welsch eigensolve (:func:`_gauss_rule`) lives here; each
+block's Lanczos matrix is kept, so a shorter request reads its prefixes.
 :func:`sample_moments` (raw moments summed by ``math.fsum``) is the
 independent reference ``npgq discretize --verify`` checks against.
 """
@@ -336,9 +337,10 @@ def _check_basis(n: int, points: int) -> None:
                          f"past the {_MAX_BASIS_BYTES}-byte limit -- reduce N")
 
 
-def _merged_jacobi(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _merged_jacobi(blocks, n: int, block_jacobi) -> tuple[np.ndarray, np.ndarray]:
     """Jacobi matrix of the empirical measure of the concatenated ``blocks``
-    after at most ``n`` steps, with no Lanczos run on more than one block.
+    after at most ``n`` steps, with no Lanczos run on more than one block:
+    ``block_jacobi(i, n)`` is block i's own matrix after at most n steps.
 
     A block's n-point Gauss rule has the block's moments up to order
     ``2n - 1``, so the union of the block rules, each weight scaled by its
@@ -352,9 +354,9 @@ def _merged_jacobi(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     total = sum(block.size for block in blocks)
     points, masses = [], []
-    for block in blocks:
+    for i, block in enumerate(blocks):
         rule = None
-        if block.size > n and (jacobi := _Lanczos(block, 1.0 / math.sqrt(block.size)).jacobi(n))[0].size == n:
+        if block.size > n and (jacobi := block_jacobi(i, n))[0].size == n:
             with contextlib.suppress(NumericalError):  # a weight underflowed
                 nodes, weights = _gauss_rule(*jacobi)
                 rule = nodes, weights * (block.size / total)
@@ -380,6 +382,7 @@ class Sample:
 
     def __init__(self, data):
         self._data = data
+        self._block_runs = {}  # past C points: block index -> (steps, diag, offdiag) of its longest run
 
     @classmethod
     def of(cls, data) -> "Sample":
@@ -417,11 +420,14 @@ class Sample:
         Up to :data:`_LANCZOS_BLOCK` points (C) it is the sample's one kept
         Lanczos run, so a shorter request is a prefix of a longer one bit
         for bit; a longer request reallocates the basis and copies its rows:
-        ask for the largest N first.  Past C, every call merges the blocks'
-        rules afresh (:func:`_merged_jacobi`), depends only on the data and
-        ``n``, and takes ``n * C`` doubles plus the union of the rules: at
-        most ``n`` points per block, so at most C points while ``T * n`` is
-        below about ``C**2`` (10**8).  A basis on that union past
+        ask for the largest N first.  Past C, each block's Lanczos matrix
+        from the longest request is kept (2N doubles a block, not its
+        basis), so a shorter request reads prefixes, bit for bit a fresh
+        run's, and a longer one runs the blocks again.  Every call merges
+        the blocks' rules afresh (:func:`_merged_jacobi`), depends only on
+        the data and ``n``, and takes ``n * C`` doubles plus the union of
+        the rules: at most ``n`` points per block, so at most C points while
+        ``T * n`` is below about ``C**2`` (10**8).  A basis on that union past
         :data:`_MAX_BASIS_BYTES` raises :class:`InputError` before it is
         allocated.
         """
@@ -433,4 +439,13 @@ class Sample:
             return self._lanczos.jacobi(n)
         blocks = [z[i : i + _LANCZOS_BLOCK] for i in range(0, z.size, _LANCZOS_BLOCK)]
         _check_basis(n, sum(min(n, block.size) for block in blocks))
-        return _merged_jacobi(blocks, n)
+        return _merged_jacobi(blocks, n, self._block_jacobi)
+
+    def _block_jacobi(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block ``i``'s Lanczos matrix after at most ``n`` steps: a prefix of
+        the longest run kept for the block, or a new run, then kept."""
+        if self._block_runs.get(i, (0,))[0] < n:
+            block = self.z[i * _LANCZOS_BLOCK : (i + 1) * _LANCZOS_BLOCK]
+            self._block_runs[i] = (n, *_Lanczos(block, 1.0 / math.sqrt(block.size)).jacobi(n))
+        _, diag, offdiag = self._block_runs[i]
+        return diag[:n], offdiag[: n - 1]

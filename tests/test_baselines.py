@@ -1,7 +1,13 @@
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 import timeit
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -24,6 +30,7 @@ from npgq import (
 )
 import npgq.baselines
 from npgq.baselines import (
+    _SPLIT_VALUES,
     _SQRT_2PI,
     _even_grid,
     _grid_layout,
@@ -285,6 +292,151 @@ class TestKernelDensity:
         grid = np.linspace(data.min() - 8, data.max() + 8, 20001)
         total = np.trapezoid(kde_pdf(data, silverman(data), grid), grid)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+class TestKernelDensitySplit:
+    """From _SPLIT_VALUES data values and _SPLIT_ROWS points on, one helper
+    thread computes every other row: every value is the serial loop's bit
+    for bit, and no thread outlives the call."""
+
+    # np-me's 9-point grid and points out to +-40 std, where many lanes are far.
+    GRID = np.concatenate([_even_grid(9), np.linspace(-40.0, 40.0, 17)])
+
+    @staticmethod
+    def spy_threads(monkeypatch):
+        """The threads kde_pdf starts, from here on."""
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(npgq.baselines, "threading", types.SimpleNamespace(Thread=Spy))
+        return started
+
+    @staticmethod
+    def standardized(size):
+        return Sample(sample_mixture(DEFAULT_MIXTURE, size, np.random.default_rng(size))).z
+
+    # np-me's N = 3 call never splits, whatever T: its three rows would split 2 + 1.
+    @pytest.mark.parametrize("size, points, split", [
+        (_SPLIT_VALUES - 1, GRID, False),
+        (_SPLIT_VALUES, GRID, True),
+        (_SPLIT_VALUES, _even_grid(4), True),
+        (100_000, _even_grid(3), False),
+        (100_000, GRID, True),
+    ], ids=["below", "at", "four-rows", "three-rows", "large"])
+    def test_rows_are_the_one_point_calls_bit_for_bit(self, monkeypatch, size, points, split):
+        # A one-point call never splits, so it is the serial loop's row.
+        z, h = self.standardized(size), _silverman(1.0, size)
+        started = self.spy_threads(monkeypatch)
+        before = threading.active_count()
+        vals = kde_pdf(z, h, points)
+        assert len(started) == split
+        assert threading.active_count() == before and not any(t.is_alive() for t in started)
+        rows = [kde_pdf(z, h, p) for p in points.tolist()]
+        assert len(started) == split
+        assert [v.hex() for v in vals] == [v.hex() for v in rows]
+        assert (vals == 0.0).any() == (points is self.GRID)
+
+    CHILD = """
+import hashlib, os, sys
+if sys.argv[1] == "pinned":  # before numpy and its BLAS threads start
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from npgq import Sample
+from npgq.baselines import _even_grid, _silverman, kde_pdf
+from npgq.experiments import DEFAULT_MIXTURE, sample_mixture
+z = Sample(sample_mixture(DEFAULT_MIXTURE, 100_000, np.random.default_rng(100_000))).z
+grid = np.concatenate([_even_grid(9), np.linspace(-40.0, 40.0, 17), np.linspace(-5.0, 5.0, 64)])
+print(len(os.sched_getaffinity(0)), hashlib.sha256(kde_pdf(z, _silverman(1.0, z.size), grid).tobytes()).hexdigest())
+"""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity on this platform")
+    def test_one_cpu_gives_the_same_bits(self):
+        # Pinned to one CPU, the two threads take turns; by default they
+        # run side by side where there are two CPUs.  The values are the same.
+        package = os.path.dirname(os.path.dirname(npgq.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")])))
+        out = {}
+        for mode in ("pinned", "default"):
+            run = subprocess.run([sys.executable, "-c", self.CHILD, mode], env=env, capture_output=True, text=True,
+                                 check=True, timeout=120)
+            out[mode] = run.stdout.split()
+        assert out["pinned"][0] == "1"
+        assert out["pinned"][1] == out["default"][1]
+        grid = np.concatenate([self.GRID, np.linspace(-5.0, 5.0, 64)])
+        here = kde_pdf(self.standardized(100_000), _silverman(1.0, 100_000), grid)
+        assert hashlib.sha256(here.tobytes()).hexdigest() == out["default"][1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_lanes_in_the_helpers_rows_do_not_warn(self, monkeypatch):
+        # At h = 1e-160, -(x - x_i)**2 / (2 h**2) overflows on every lane
+        # with x != x_i; rows 1, 3, 5 and 7 are the helper's.  A warning
+        # there would be an error, raised from the call.
+        data = np.random.default_rng(12).standard_normal(_SPLIT_VALUES)
+        grid = np.concatenate([np.linspace(-40.0, 40.0, 7), data[:1]])
+        started = self.spy_threads(monkeypatch)
+        vals = kde_pdf(data, 1e-160, grid)
+        assert len(started) == 1
+        assert vals[:-1].tolist() == [0.0] * 7 and vals[-1] > 0.0
+        assert [v.hex() for v in vals] == [kde_pdf(data, 1e-160, p).hex() for p in grid.tolist()]
+
+    def test_an_error_in_the_helpers_rows_comes_out_of_the_call(self, monkeypatch):
+        class HelperRowError(Exception):
+            pass
+
+        exp = np.exp
+
+        def exp_on_the_main_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise HelperRowError("exp off the main thread")
+            return exp(*args, **kwargs)
+
+        z = self.standardized(_SPLIT_VALUES)
+        before = threading.active_count()
+        monkeypatch.setattr(np, "exp", exp_on_the_main_thread)
+        with pytest.raises(HelperRowError, match="exp off the main thread"):
+            kde_pdf(z, _silverman(1.0, z.size), self.GRID)
+        assert threading.active_count() == before
+        # A call that does not split runs on the main thread alone.
+        assert kde_pdf(z, _silverman(1.0, z.size), self.GRID[:3]).shape == (3,)
+
+    def test_concurrent_callers_under_fast_switching_get_the_serial_values(self):
+        # Four callers, each with its helper, on two CPUs at a 1 us switch
+        # interval: a row lost or written by the wrong thread shows as a
+        # value that differs from the serial loop's.
+        z, h = self.standardized(_SPLIT_VALUES), _silverman(1.0, _SPLIT_VALUES)
+        want = [kde_pdf(z, h, p).hex() for p in self.GRID.tolist()]
+        got = [None] * 4
+
+        def call(c):
+            got[c] = [v.hex() for v in kde_pdf(z, h, self.GRID)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(c,)) for c in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [want] * 4
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_np_me_rules_do_not_depend_on_the_split(self, monkeypatch, n):
+        data = sample_mixture(DEFAULT_MIXTURE, 100_000, np.random.default_rng(n))
+        started = self.spy_threads(monkeypatch)
+        split = maxent_discretize(data, n)
+        assert len(started) == 1
+        monkeypatch.setattr(npgq.baselines, "_SPLIT_VALUES", math.inf)
+        serial = maxent_discretize(data, n)
+        assert len(started) == 1
+        assert [v.hex() for v in split.nodes + split.weights] == [v.hex() for v in serial.nodes + serial.weights]
 
 
 class TestMaxentGrid:

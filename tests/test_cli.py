@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import npgq.baselines
 import npgq.cli as cli
 from npgq import (
     NpgqError,
@@ -543,6 +544,18 @@ class TestPlotdata:
         src = write_csv(tmp_path / "d.csv", ["x"], [column])
         assert main(["plotdata", src, "--column", "x"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_kde_rows_do_not_depend_on_the_split(self, tmp_path, monkeypatch):
+        # 70 000 points are past the size from which kde_pdf splits its 512
+        # rows over two threads; with the split off, the file is the same.
+        data = sample_mixture(DEFAULT_MIXTURE, 70_000, np.random.default_rng(14))
+        assert data.size >= npgq.baselines._SPLIT_VALUES
+        src = write_csv(tmp_path / "d.csv", ["x"], [data.tolist()])
+        split, serial = tmp_path / "split.csv", tmp_path / "serial.csv"
+        assert main(["plotdata", src, "--column", "x", "--output", str(split)]) == 0
+        monkeypatch.setattr(npgq.baselines, "_SPLIT_VALUES", math.inf)
+        assert main(["plotdata", src, "--column", "x", "--output", str(serial)]) == 0
+        assert split.read_bytes() == serial.read_bytes()
 
     def test_histogram_integrates_to_one(self, tmp_path):
         rng = np.random.default_rng(10)

@@ -96,7 +96,7 @@ class TestSampleMoments:
         # and three-step prefixes np-me reads from a longer run.  Past
         # _LANCZOS_BLOCK points, the blocks' runs and the union's are each
         # such a run (a one-point last block at _LANCZOS_BLOCK + 1), and a
-        # shared sample's every call is a fresh merge.
+        # shared sample's every call merges its kept block runs afresh.
         data = mixture_data(size)
         z, shared = Sample(data).z, Sample(data)
         for n in (*range(1, 10), 3, 1):
@@ -293,6 +293,44 @@ for size in (20_000, 100_000):
         monkeypatch.setattr("npgq.moments._MAX_BASIS_BYTES", 8 * 9 * 18)
         with pytest.raises(InputError, match="^a 9-step Lanczos basis on 20000 points needs 1440000 bytes"):
             sample.jacobi(9)
+
+    @pytest.mark.parametrize("data", [
+        mixture_data(30_000),
+        mixture_data(100_000),
+        np.random.default_rng(5).choice(np.random.default_rng(6).standard_normal(4), 30_000),
+        mixture_data(30_005),
+        mixture_data(20_008),
+    ], ids=["30000", "100000", "four-atoms", "last-block-of-5", "last-block-of-8"])
+    def test_shorter_requests_read_the_kept_block_runs(self, monkeypatch, data):
+        # The study's order: np-gq at N = 9, 7, 5, 3, then np-me's three
+        # steps.  Each block runs Lanczos once, at the longest request it
+        # is past; the rest are prefixes, bit for bit a fresh sample's.  A
+        # last block of 5 points enters as its atoms until N = 3; one of 8
+        # runs at N = 7.  Four atoms break every block down at step 4.
+        sample = Sample(data)
+        z = sample.z
+        init = _Lanczos.__init__
+
+        def requests(*ns):
+            """The shared sample's matrices at ``ns``, and the blocks a Lanczos run took."""
+            runs = []
+            with monkeypatch.context() as patch:
+                patch.setattr(_Lanczos, "__init__", lambda self, x, start: runs.append(x) or init(self, x, start))
+                got = [sample.jacobi(n) for n in ns]
+            return dict(zip(ns, got)), [x for x in runs if np.shares_memory(x, z)]
+
+        got, blocks = requests(9, 7, 5, 3, 3)
+        starts = [(block.__array_interface__["data"][0] - z.__array_interface__["data"][0]) // 8 for block in blocks]
+        assert sorted(starts) == sorted(set(starts)) == list(range(0, z.size, _LANCZOS_BLOCK))
+        for n, jacobi in got.items():
+            want = Sample(data).jacobi(n)
+            assert [a.tobytes() for a in jacobi] == [a.tobytes() for a in want], n
+            assert [a.tobytes() for a in jacobi] == [a.tobytes() for a in merged_lanczos(z, n)], n
+        # A longer request runs every block past it again, and keeps the runs.
+        got, blocks = requests(11, 10)
+        assert len(blocks) == sum(z[i : i + _LANCZOS_BLOCK].size > 11 for i in range(0, z.size, _LANCZOS_BLOCK))
+        for n, jacobi in got.items():
+            assert [a.tobytes() for a in jacobi] == [a.tobytes() for a in Sample(data).jacobi(n)], n
 
     def test_memory_is_bounded_by_the_block(self):
         # A million points at N = 20: the direct run's basis alone is 160 MB
