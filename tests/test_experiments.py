@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import math
 import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -357,6 +359,25 @@ class TestSummaryStage:
         # holds no NaN object of its own.
         missing = [v for c in report.cells for v in astuple(c)[4:] if isinstance(v, float) and math.isnan(v)]
         assert missing and all(v is math.nan for v in missing)
+
+    def test_a_kept_report_holds_arrays_not_cells(self):
+        # A study keeps every report, so a default-grid one keeps its
+        # statistics in two arrays (about 5 KB), not 108 cells (19 KB).
+        cfg = ExperimentConfig(replications=1)
+        run_experiment(cfg)
+        tracemalloc.start()
+        try:
+            reports = [run_experiment(replace(cfg, seed=seed)) for seed in range(10)]
+            gc.collect()  # a failed rule's error and traceback are a cycle
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept / len(reports) < 8000
+        report = reports[0]
+        assert report == run_experiment(replace(cfg, seed=0)) and report.cells == report.cells
+        assert report != reports[1]
+        with pytest.raises(ValueError, match="read-only"):
+            report.stats[0, 0] = 0.0
 
 
 class TestConfigValidation:
